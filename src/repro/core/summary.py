@@ -41,15 +41,17 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from repro.errors import DataError, EstimationError
 from repro.selection import is_sorted, merge_two_with_payload
 
-__all__ = ["OPAQSummary"]
+__all__ = ["OPAQSummary", "pack_fields", "unpack_fields"]
 
 
 @dataclass(frozen=True)
@@ -327,8 +329,13 @@ class OPAQSummary:
     FORMAT_VERSION = 5
     _SUPPORTED_FORMATS = (2, 3, 4, 5)
 
-    def save(self, path: str | os.PathLike) -> None:
-        """Persist the summary as an ``.npz`` archive (versioned)."""
+    def _fields(self) -> tuple[dict[str, np.ndarray], dict[str, object]]:
+        """The persisted field list: named arrays plus the JSON meta.
+
+        One list for both encodings — the ``.npz`` archive of
+        :meth:`save` and the byte record of :meth:`to_bytes`.
+        """
+        arrays = {"samples": self.samples, "gaps": self.gaps, "floors": self.floors}
         meta = {
             "magic": self.FORMAT_MAGIC,
             "num_runs": self.num_runs,
@@ -337,11 +344,49 @@ class OPAQSummary:
             "maximum": self.maximum,
             "format": self.FORMAT_VERSION,
         }
+        return arrays, meta
+
+    @classmethod
+    def _from_fields(
+        cls, arrays: dict[str, np.ndarray], meta: dict[str, Any], source: object
+    ) -> "OPAQSummary":
+        """Check the magic and version stamp, then rebuild the summary.
+
+        Shared by :meth:`load` and :meth:`from_bytes`; ``source`` names
+        the file or record in error messages.
+        """
+        magic = meta.get("magic", cls.FORMAT_MAGIC)  # absent pre-5: accept
+        if magic != cls.FORMAT_MAGIC:
+            raise DataError(
+                f"{source} is not an OPAQ summary file (magic {magic!r}, "
+                f"expected {cls.FORMAT_MAGIC!r})"
+            )
+        version = meta.get("format")
+        if version not in cls._SUPPORTED_FORMATS:
+            raise DataError(
+                f"summary file {source} has format version {version!r}; this "
+                f"build reads versions {cls._SUPPORTED_FORMATS} — upgrade "
+                "the library or re-create the summary with `opaq summarize`"
+            )
+        try:
+            return cls(
+                samples=arrays["samples"],
+                gaps=arrays["gaps"],
+                floors=arrays.get("floors"),
+                num_runs=int(meta["num_runs"]),
+                count=int(meta["count"]),
+                minimum=float(meta["minimum"]),
+                maximum=float(meta["maximum"]),
+            )
+        except KeyError as exc:
+            raise DataError(f"malformed summary file {source}: {exc}") from None
+
+    def save(self, path: str | os.PathLike) -> None:
+        """Persist the summary as an ``.npz`` archive (versioned)."""
+        arrays, meta = self._fields()
         np.savez(
             path,
-            samples=self.samples,
-            gaps=self.gaps,
-            floors=self.floors,
+            **arrays,
             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         )
 
@@ -360,33 +405,102 @@ class OPAQSummary:
             path = path.with_suffix(path.suffix + ".npz")
         try:
             with np.load(path) as archive:
-                samples = archive["samples"]
-                gaps = archive["gaps"]
-                floors = archive["floors"] if "floors" in archive else None
+                arrays = {
+                    name: archive[name] for name in archive.files if name != "meta"
+                }
                 meta = json.loads(bytes(archive["meta"].tobytes()).decode())
         except FileNotFoundError:
             raise DataError(f"summary file does not exist: {path}") from None
         except (KeyError, ValueError) as exc:
             raise DataError(f"malformed summary file {path}: {exc}") from None
-        magic = meta.get("magic", cls.FORMAT_MAGIC)  # absent pre-5: accept
-        if magic != cls.FORMAT_MAGIC:
-            raise DataError(
-                f"{path} is not an OPAQ summary file (magic {magic!r}, "
-                f"expected {cls.FORMAT_MAGIC!r})"
-            )
-        version = meta.get("format")
-        if version not in cls._SUPPORTED_FORMATS:
-            raise DataError(
-                f"summary file {path} has format version {version!r}; this "
-                f"build reads versions {cls._SUPPORTED_FORMATS} — upgrade "
-                "the library or re-create the summary with `opaq summarize`"
-            )
-        return cls(
-            samples=samples,
-            gaps=gaps,
-            floors=floors,
-            num_runs=int(meta["num_runs"]),
-            count=int(meta["count"]),
-            minimum=float(meta["minimum"]),
-            maximum=float(meta["maximum"]),
+        return cls._from_fields(arrays, meta, path)
+
+    def to_bytes(self) -> bytes:
+        """The summary as one byte record (see :func:`pack_fields`).
+
+        Same fields and stamp as :meth:`save`, without the zip container:
+        the spill store appends these records to its segment log.
+        """
+        return pack_fields(*self._fields())
+
+    @classmethod
+    def from_bytes(cls, record: bytes) -> "OPAQSummary":
+        """Rebuild a summary from :meth:`to_bytes` output (bit-identical)."""
+        arrays, meta = unpack_fields(record)
+        return cls._from_fields(arrays, meta, "byte record")
+
+
+# ----------------------------------------------------------------------
+# Byte records: the archive's fields without the zip container
+# ----------------------------------------------------------------------
+
+#: Array dtypes a record can carry, keyed by their tag in the layout.
+_FIELD_DTYPES = {"f8": np.dtype(np.float64), "i8": np.dtype(np.int64)}
+_FIELD_TAGS = {dtype: tag for tag, dtype in _FIELD_DTYPES.items()}
+_HEAD_SIZE = struct.Struct("<I")
+
+
+def pack_fields(arrays: dict[str, np.ndarray], meta: dict[str, object]) -> bytes:
+    """Encode a summary's arrays and meta as one self-describing record.
+
+    Layout: a little-endian ``u32`` head length, a JSON head holding
+    ``meta`` and the ``[name, dtype tag, length]`` of every array, then
+    each array's raw little-endian bytes in that order.  JSON writes
+    floats by ``repr`` and the arrays travel as raw IEEE-754 / two's
+    complement bytes, so :func:`unpack_fields` returns them bit for bit.
+    Only ``float64`` and ``int64`` arrays are accepted — the dtypes
+    every portfolio summary persists.
+
+    >>> record = pack_fields({"x": np.array([1.5, -0.0])}, {"n": 2})
+    >>> arrays, meta = unpack_fields(record)
+    >>> arrays["x"].tobytes() == np.array([1.5, -0.0]).tobytes(), meta
+    (True, {'n': 2})
+    """
+    layout = []
+    blobs = []
+    for name, array in arrays.items():
+        tag = _FIELD_TAGS[array.dtype]
+        layout.append([name, tag, int(array.size)])
+        blobs.append(np.ascontiguousarray(array, dtype=f"<{tag}").tobytes())
+    head = json.dumps({"meta": meta, "arrays": layout}).encode()
+    return b"".join([_HEAD_SIZE.pack(len(head)), head, *blobs])
+
+
+def unpack_fields(record: bytes) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+    """Decode a :func:`pack_fields` record into ``(arrays, meta)``.
+
+    Every array is a fresh, writable, native-order copy.  A truncated or
+    malformed record raises :class:`~repro.errors.DataError`.
+    """
+    view = memoryview(record)
+    pos = _HEAD_SIZE.size
+    if len(view) >= pos:
+        (size,) = _HEAD_SIZE.unpack_from(view)
+        pos += size
+    if pos > len(view):
+        raise DataError("malformed summary record: truncated head")
+    try:
+        head = json.loads(bytes(view[_HEAD_SIZE.size : pos]))
+        meta = head["meta"]
+        layout = [
+            (str(name), _FIELD_DTYPES[tag], int(length))
+            for name, tag, length in head["arrays"]
+        ]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"malformed summary record head: {exc!r}") from None
+    if not isinstance(meta, dict):
+        raise DataError("malformed summary record: meta is not an object")
+    arrays: dict[str, np.ndarray] = {}
+    for name, dtype, length in layout:
+        end = pos + length * dtype.itemsize
+        if length < 0 or end > len(view):
+            raise DataError(f"malformed summary record: array {name!r} is cut short")
+        arrays[name] = np.frombuffer(
+            view[pos:end], dtype=dtype.newbyteorder("<")
+        ).astype(dtype)
+        pos = end
+    if pos != len(view):
+        raise DataError(
+            f"malformed summary record: {len(view) - pos} trailing bytes"
         )
+    return arrays, meta

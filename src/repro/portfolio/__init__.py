@@ -6,8 +6,9 @@ protocol — ``summarize`` / ``bounds`` / ``bound`` / ``estimate`` — and
 their summaries share one duck-typed surface (see
 :mod:`repro.portfolio.base`): counts, exact extremes,
 ``guaranteed_rank_error()``, vectorised ``bounds_arrays``, merge where
-claimed, and versioned ``.npz`` serialisation with per-engine magics
-(``OPAQSUM`` / ``KLLSUM`` / ``GKSUM`` / ``AS95SUM``).
+claimed, and versioned serialisation — an ``.npz`` archive or the same
+fields as one byte record — with per-engine magics (``OPAQSUM`` /
+``KLLSUM`` / ``GKSUM`` / ``AS95SUM``).
 
 :data:`ENGINES` is the catalogue: one :class:`EngineSpec` per engine
 recording its guarantee kind, mergeability and serialisation magic next
@@ -94,6 +95,10 @@ class EngineSpec:
     def load(self, path: str | os.PathLike) -> Any:
         """Load one of this engine's summary archives."""
         return self.summary_cls.load(path)
+
+    def from_bytes(self, record: bytes) -> Any:
+        """Decode one of this engine's summaries from its byte record."""
+        return self.summary_cls.from_bytes(record)
 
     def key_state(self, epsilon: float, max_samples: int, seed: int = 0) -> Any:
         """Fresh per-key fold state for the multi-tenant registry."""

@@ -24,7 +24,6 @@ pending seed buffer, so a spilled key resumes exactly where it left off.
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +31,8 @@ import numpy as np
 from repro.baselines.as95 import AdaptiveIntervalEstimator
 from repro.errors import EstimationError
 from repro.portfolio.base import (
+    ArchiveCodec,
     SketchEngine,
-    load_archive,
-    save_archive,
     target_ranks,
     validate_phis,
 )
@@ -42,7 +40,7 @@ from repro.portfolio.base import (
 __all__ = ["IntervalSummary", "AS95Engine"]
 
 
-class IntervalSummary(AdaptiveIntervalEstimator):
+class IntervalSummary(ArchiveCodec, AdaptiveIntervalEstimator):
     """An AS95 interval histogram with the portfolio summary surface."""
 
     name = "as95"
@@ -145,43 +143,35 @@ class IntervalSummary(AdaptiveIntervalEstimator):
 
     # -- serialisation ---------------------------------------------------
 
-    def save(self, path: str | os.PathLike) -> None:
-        """Persist as a versioned ``.npz`` archive (magic ``AS95SUM``)."""
+    def _fields(self) -> tuple[dict[str, np.ndarray], dict[str, object]]:
+        """Persisted state (magic ``AS95SUM``)."""
         self._require_data()
         seeded = self._bounds is not None
         empty = np.empty(0, dtype=np.float64)
         pending = (
             np.concatenate(self._pending) if self._pending else empty
         )
-        save_archive(
-            path,
-            magic=self.FORMAT_MAGIC,
-            version=self.FORMAT_VERSION,
-            arrays={
-                "bounds": self._bounds if seeded else empty,
-                "counts": self._counts if seeded else empty,
-                "pending": pending,
-            },
-            meta={
-                "intervals": self.intervals,
-                "split_factor": self.split_factor,
-                "count": self._n,
-                "minimum": self._min,
-                "maximum": self._max,
-                "seeded": seeded,
-            },
-        )
+        arrays = {
+            "bounds": self._bounds if seeded else empty,
+            "counts": self._counts if seeded else empty,
+            "pending": pending,
+        }
+        meta = {
+            "intervals": self.intervals,
+            "split_factor": self.split_factor,
+            "count": self._n,
+            "minimum": self._min,
+            "maximum": self._max,
+            "seeded": seeded,
+        }
+        return arrays, meta
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "IntervalSummary":
-        """Load a summary saved with :meth:`save`.
-
-        The pending buffer reloads as one chunk; seeding sorts the
-        concatenation either way, so resumed ingest behaves identically.
-        """
-        arrays, meta = load_archive(
-            path, magic=cls.FORMAT_MAGIC, supported=cls._SUPPORTED_FORMATS
-        )
+    def _from_fields(
+        cls, arrays: dict[str, np.ndarray], meta: dict
+    ) -> "IntervalSummary":
+        """The pending buffer reloads as one chunk; seeding sorts the
+        concatenation either way, so resumed ingest behaves identically."""
         out = cls(
             intervals=int(meta["intervals"]),
             split_factor=float(meta["split_factor"]),

@@ -27,13 +27,13 @@ duck-typed contract every portfolio summary honours:
     summaries, so the serving layer can answer from any engine through
     one code path.
 
-``merge(other)`` / ``absorb(chunk)`` / ``save(path)`` / ``load(path)``
+``merge(other)`` / ``absorb(chunk)`` / ``save(path)`` / ``load(path)`` / ``to_bytes()``
     Mergeability (engines that do not support it raise
     :class:`~repro.errors.EstimationError`), streaming ingest for the
-    multi-tenant registry's fold path, and versioned ``.npz``
-    serialisation with a per-engine magic — the same
-    magic-and-version discipline as ``OPAQSUM`` archives, enforced by the
-    :func:`save_archive` / :func:`load_archive` helpers here.
+    multi-tenant registry's fold path, and versioned serialisation with
+    a per-engine magic — an ``.npz`` archive or the same fields as one
+    byte record, under the same magic-and-version discipline as
+    ``OPAQSUM`` archives, enforced by :class:`ArchiveCodec` here.
 """
 
 from __future__ import annotations
@@ -41,13 +41,14 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.baselines.base import StreamingQuantileEstimator, consume
 from repro.core.bounds import QuantileBounds
 from repro.core.protocols import DataSource
+from repro.core.summary import pack_fields, unpack_fields
 from repro.errors import DataError, EstimationError
 from repro.obs import current_tracer
 
@@ -56,8 +57,7 @@ __all__ = [
     "SketchEngine",
     "validate_phis",
     "target_ranks",
-    "save_archive",
-    "load_archive",
+    "ArchiveCodec",
 ]
 
 
@@ -83,78 +83,114 @@ def target_ranks(fractions: np.ndarray, count: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Versioned .npz archives (the OPAQSUM discipline, parameterised)
+# Versioned archives (the OPAQSUM discipline, parameterised)
 # ----------------------------------------------------------------------
 
 
-def save_archive(
-    path: str | os.PathLike,
-    *,
-    magic: str,
-    version: int,
-    arrays: dict[str, np.ndarray],
-    meta: dict[str, object],
-) -> None:
-    """Persist one summary as a versioned ``.npz`` archive.
+class ArchiveCodec:
+    """Versioned persistence for a portfolio summary, in two encodings.
 
-    Same layout as :meth:`repro.core.OPAQSummary.save`: named arrays plus
-    a ``meta`` JSON blob carrying the magic, the format version and the
-    scalar state.  ``magic`` marks the file as this engine's; ``version``
-    gates compatibility on load.
+    A subclass names its format (``FORMAT_MAGIC``, ``FORMAT_VERSION``,
+    ``_SUPPORTED_FORMATS``) and its field list once — :meth:`_fields`
+    returns the named arrays plus the scalar meta, :meth:`_from_fields`
+    rebuilds the summary from them — and gets both encodings over that
+    one list, with one magic-and-version check:
+
+    * :meth:`save` / :meth:`load` — an ``.npz`` archive, the same layout
+      as :meth:`repro.core.OPAQSummary.save` (named arrays plus a
+      ``meta`` JSON blob carrying the magic, the format version and the
+      scalar state);
+    * :meth:`to_bytes` / :meth:`from_bytes` — the same fields as one
+      byte record (:func:`repro.core.summary.pack_fields`), which the
+      tenancy spill store appends to its segment log.
+
+    A missing file, a wrong magic or an unknown version raises
+    :class:`~repro.errors.DataError` with a message naming the problem,
+    so a record or archive of another engine fails loudly instead of
+    mis-parsing.
     """
-    body = dict(meta)
-    body["magic"] = magic
-    body["format"] = version
-    np.savez(
-        path,
-        meta=np.frombuffer(json.dumps(body).encode(), dtype=np.uint8),
-        **arrays,
-    )
 
+    FORMAT_MAGIC = "SKETCH"
+    FORMAT_VERSION = 1
+    _SUPPORTED_FORMATS: tuple[int, ...] = (1,)
 
-def load_archive(
-    path: str | os.PathLike,
-    *,
-    magic: str,
-    supported: tuple[int, ...],
-) -> tuple[dict[str, np.ndarray], dict[str, object]]:
-    """Load an archive written by :func:`save_archive`.
+    def _fields(self) -> tuple[dict[str, np.ndarray], dict[str, object]]:
+        raise NotImplementedError
 
-    Returns ``(arrays, meta)``.  A missing file, a wrong magic or an
-    unknown version raises :class:`~repro.errors.DataError` with a
-    message naming the problem — the same contract as
-    :meth:`repro.core.OPAQSummary.load`, so a mixed-engine spill
-    directory fails loudly instead of mis-parsing a foreign archive.
-    """
-    path = Path(path)
-    if path.suffix != ".npz" and not path.exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    try:
-        with np.load(path) as archive:
-            arrays = {
-                name: archive[name]
-                for name in archive.files
-                if name != "meta"
-            }
-            meta = json.loads(bytes(archive["meta"].tobytes()).decode())
-    except FileNotFoundError:
-        raise DataError(f"summary file does not exist: {path}") from None
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"malformed summary file {path}: {exc}") from None
-    found = meta.get("magic")
-    if found != magic:
-        raise DataError(
-            f"{path} is not a {magic} summary file (magic {found!r}, "
-            f"expected {magic!r})"
+    @classmethod
+    def _from_fields(
+        cls, arrays: dict[str, np.ndarray], meta: dict[str, Any]
+    ) -> Any:
+        raise NotImplementedError
+
+    def _stamped_fields(
+        self,
+    ) -> tuple[dict[str, np.ndarray], dict[str, object]]:
+        arrays, meta = self._fields()
+        stamp = {"magic": self.FORMAT_MAGIC, "format": self.FORMAT_VERSION}
+        return arrays, {**meta, **stamp}
+
+    @classmethod
+    def _checked(
+        cls,
+        arrays: dict[str, np.ndarray],
+        meta: dict[str, Any],
+        source: object,
+    ) -> Any:
+        magic = cls.FORMAT_MAGIC
+        found = meta.get("magic")
+        if found != magic:
+            raise DataError(
+                f"{source} is not a {magic} summary file (magic {found!r}, "
+                f"expected {magic!r})"
+            )
+        version = meta.get("format")
+        if version not in cls._SUPPORTED_FORMATS:
+            raise DataError(
+                f"summary file {source} has format version {version!r}; this "
+                f"build reads versions {cls._SUPPORTED_FORMATS} — upgrade the "
+                "library or re-create the summary"
+            )
+        return cls._from_fields(arrays, meta)
+
+    def save(self, path: str | os.PathLike) -> None:
+        """Persist as a versioned ``.npz`` archive."""
+        arrays, meta = self._stamped_fields()
+        np.savez(
+            path,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            **arrays,
         )
-    version = meta.get("format")
-    if version not in supported:
-        raise DataError(
-            f"summary file {path} has format version {version!r}; this "
-            f"build reads versions {supported} — upgrade the library or "
-            "re-create the summary"
-        )
-    return arrays, meta
+
+    @classmethod
+    def load(cls, path: str | os.PathLike) -> Any:
+        """Load an archive written by :meth:`save` (byte-identical state)."""
+        path = Path(path)
+        if path.suffix != ".npz" and not path.exists():
+            path = path.with_suffix(path.suffix + ".npz")
+        try:
+            with np.load(path) as archive:
+                arrays = {
+                    name: archive[name]
+                    for name in archive.files
+                    if name != "meta"
+                }
+                meta = json.loads(bytes(archive["meta"].tobytes()).decode())
+        except FileNotFoundError:
+            raise DataError(f"summary file does not exist: {path}") from None
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"malformed summary file {path}: {exc}") from None
+        return cls._checked(arrays, meta, path)
+
+    def to_bytes(self) -> bytes:
+        """The same fields and stamp as :meth:`save`, as one byte record."""
+        return pack_fields(*self._stamped_fields())
+
+    @classmethod
+    def from_bytes(cls, record: bytes) -> Any:
+        """Rebuild a summary from :meth:`to_bytes` output."""
+        arrays, meta = unpack_fields(record)
+        return cls._checked(arrays, meta, "byte record")
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +198,7 @@ def load_archive(
 # ----------------------------------------------------------------------
 
 
-class SketchSummary(StreamingQuantileEstimator):
+class SketchSummary(ArchiveCodec, StreamingQuantileEstimator):
     """A mutable sketch that doubles as its own queryable summary.
 
     OPAQ separates the estimator (stateless config) from the summary (the
@@ -179,9 +215,6 @@ class SketchSummary(StreamingQuantileEstimator):
     guarantee_kind = "deterministic"
     #: Per-query failure probability for ``guarantee_kind="randomized"``.
     delta: float | None = None
-
-    FORMAT_MAGIC = "SKETCH"
-    FORMAT_VERSION = 1
 
     def __init__(self) -> None:
         super().__init__()
@@ -224,13 +257,6 @@ class SketchSummary(StreamingQuantileEstimator):
         raise NotImplementedError
 
     def merge(self, other: "SketchSummary") -> "SketchSummary":
-        raise NotImplementedError
-
-    def save(self, path: str | os.PathLike) -> None:
-        raise NotImplementedError
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "SketchSummary":
         raise NotImplementedError
 
 

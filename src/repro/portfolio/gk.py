@@ -35,7 +35,6 @@ merge trees.  (KLL is the engine whose merge does not decay.)
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
@@ -43,9 +42,8 @@ import numpy as np
 from repro.baselines.gk01 import GreenwaldKhanna
 from repro.errors import EstimationError
 from repro.portfolio.base import (
+    ArchiveCodec,
     SketchEngine,
-    load_archive,
-    save_archive,
     target_ranks,
     validate_phis,
 )
@@ -53,7 +51,7 @@ from repro.portfolio.base import (
 __all__ = ["GKSummary", "GKEngine"]
 
 
-class GKSummary(GreenwaldKhanna):
+class GKSummary(ArchiveCodec, GreenwaldKhanna):
     """A GK01 sketch with bounds, merge, extremes and serialisation."""
 
     name = "gk"
@@ -221,27 +219,21 @@ class GKSummary(GreenwaldKhanna):
 
     # -- serialisation ---------------------------------------------------
 
-    def save(self, path: str | os.PathLike) -> None:
-        """Persist as a versioned ``.npz`` archive (magic ``GKSUM``)."""
+    def _fields(self) -> tuple[dict[str, np.ndarray], dict[str, object]]:
+        """Persisted state (magic ``GKSUM``): the tuple arrays."""
         self._require_data()
-        save_archive(
-            path,
-            magic=self.FORMAT_MAGIC,
-            version=self.FORMAT_VERSION,
-            arrays={"v": self._v, "g": self._g, "d": self._d},
-            meta={
-                "epsilon": self.epsilon,
-                "count": self._n,
-                "compactions": self._compactions,
-            },
-        )
+        arrays = {"v": self._v, "g": self._g, "d": self._d}
+        meta = {
+            "epsilon": self.epsilon,
+            "count": self._n,
+            "compactions": self._compactions,
+        }
+        return arrays, meta
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "GKSummary":
-        """Load a summary saved with :meth:`save` (byte-identical state)."""
-        arrays, meta = load_archive(
-            path, magic=cls.FORMAT_MAGIC, supported=cls._SUPPORTED_FORMATS
-        )
+    def _from_fields(
+        cls, arrays: dict[str, np.ndarray], meta: dict
+    ) -> "GKSummary":
         out = cls(epsilon=float(meta["epsilon"]))
         out._v = np.ascontiguousarray(arrays["v"], dtype=np.float64)
         out._g = np.ascontiguousarray(arrays["g"], dtype=np.int64)

@@ -24,7 +24,6 @@ answers (``g = 1``).
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +31,8 @@ import numpy as np
 from repro.baselines.kll import KLLSketch
 from repro.errors import ConfigError, EstimationError
 from repro.portfolio.base import (
+    ArchiveCodec,
     SketchEngine,
-    load_archive,
-    save_archive,
     target_ranks,
     validate_phis,
 )
@@ -50,7 +48,7 @@ DELTA = 0.01
 Z_SCORE = math.sqrt(2.0 * math.log(2.0 / DELTA))
 
 
-class KLLSummary(KLLSketch):
+class KLLSummary(ArchiveCodec, KLLSketch):
     """A KLL sketch with bounds, merge, extremes and serialisation."""
 
     name = "kll"
@@ -213,8 +211,8 @@ class KLLSummary(KLLSketch):
 
     # -- serialisation ---------------------------------------------------
 
-    def save(self, path: str | os.PathLike) -> None:
-        """Persist as a versioned ``.npz`` archive (magic ``KLLSUM``).
+    def _fields(self) -> tuple[dict[str, np.ndarray], dict[str, object]]:
+        """Persisted state (magic ``KLLSUM``).
 
         Level payloads travel concatenated with per-level totals; the
         compactor RNG state rides in the JSON meta so a restored sketch
@@ -228,27 +226,21 @@ class KLLSummary(KLLSketch):
         level_data = (
             np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
         )
-        save_archive(
-            path,
-            magic=self.FORMAT_MAGIC,
-            version=self.FORMAT_VERSION,
-            arrays={"level_data": level_data, "level_sizes": level_sizes},
-            meta={
-                "k": self.k,
-                "count": self._n,
-                "minimum": self._min,
-                "maximum": self._max,
-                "compactions": self._compactions,
-                "rng": self._rng.bit_generator.state,
-            },
-        )
+        arrays = {"level_data": level_data, "level_sizes": level_sizes}
+        meta = {
+            "k": self.k,
+            "count": self._n,
+            "minimum": self._min,
+            "maximum": self._max,
+            "compactions": self._compactions,
+            "rng": self._rng.bit_generator.state,
+        }
+        return arrays, meta
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "KLLSummary":
-        """Load a sketch saved with :meth:`save` (byte-identical state)."""
-        arrays, meta = load_archive(
-            path, magic=cls.FORMAT_MAGIC, supported=cls._SUPPORTED_FORMATS
-        )
+    def _from_fields(
+        cls, arrays: dict[str, np.ndarray], meta: dict
+    ) -> "KLLSummary":
         out = cls(k=int(meta["k"]), seed=0)
         out._rng.bit_generator.state = meta["rng"]
         sizes = [int(s) for s in arrays["level_sizes"]]

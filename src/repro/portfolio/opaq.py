@@ -213,7 +213,7 @@ class OpaqKeyState:
     sketch engines answer it with their summary object itself):
     ``absorb`` sorted data, expose ``count``/``memory_footprint``/
     ``compactions``, answer ``guaranteed_rank_error``/``bounds_arrays``,
-    and ``save`` to the engine's archive format.
+    and ``save`` / ``to_bytes`` in the engine's archive format.
     """
 
     engine = "opaq"
@@ -260,3 +260,6 @@ class OpaqKeyState:
 
     def save(self, path: str | PathLike) -> None:
         self.summary.save(path)
+
+    def to_bytes(self) -> bytes:
+        return self.summary.to_bytes()

@@ -242,7 +242,7 @@ class SummaryRegistry:
             self._store = SpillStore(
                 self._cfg.spill_dir,
                 loaders={
-                    name: spec.load for name, spec in ENGINES.items()
+                    name: spec.from_bytes for name, spec in ENGINES.items()
                 },
             )
             self._tree.load_from(self._store)
@@ -534,20 +534,34 @@ class SummaryRegistry:
             if entry.pending_count:
                 self._fold_entry_locked(shard, key, entry)
         while shard.used > budget and shard.entries:
-            key, entry = shard.entries.popitem(last=False)
+            key, entry = next(iter(shard.entries.items()))
             self._fold_entry_locked(shard, key, entry)
-            if entry.state is not None and self._store is not None:
-                self._store.spill(
-                    key,
-                    entry.state,
-                    compactions=entry.compactions,
-                    epsilon=self._cfg.per_key_epsilon,
-                    engine=entry.spec.name,
-                )
-                shard.spills += 1
-            shard.used -= entry.charged
+            self._spill_entry_locked(shard, key, entry)
             shard.evictions += 1
             current_tracer().count("service.tenancy.evict")
+
+    def _spill_entry_locked(
+        self, shard: _Shard, key: str, entry: _KeyEntry
+    ) -> None:
+        """Write a folded key to the store, then drop it and its charge.
+
+        The entry leaves the shard only once the spill has landed: a
+        failed spill (the store raises a retryable ``ServiceError``)
+        keeps the key resident with its state and its slot charge, so
+        no acknowledged element is lost and ``used`` still matches the
+        resident keys.
+        """
+        if entry.state is not None and self._store is not None:
+            self._store.spill(
+                key,
+                entry.state,
+                compactions=entry.compactions,
+                epsilon=self._cfg.per_key_epsilon,
+                engine=entry.spec.name,
+            )
+            shard.spills += 1
+        del shard.entries[key]
+        shard.used -= entry.charged
 
     # ------------------------------------------------------------------
     # Query
@@ -693,6 +707,12 @@ class SummaryRegistry:
             "resident_keys_by_engine": engines,
             "default_engine": self._cfg.engine,
             "spilled_keys": 0 if self._store is None else len(self._store),
+            "spill_bytes_live": (
+                0 if self._store is None else self._store.bytes_live
+            ),
+            "spill_bytes_on_disk": (
+                0 if self._store is None else self._store.bytes_on_disk
+            ),
             "pending_elements": pending,
             "used_slots": used,
             "budget_slots": self._cfg.memory_budget,
@@ -719,19 +739,10 @@ class SummaryRegistry:
         for shard in self._shards:
             with shard.lock:
                 while shard.entries:
-                    key, entry = shard.entries.popitem(last=False)
+                    key, entry = next(iter(shard.entries.items()))
                     self._fold_entry_locked(shard, key, entry)
-                    if entry.state is not None:
-                        self._store.spill(
-                            key,
-                            entry.state,
-                            compactions=entry.compactions,
-                            epsilon=self._cfg.per_key_epsilon,
-                            engine=entry.spec.name,
-                        )
-                        shard.spills += 1
-                        spilled += 1
-                    shard.used -= entry.charged
+                    self._spill_entry_locked(shard, key, entry)
+                    spilled += entry.state is not None
         self._tree.save_to(self._store)
         return spilled
 

@@ -1,5 +1,7 @@
 """The summary registry: budget, epsilon contract, spill/evict, rollups."""
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.service.tenancy import (
     SummaryRegistry,
     compact_within_budget,
 )
+from repro.service.tenancy import store as store_module
 
 
 def small_config(tmp_path=None, **kw):
@@ -139,6 +142,74 @@ class TestBudget:
             assert answer.count == 250
             truth = np.sort(data[0])[124]
             assert answer.lower[0] <= truth <= answer.upper[0]
+
+    def test_churn_keeps_spill_disk_bounded(self, rng, tmp_path, monkeypatch):
+        """STATS reports the spill log's live and on-disk bytes, and under
+        spill/restore churn disk stays within 2 x live + one segment."""
+        segment = 16 << 10
+        monkeypatch.setattr(store_module, "_SEGMENT_BYTES", segment)
+        config = small_config(tmp_path, memory_budget=9_000)
+        with SummaryRegistry(config) as registry:
+            assert registry.stats()["spill_bytes_on_disk"] == 0
+            for i in range(300):
+                registry.ingest(f"t{i % 90}", "m", rng.uniform(size=250))
+                if i % 3 == 0:  # an ingested key, often a cold one
+                    registry.quantiles(f"t{(i * 7) % min(i + 1, 90)}", "m", [0.5])
+                stats = registry.stats()
+                live, disk = stats["spill_bytes_live"], stats["spill_bytes_on_disk"]
+                assert disk <= 2 * live + segment, (i, live, disk)
+            assert stats["restores"] > 0 and 0 < live < disk
+            spill_files = sorted((tmp_path / "spills").glob("segment-*.log"))
+            assert int(spill_files[0].stem[8:]) > 1  # reclaimed segments
+        with SummaryRegistry(small_config()) as registry:
+            assert registry.stats()["spill_bytes_live"] == 0
+
+
+class TestSpillFailure:
+    def test_failed_spill_keeps_the_key_and_its_charge(
+        self, rng, tmp_path, monkeypatch
+    ):
+        """A spill that hits a full disk evicts nothing: the key keeps its
+        folded state and its slot charge, and the caller gets a retryable
+        ServiceError instead of a raw OSError."""
+        config = small_config(
+            tmp_path, memory_budget=1_300, num_shards=1, fold_threshold=256
+        )
+        registry = SummaryRegistry(config)
+        shard = registry._shards[0]
+        acknowledged = {}
+        failed = None
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module.os, "pwrite", _enospc)
+            for i in range(20):
+                metric = f"m{i}"
+                try:
+                    registry.ingest("t", metric, rng.uniform(size=300))
+                except ServiceError as exc:
+                    assert "retry" in str(exc)
+                    failed = metric
+                    break
+                acknowledged[metric] = 300
+        assert failed is not None and "m0" in acknowledged
+        # Every resident key is billed exactly: overhead + folded summary.
+        assert all(e.pending_count == 0 for e in shard.entries.values())
+        assert registry.stats()["used_slots"] == sum(
+            config.per_key_overhead + e.state.memory_footprint
+            for e in shard.entries.values()
+        )
+        assert registry.stats()["spills"] == 0
+        # The disk has room again: the key that failed to spill, and every
+        # other acknowledged key, answers with its full count.
+        for metric, count in acknowledged.items():
+            assert registry.quantiles("t", metric, [0.5]).count == count
+        assert registry.stats()["spills"] > 0
+        stats = registry.stats()
+        assert stats["used_slots"] <= stats["budget_slots"]
+        registry.close()
+
+
+def _enospc(fd, data, offset):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 class TestRollups:
