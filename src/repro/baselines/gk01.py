@@ -79,28 +79,33 @@ class GreenwaldKhanna(StreamingQuantileEstimator):
         self._compress(cap)
 
     def _compress(self, cap: int) -> None:
-        """Merge adjacent tuples while g_i + g_{i+1} + Δ_{i+1} < cap."""
-        v, g, d = self._v, self._g, self._d
-        if v.size <= 2:
+        """Fold each tuple into its successor while the combined band
+        ``g_i + g_{i+1} + Δ_{i+1}`` (plus what was already folded) stays
+        within ``cap``.
+
+        The greedy scan reads plain Python lists: indexing numpy scalars
+        one tuple at a time costs about four times as much.
+        """
+        if self._v.size <= 2:
             return
-        keep_v: list[float] = [float(v[0])]
-        keep_g: list[int] = [int(g[0])]
-        keep_d: list[int] = [int(d[0])]
+        g = self._g.tolist()
+        d = self._d.tolist()
+        last = len(g) - 1
+        keep = [0]
+        keep_g = [g[0]]
         acc_g = 0
-        for i in range(1, v.size - 1):
+        for i in range(1, last):
             if acc_g + g[i] + g[i + 1] + d[i + 1] <= cap:
-                acc_g += int(g[i])  # fold tuple i into its successor
+                acc_g += g[i]  # fold tuple i into its successor
             else:
-                keep_v.append(float(v[i]))
-                keep_g.append(acc_g + int(g[i]))
-                keep_d.append(int(d[i]))
+                keep.append(i)
+                keep_g.append(acc_g + g[i])
                 acc_g = 0
-        keep_v.append(float(v[-1]))
-        keep_g.append(acc_g + int(g[-1]))
-        keep_d.append(int(d[-1]))
-        self._v = np.array(keep_v)
+        keep.append(last)
+        keep_g.append(acc_g + g[last])
+        self._v = self._v[keep]
         self._g = np.array(keep_g, dtype=np.int64)
-        self._d = np.array(keep_d, dtype=np.int64)
+        self._d = self._d[keep]
 
     def rank_error_bound(self) -> float:
         """The deterministic guarantee: ``±εn`` ranks."""

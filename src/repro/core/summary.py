@@ -49,7 +49,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import DataError, EstimationError
-from repro.selection import is_sorted, merge_two_with_payload
+from repro.selection import is_sorted
 
 __all__ = ["OPAQSummary", "pack_fields", "unpack_fields"]
 
@@ -91,13 +91,13 @@ class OPAQSummary:
             raise EstimationError("num_runs must be positive")
         if gaps.min() < 1:
             raise EstimationError("every sub-run must hold at least 1 element")
-        if np.any(floors > samples):
+        if (floors > samples).any():
             raise EstimationError("a group's floor cannot exceed its sample")
         if self.minimum > self.maximum:
             raise EstimationError("minimum exceeds maximum")
         if not is_sorted(samples):
             raise EstimationError("sample list must be sorted")
-        cum = np.cumsum(gaps)
+        cum = gaps.cumsum()
         if int(cum[-1]) != self.count:
             raise EstimationError(
                 f"sub-run sizes sum to {int(cum[-1])} but the summary claims "
@@ -244,9 +244,6 @@ class OPAQSummary:
     # Incremental maintenance (paper section 4)
     # ------------------------------------------------------------------
 
-    def _payload(self) -> np.ndarray:
-        return np.column_stack([self.gaps.astype(np.float64), self.floors])
-
     def merge(self, other: "OPAQSummary") -> "OPAQSummary":
         """Combine two summaries built over disjoint data.
 
@@ -254,16 +251,20 @@ class OPAQSummary:
         of the old runs, sample only the new runs, and merge the two sorted
         lists (gap and floor bookkeeping ride along, so the merged
         guarantees stay exact).
+
+        The merge runs column by column: one stable argsort of the
+        concatenated samples orders the samples, gaps and floors alike.
+        Equal samples keep ``self``'s before ``other``'s, each side in
+        its own order — the tie layout compaction reads.
         """
         if not isinstance(other, OPAQSummary):
             raise EstimationError("can only merge with another OPAQSummary")
-        samples, payload = merge_two_with_payload(
-            self.samples, self._payload(), other.samples, other._payload()
-        )
+        samples = np.concatenate([self.samples, other.samples])
+        order = samples.argsort(kind="stable")
         return OPAQSummary(
-            samples=samples,
-            gaps=payload[:, 0].astype(np.int64),
-            floors=payload[:, 1],
+            samples=samples[order],
+            gaps=np.concatenate([self.gaps, other.gaps])[order],
+            floors=np.concatenate([self.floors, other.floors])[order],
             num_runs=self.num_runs + other.num_runs,
             count=self.count + other.count,
             minimum=min(self.minimum, other.minimum),

@@ -22,7 +22,11 @@ The summary-wide guarantee is therefore ``g = max_i(g_i + delta_i) + 1``
 honest whatever ingest or merge history produced the tuples, rather than
 trusting the ``2*eps*n`` bookkeeping invariant.  The first and last
 tuples hold the exact extremes (inserts beyond either end carry
-``delta = 0``), so extreme quantiles get finite bounds for free.
+``delta = 0``), so extreme quantiles get finite bounds for free.  Below
+~``1/eps`` elements the compress pass never fires and the tuple list is
+the sorted data itself (every ``g == 1``, ``delta == 0``); that state
+serves the exact order statistic with ``g == 1``, as OPAQ and KLL do for
+their uncompacted state.
 
 Merge is one-shot: values interleave and each side's rank band is
 widened by its rank interval in the *other* summary (predecessor
@@ -96,9 +100,20 @@ class GKSummary(ArchiveCodec, GreenwaldKhanna):
 
     # -- guarantees and bounds -----------------------------------------
 
+    def _holds_the_data(self) -> bool:
+        """True while the tuple list is the data itself: one tuple per
+        element, every ``g == 1`` and every ``delta == 0`` (a key below
+        ~``1/eps`` elements never compresses)."""
+        return (
+            self._v.size == self._n
+            and not self._d.any()
+            and bool((self._g == 1).all())
+        )
+
     def guaranteed_rank_error(self) -> int:
-        """``max_i(g_i + delta_i) + 1``: deterministic, from actual state."""
-        if self._v.size == 0:
+        """``max_i(g_i + delta_i) + 1``: deterministic, from actual state;
+        ``1`` (exact) while the tuples are the data itself."""
+        if self._v.size == 0 or self._holds_the_data():
             return 1
         return int(np.max(self._g + self._d)) + 1
 
@@ -110,6 +125,11 @@ class GKSummary(ArchiveCodec, GreenwaldKhanna):
         fractions = validate_phis(phis)
         n = self._n
         psi = target_ranks(fractions, n)
+        if self._holds_the_data():
+            # Uncompressed: tuple psi - 1 is the element of rank psi.
+            exact = self._v[psi - 1]
+            zeros = np.zeros(psi.size, dtype=np.int64)
+            return psi, exact, exact.copy(), zeros, zeros.copy(), fractions
         rmin = np.cumsum(self._g)
         # Monotone envelope: merged summaries can carry locally loose
         # rmax values; the running max is still a valid upper bound for

@@ -4,8 +4,8 @@ After the sample phase produces one sorted sample list per run, the paper
 merges the ``r`` lists into a single sorted list of ``r*s`` samples in
 ``O(r*s*log r)`` time.  :func:`kway_merge` implements the textbook heap-based
 r-way merge (and is what the complexity accounting in the parallel simulator
-models); :func:`merge_two` is the binary merge used by the incremental
-extension and by the simulated bitonic merge network.
+models); :func:`merge_two` is the binary merge used by the simulated bitonic
+merge network.
 
 The heap loop is the *reference kernel*; passing ``kernel="numpy"`` routes
 the merge through :func:`repro.selection.kernels.merge_sorted_numpy`
@@ -30,7 +30,7 @@ __all__ = ["kway_merge", "merge_two", "merge_two_with_payload", "is_sorted"]
 
 def is_sorted(values: np.ndarray) -> bool:
     """True when ``values`` is non-decreasing."""
-    return bool(np.all(values[1:] >= values[:-1])) if values.size else True
+    return bool((values[1:] >= values[:-1]).all()) if values.size else True
 
 
 def merge_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,9 +54,9 @@ def merge_two_with_payload(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge two sorted key arrays, carrying a payload row along each key.
 
-    Used by the OPAQ summary, whose samples travel with their sub-run
-    size and floor-value bookkeeping through every merge.  Payloads may be
-    one-dimensional or row-per-key two-dimensional.
+    Used by the bitonic merge network and the heap k-way merge, whose
+    samples travel with their sub-run size and floor-value bookkeeping.
+    Payloads may be one-dimensional or row-per-key two-dimensional.
     """
     a_payload = np.asarray(a_payload)
     b_payload = np.asarray(b_payload)

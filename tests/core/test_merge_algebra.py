@@ -14,8 +14,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import OPAQ, OPAQConfig, OPAQSummary, quantile_bounds
+from repro.selection import merge_two_with_payload
 
 PHI_GRID = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
 
@@ -163,3 +165,71 @@ def test_compaction_is_deterministic_on_canonical_merge(rng):
             b = quantile_bounds(compacted, phi)
             assert b.lower <= b.upper
             assert b.max_between >= 0
+
+
+# ----------------------------------------------------------------------
+# The column-by-column merge against the reference two-way merge
+# ----------------------------------------------------------------------
+
+#: Values drawn on both sides of a merge: heavy cross-side ties, and both
+#: signed zeros (equal under comparison, distinct in their sign bit).
+_TIE_POOL = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.5]
+
+
+@st.composite
+def summaries(draw) -> OPAQSummary:
+    """A valid summary with tied and signed-zero samples, ``-inf`` and
+    finite floors, compacted by a drawn factor so gaps exceed 1."""
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_TIE_POOL),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    samples = sorted(values)  # stable: the zeros keep their drawn order
+    gaps = draw(st.lists(st.integers(1, 5), min_size=len(samples),
+                         max_size=len(samples)))
+    floors = [
+        min(draw(st.sampled_from([-np.inf, *_TIE_POOL])), s) for s in samples
+    ]
+    summary = OPAQSummary(
+        samples=np.array(samples),
+        gaps=np.array(gaps),
+        floors=np.array(floors),
+        num_runs=draw(st.integers(1, 4)),
+        count=sum(gaps),
+        minimum=samples[0],
+        maximum=samples[-1],
+    )
+    return summary.compact(draw(st.integers(1, 3)))
+
+
+def _reference_merge(a: OPAQSummary, b: OPAQSummary):
+    """The two-way merge over a float64 ``(gap, floor)`` payload."""
+    def payload(s: OPAQSummary) -> np.ndarray:
+        return np.column_stack([s.gaps.astype(np.float64), s.floors])
+
+    samples, pay = merge_two_with_payload(
+        a.samples, payload(a), b.samples, payload(b)
+    )
+    return samples, pay[:, 0].astype(np.int64), pay[:, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(summaries(), summaries())
+def test_merge_matches_the_reference_two_way_merge(a, b):
+    """Compaction reads the merged tie layout (see the test above), so
+    the merge must reproduce the reference kernel's arrays byte for
+    byte: ties keep ``a`` before ``b``, sign bits included."""
+    merged = a.merge(b)
+    samples, gaps, floors = _reference_merge(a, b)
+    assert merged.samples.tobytes() == samples.tobytes()
+    assert merged.gaps.dtype == np.int64
+    assert merged.gaps.tobytes() == gaps.tobytes()
+    assert merged.floors.tobytes() == floors.tobytes()
+    assert merged.count == a.count + b.count
+    assert merged.num_runs == a.num_runs + b.num_runs

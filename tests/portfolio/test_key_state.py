@@ -28,6 +28,11 @@ def _chunks(rng, count=40, size=1_500):
         yield np.sort(rng.normal(size=size))
 
 
+#: Key sizes below ~1/epsilon: the state still holds every element, so
+#: the contract ``(g - 1) <= epsilon * count`` demands exact answers.
+SMALL_COUNTS = (1, 32, 99)
+
+
 @pytest.mark.parametrize("name", CONTRACT_ENGINES)
 def test_epsilon_contract_holds_after_every_fold(name, rng):
     state = ENGINES[name].key_state(EPSILON, MAX_SAMPLES, seed=7)
@@ -38,6 +43,15 @@ def test_epsilon_contract_holds_after_every_fold(name, rng):
         assert state.count == total
         g = state.guaranteed_rank_error()
         assert g - 1 <= EPSILON * total, (name, total, g)
+    for count in SMALL_COUNTS:
+        small = ENGINES[name].key_state(EPSILON, MAX_SAMPLES, seed=7)
+        data = np.sort(rng.normal(size=count))
+        small.absorb(data)
+        g = small.guaranteed_rank_error()
+        assert g - 1 <= EPSILON * count, (name, count, g)
+        psi, lower, upper, _, _, _ = small.bounds_arrays([0.01, 0.5, 1.0])
+        np.testing.assert_array_equal(lower, data[psi - 1])
+        np.testing.assert_array_equal(upper, data[psi - 1])
 
 
 @pytest.mark.parametrize("name", sorted(ENGINES), ids=sorted(ENGINES))
