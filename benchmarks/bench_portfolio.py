@@ -15,7 +15,11 @@ rank error of the served bounds against exact ground truth, ingest
 throughput, and the cost of merging two half-stream summaries (``null``
 where the engine does not merge).  The committed ``BENCH_portfolio.json``
 at the repo root is written by running this module as a script at full
-scale; the pytest-benchmark entry point runs a reduced sweep in CI.
+scale; the pytest-benchmark entry point runs a reduced sweep in CI.  The
+file's ``machine`` object records the host next to the rows, with the
+fields ``perfbench/run.py`` prints in its header (cores, Python, numpy,
+git sha, calibration speed), so its throughput columns can be compared
+across runs.
 
 Guarantee semantics differ per engine (see ``docs/portfolio.md``):
 ``opaq``/``gk`` bounds are deterministic, so ``observed < guaranteed``
@@ -30,6 +34,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import platform
+import statistics
+import subprocess
 import time
 from pathlib import Path
 
@@ -41,7 +49,8 @@ from repro.experiments.harness import full_scale, paper_dataset, resolve_n
 from repro.metrics import dectile_fractions
 from repro.portfolio import ENGINES
 
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_portfolio.json"
+_ROOT = Path(__file__).resolve().parent.parent
+_OUT = _ROOT / "BENCH_portfolio.json"
 
 #: Equal-memory budget, in float64 slots of summary payload.  Mirrors the
 #: paper's Table 7 footnote (r * s = 3000 with s = 1000): an OPAQ summary
@@ -70,6 +79,47 @@ def _bounds_arrays(summary, phis):
     if method is not None:
         return method(phis)
     return _opaq_bounds_arrays(summary, phis)
+
+
+def _git_sha() -> str:
+    """HEAD's sha, suffixed ``-dirty`` when tracked files differ from it."""
+    try:
+        sha = subprocess.run(
+            ["git", "-C", str(_ROOT), "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "-C", str(_ROOT), "status", "--porcelain",
+             "--untracked-files=no"],
+            capture_output=True, text=True, timeout=10, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return f"{sha}-dirty" if dirty else sha
+
+
+def _calibration_mops() -> float:
+    """Speed of perfbench's fixed pure-Python loop (median of 5), in M
+    iterations/s: compares hosts, not a metric of the program."""
+    rates = []
+    for _ in range(5):
+        start = time.perf_counter()
+        total = 0
+        for i in range(300_000):
+            total += i & 7
+        rates.append(0.3 / (time.perf_counter() - start))
+    return statistics.median(rates)
+
+
+def _machine() -> dict[str, object]:
+    """The host fields of ``perfbench/run.py``'s run header."""
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": _git_sha(),
+        "calibration_mops": round(_calibration_mops(), 3),
+    }
 
 
 def _workload(order: str, n: int) -> np.ndarray:
@@ -179,6 +229,7 @@ def main(
             gc.enable()
     report = {
         "benchmark": "portfolio",
+        "machine": _machine(),
         "budget_slots": _BUDGET_SLOTS,
         "n": n,
         "full_scale": full_scale(),

@@ -2,8 +2,8 @@
 
 A full reproduction of Alsabti, Ranka & Singh, *"A One-Pass Algorithm for
 Accurately Estimating Quantiles for Disk-Resident Data"*, VLDB 1997 — the
-OPAQ algorithm, its parallel formulation (simulated), the baselines it is
-compared against, and every experiment of the paper's evaluation.
+OPAQ algorithm, its parallel formulation (simulated), the estimators it
+is compared against, and every experiment of the paper's evaluation.
 
 Quick start::
 
@@ -25,7 +25,10 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.workloads` — the paper's synthetic data (uniform,
   Zipf(0.86), n/10 duplicates) and extra stress distributions.
 - :mod:`repro.metrics` — ground truth and the RERA/RERL/RERN error rates.
-- :mod:`repro.baselines` — the estimators OPAQ is compared against.
+- :mod:`repro.baselines` — random sampling, Table 7's sampling
+  competitor, and the single-pass ingest base it shares with the sketches.
+- :mod:`repro.portfolio` — every quantile engine behind one surface: OPAQ,
+  KLL, GK01 and Table 7's [AS95] interval method, one class each.
 - :mod:`repro.parallel` — the simulated SP-2: cost model, bitonic and
   sample merges, parallel OPAQ.
 - :mod:`repro.apps` — equi-depth histograms, external sort, load

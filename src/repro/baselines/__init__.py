@@ -1,88 +1,22 @@
-"""The estimators OPAQ is compared against (paper section 1 and Table 7).
+"""The single-pass ingest base, and random sampling (paper Table 7).
 
-One-pass point estimators (streaming interface):
+- :class:`StreamingQuantileEstimator` and :func:`consume` — the one-pass
+  chunk interface that random sampling and every portfolio sketch
+  summary (:mod:`repro.portfolio`) share;
+- :class:`RandomSamplingEstimator` — uniform reservoir sample [Coc77],
+  the point-estimate competitor of the paper's Table 7.
 
-- :class:`RandomSamplingEstimator` — uniform reservoir sample [Coc77];
-- :class:`P2Estimator` — Jain & Chlamtac's P² markers [RC85];
-- :class:`AdaptiveIntervalEstimator` — Agrawal & Swami's adaptive interval
-  counts [AS95];
-- :class:`CellMidpointEstimator` — Schmeiser & Deutsch's fixed-grid cell
-  midpoints [SD77];
-- :class:`GreenwaldKhanna` — the post-paper (2001) sketch, for the modern
-  comparison ablation;
-- :class:`TDigest` and :class:`KLLSketch` — the later (2013/2016) sketches
-  that, with GK, superseded this line of work.
-
-Multi-pass exact algorithms:
-
-- :class:`MunroPatersonSelector` — bounded-memory exact selection [MP80];
-- :class:`RecursiveMedianPartitioner` — exact equi-depth boundaries via
-  recursive median finding [GS90].
+Table 7's other competitor, the [AS95] interval method, is the
+portfolio's ``as95`` engine (:class:`repro.portfolio.IntervalSummary`),
+next to KLL and GK01; :data:`repro.portfolio.ENGINES` is the registry
+of every sketch.
 """
 
-from repro.baselines.as95 import AdaptiveIntervalEstimator
 from repro.baselines.base import StreamingQuantileEstimator, consume
-from repro.errors import ConfigError
-from repro.baselines.gk01 import GreenwaldKhanna
-from repro.baselines.gs90 import PartitionResult, RecursiveMedianPartitioner
-from repro.baselines.kll import KLLSketch
-from repro.baselines.mp80 import MunroPatersonSelector, SelectionResult
-from repro.baselines.p2 import P2Estimator, P2SingleQuantile
 from repro.baselines.random_sampling import RandomSamplingEstimator
-from repro.baselines.sd77 import CellMidpointEstimator
-from repro.baselines.tdigest import TDigest
-
-#: The one-pass streaming estimators, keyed by their registry name.  All
-#: construct with no arguments (sensible defaults) and share the uniform
-#: construct -> update -> query interface of
-#: :class:`~repro.baselines.StreamingQuantileEstimator`; the multi-pass
-#: exact algorithms (MP80, GS90) are deliberately absent.
-STREAMING_BASELINES: dict[str, type[StreamingQuantileEstimator]] = {
-    cls.name: cls
-    for cls in (
-        RandomSamplingEstimator,
-        P2Estimator,
-        AdaptiveIntervalEstimator,
-        CellMidpointEstimator,
-        GreenwaldKhanna,
-        TDigest,
-        KLLSketch,
-    )
-}
-
-
-def make_baseline(name: str, **kwargs) -> StreamingQuantileEstimator:
-    """Construct a streaming baseline by registry name.
-
-    ``kwargs`` are forwarded to the constructor, so harnesses can apply
-    equal-memory budgets (e.g. ``make_baseline("random_sampling",
-    capacity=rs)``) while defaulting everything else.
-    """
-    try:
-        cls = STREAMING_BASELINES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown baseline {name!r}; choose from "
-            f"{tuple(sorted(STREAMING_BASELINES))}"
-        ) from None
-    return cls(**kwargs)
-
 
 __all__ = [
     "StreamingQuantileEstimator",
-    "STREAMING_BASELINES",
-    "make_baseline",
     "consume",
     "RandomSamplingEstimator",
-    "P2Estimator",
-    "P2SingleQuantile",
-    "AdaptiveIntervalEstimator",
-    "CellMidpointEstimator",
-    "GreenwaldKhanna",
-    "TDigest",
-    "KLLSketch",
-    "MunroPatersonSelector",
-    "SelectionResult",
-    "RecursiveMedianPartitioner",
-    "PartitionResult",
 ]

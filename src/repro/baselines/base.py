@@ -1,20 +1,17 @@
-"""Common interface for the baseline quantile estimators.
+"""The one-pass ingest interface shared by every streaming estimator.
 
-The paper compares OPAQ against several prior algorithms (section 1 and
-Table 7).  All baselines here implement one small streaming interface —
-feed chunks, query fractions — so the comparison harness can run any of
-them over the same single pass of a disk-resident dataset and charge each
-the same memory budget.
-
-Unlike OPAQ, these produce *point estimates* without deterministic bounds
-(that asymmetry is the paper's main claim); the harness scores them with
-:func:`repro.metrics.rera_point_estimates`.
+Random sampling (the paper's Table 7) and the sketch summaries of
+:mod:`repro.portfolio` (KLL, GK01, and Table 7's [AS95] intervals) all
+consume a data source through this one small interface — feed chunks
+with :meth:`~StreamingQuantileEstimator.update`, or a whole source with
+:func:`consume` — so a harness can run any of them over the same single
+pass of a disk-resident dataset and charge each the same memory budget.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Sequence
+from typing import Iterable, TypeVar
 
 import numpy as np
 
@@ -25,7 +22,7 @@ __all__ = ["StreamingQuantileEstimator", "consume"]
 
 
 class StreamingQuantileEstimator(ABC):
-    """One-pass point estimator of quantiles."""
+    """One-pass quantile estimator: validated chunk ingest and a count."""
 
     #: Registry/display name; subclasses override.
     name: str = "abstract"
@@ -48,10 +45,6 @@ class StreamingQuantileEstimator(ABC):
     def _consume(self, chunk: np.ndarray) -> None:
         """Absorb one chunk of keys."""
 
-    @abstractmethod
-    def query(self, phi: float) -> float:
-        """Point estimate of the φ-quantile of everything consumed."""
-
     def update(self, chunk: np.ndarray) -> None:
         """Absorb one chunk of keys (validating input)."""
         chunk = np.asarray(chunk, dtype=np.float64)
@@ -62,20 +55,15 @@ class StreamingQuantileEstimator(ABC):
         self._consume(chunk)
         self._n += chunk.size
 
-    def query_many(self, phis: Sequence[float]) -> np.ndarray:
-        """Point estimates for several fractions."""
-        return np.array([self.query(float(phi)) for phi in phis])
-
     def _require_data(self) -> None:
         if self._n == 0:
             raise EstimationError(f"{self.name}: no data consumed yet")
 
 
-def consume(
-    estimator: StreamingQuantileEstimator,
-    source,
-    run_size: int = 1 << 17,
-) -> StreamingQuantileEstimator:
+_E = TypeVar("_E", bound=StreamingQuantileEstimator)
+
+
+def consume(estimator: _E, source, run_size: int = 1 << 17) -> _E:
     """Feed a whole data source through an estimator in one pass.
 
     ``source`` may be a :class:`~repro.storage.DiskDataset` (read through a

@@ -13,6 +13,8 @@ OPAQ there is no deterministic bound, only ``O(1/sqrt(k))`` concentration.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.baselines.base import StreamingQuantileEstimator
@@ -82,7 +84,12 @@ class RandomSamplingEstimator(StreamingQuantileEstimator):
         return self._sorted_cache
 
     def query(self, phi: float) -> float:
+        """Point estimate of the φ-quantile of everything consumed."""
         self._require_data()
         sample = self._sorted()
         rank = quantile_rank(phi, sample.size)
         return float(sample[rank - 1])
+
+    def query_many(self, phis: Sequence[float]) -> np.ndarray:
+        """Point estimates for several fractions."""
+        return np.array([self.query(float(phi)) for phi in phis])

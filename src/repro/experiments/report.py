@@ -139,9 +139,11 @@ def main(out=sys.stdout) -> None:
         "- **A3 run-size frontier** (`bench_ablation_run_size`): at fixed "
         "memory, mid-sized runs minimise the guarantee, exactly as the "
         "r*s + m <= M constraint predicts.\n"
-        "- **A4 modern comparison** (`bench_ablation_vs_gk`): at similar "
-        "memory GK01 achieves a comparable deterministic guarantee; P2 "
-        "and SD77 are cheaper but unbounded.\n"
+        "- **A4 modern comparison** (`bench_portfolio`, committed as "
+        "`BENCH_portfolio.json`): at the same 3,000-slot budget GK01 "
+        "holds a deterministic guarantee 5x looser than OPAQ's in ~30% of "
+        "the memory, and KLL a randomized one ~2x looser than GK's; both "
+        "guarantees are asserted on every row.\n"
         "- **A5 extensions** (`bench_ablation_extensions`): two-pass "
         "exactness costs one extra read and <= 2n/s retained keys; "
         "incremental merging is bit-identical to recomputation.\n"

@@ -1,10 +1,31 @@
-"""AS95 as a portfolio engine: the honest no-guarantee reference point.
+"""The one-pass interval algorithm of Agrawal & Swami ([AS95]).
 
-The paper's motivating baseline ([AS95] adaptive intervals) "does not
-provide an upper bound of the error rate" — and the portfolio keeps that
-property visible instead of papering over it.  :class:`IntervalSummary`
-answers the shared ``bounds_arrays`` surface with a **degenerate
-enclosure**: ``lower == upper`` is the interpolated point estimate, and
+The paper describes it as: "The algorithm partitions the range of the
+values into k intervals and counts the values in each interval.  The
+boundaries of intervals are determined on-the-fly and are continuously
+adjusted as data is read from disk."  Its limitation — the reason OPAQ
+exists — is that "it does not provide an upper bound of the error rate."
+
+:class:`IntervalSummary` follows that published description:
+
+* the first buffer of data seeds ``k`` equi-depth interval boundaries;
+* subsequent values increment the count of the interval they fall in;
+* values outside the current range extend the extreme intervals;
+* whenever one interval's count grows past ``split_factor`` times the
+  average, it is split at its midpoint (counts halved — the on-the-fly
+  adjustment that keeps intervals balanced without a second pass) and the
+  pair of adjacent intervals with the smallest combined count is merged to
+  keep the memory constant;
+* a quantile is answered by linear interpolation inside the interval that
+  contains the target rank.
+
+The interpolation step is where the distribution dependence (and hence
+the unbounded error) comes from: inside an interval the value mass is
+assumed uniform, which skewed or duplicate-heavy data violates.
+
+As a portfolio engine it keeps that property visible instead of
+papering over it.  :class:`IntervalSummary` answers the shared
+``bounds_arrays`` surface with a **degenerate enclosure**: ``lower == upper`` is the interpolated point estimate, and
 ``max_below``/``max_above`` are the vacuous clamps (``psi - 1`` and
 ``n - psi``) that say "the truth may be anywhere".  Correspondingly
 ``guaranteed_rank_error()`` is ``count`` (``guarantee_kind = "none"``),
@@ -23,16 +44,14 @@ pending seed buffer, so a spilled key resumes exactly where it left off.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from repro.baselines.as95 import AdaptiveIntervalEstimator
-from repro.errors import EstimationError
+from repro.errors import ConfigError, EstimationError
 from repro.portfolio.base import (
-    ArchiveCodec,
     SketchEngine,
+    SketchSummary,
     target_ranks,
     validate_phis,
 )
@@ -40,8 +59,23 @@ from repro.portfolio.base import (
 __all__ = ["IntervalSummary", "AS95Engine"]
 
 
-class IntervalSummary(ArchiveCodec, AdaptiveIntervalEstimator):
-    """An AS95 interval histogram with the portfolio summary surface."""
+class IntervalSummary(SketchSummary):
+    """Adaptive equi-depth interval counts ([AS95]) with the portfolio
+    summary surface.
+
+    Parameters
+    ----------
+    intervals:
+        ``k`` — the number of intervals.  Memory is ~2 keys per interval
+        (a boundary and a count), so an equal-memory comparison against
+        OPAQ with ``r*s`` samples uses ``k = r*s / 2``.
+    split_factor:
+        An interval is split when its count exceeds ``split_factor``
+        times the average interval count.
+
+    ``compactions`` stays 0: AS95 has no discrete lossy events to count —
+    the whole structure is lossy from the first split onward.
+    """
 
     name = "as95"
     guarantee_kind = "none"
@@ -51,40 +85,99 @@ class IntervalSummary(ArchiveCodec, AdaptiveIntervalEstimator):
     _SUPPORTED_FORMATS = (1,)
 
     def __init__(self, intervals: int = 64, split_factor: float = 2.0) -> None:
-        super().__init__(intervals=intervals, split_factor=split_factor)
-        self._compactions = 0
-        self._min = math.inf
-        self._max = -math.inf
+        super().__init__()
+        if intervals < 4:
+            raise ConfigError("need at least 4 intervals")
+        if split_factor <= 1.0:
+            raise ConfigError("split_factor must exceed 1")
+        self.intervals = intervals
+        self.split_factor = split_factor
+        self._bounds: np.ndarray | None = None  # k+1 boundaries
+        self._counts: np.ndarray | None = None  # k counts
+        self._pending: list[np.ndarray] = []
+        self._pending_size = 0
 
-    # -- ingest bookkeeping --------------------------------------------
+    @property
+    def memory_footprint(self) -> int:
+        return 2 * self.intervals + 1
+
+    # -- the interval histogram ----------------------------------------
+
+    def _seed(self) -> None:
+        """Build the initial boundaries from the buffered first chunk."""
+        first = np.sort(np.concatenate(self._pending))
+        self._pending.clear()
+        k = self.intervals
+        # Equi-depth seed boundaries from the first buffer's quantiles.
+        grid = np.linspace(0, first.size - 1, k + 1).astype(np.int64)
+        bounds = first[grid].astype(np.float64)
+        # De-duplicate collapsed boundaries (heavy ties in the first chunk)
+        # by nudging with the smallest representable step.
+        for i in range(1, bounds.size):
+            if bounds[i] <= bounds[i - 1]:
+                bounds[i] = np.nextafter(bounds[i - 1], np.inf)
+        self._bounds = bounds
+        self._counts = np.zeros(k, dtype=np.float64)
+        self._ingest(first)
+
+    def _ingest(self, chunk: np.ndarray) -> None:
+        bounds, counts = self._bounds, self._counts
+        lo, hi = chunk.min(), chunk.max()
+        if lo < bounds[0]:
+            bounds[0] = lo
+        if hi > bounds[-1]:
+            bounds[-1] = hi
+        idx = np.clip(np.searchsorted(bounds, chunk, side="right") - 1, 0, counts.size - 1)
+        counts += np.bincount(idx, minlength=counts.size)
+        self._rebalance()
+
+    def _rebalance(self) -> None:
+        bounds, counts = self._bounds, self._counts
+        total = counts.sum()
+        if total <= 0:
+            return
+        limit = self.split_factor * total / counts.size
+        # Split the heaviest offender; pay for it by merging the lightest
+        # adjacent pair.  A few iterations per chunk keep things balanced.
+        for _ in range(8):
+            heavy = int(np.argmax(counts))
+            if counts[heavy] <= limit:
+                break
+            pair_sums = counts[:-1] + counts[1:]
+            # Do not merge into the interval being split.
+            pair_sums = pair_sums.copy()
+            for j in (heavy - 1, heavy):
+                if 0 <= j < pair_sums.size:
+                    pair_sums[j] = np.inf
+            light = int(np.argmin(pair_sums))
+            if not np.isfinite(pair_sums[light]):
+                break
+            mid = 0.5 * (bounds[heavy] + bounds[heavy + 1])
+            if not bounds[heavy] < mid < bounds[heavy + 1]:
+                break  # interval too narrow to split (ties)
+            new_bounds = np.delete(bounds, light + 1)
+            new_counts = counts.copy()
+            new_counts[light] += new_counts[light + 1]
+            new_counts = np.delete(new_counts, light + 1)
+            # Indices shift after the merge when the split point is later.
+            h = heavy if heavy < light else heavy - 1
+            new_bounds = np.insert(new_bounds, h + 1, mid)
+            half = new_counts[h] / 2.0
+            new_counts[h] = half
+            new_counts = np.insert(new_counts, h + 1, half)
+            self._bounds = bounds = new_bounds
+            self._counts = counts = new_counts
 
     def _consume(self, chunk: np.ndarray) -> None:
-        self._min = min(self._min, float(chunk.min()))
-        self._max = max(self._max, float(chunk.max()))
-        super()._consume(chunk)
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def compactions(self) -> int:
-        """Always 0: AS95 has no discrete lossy events to count — the
-        whole structure is lossy from the first split onward."""
-        return self._compactions
-
-    @property
-    def minimum(self) -> float:
-        self._require_data()
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        self._require_data()
-        return self._max
-
-    def absorb(self, chunk: np.ndarray) -> None:
-        self.update(chunk)
+        self._track_extremes(chunk)
+        if self._bounds is None:
+            self._pending.append(chunk.copy())
+            self._pending_size += chunk.size
+            # Seed once we have enough to draw k meaningful boundaries.
+            if self._pending_size >= 4 * self.intervals:
+                self._seed()
+            return
+        self._ingest(chunk)
 
     # -- guarantees and bounds -----------------------------------------
 
@@ -133,7 +226,7 @@ class IntervalSummary(ArchiveCodec, AdaptiveIntervalEstimator):
 
     # -- merge ----------------------------------------------------------
 
-    def merge(self, other: "IntervalSummary") -> "IntervalSummary":
+    def merge(self, other: SketchSummary) -> "IntervalSummary":
         raise EstimationError(
             "as95 summaries are not mergeable: interval histograms with "
             "independently drifted boundaries have no sound combination "
@@ -224,15 +317,3 @@ class AS95Engine(SketchEngine):
         contract is *not* honoured — AS95 has no error bound; the served
         guarantee says so."""
         return IntervalSummary(intervals=max(4, max_samples))
-
-    @classmethod
-    def restored_key_state(
-        cls,
-        loaded: IntervalSummary,
-        compactions: int,
-        *,
-        epsilon: float,
-        max_samples: int,
-    ) -> IntervalSummary:
-        """A restored interval summary carries its whole state."""
-        return loaded

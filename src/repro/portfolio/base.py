@@ -39,6 +39,7 @@ duck-typed contract every portfolio summary honours:
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, Sequence
@@ -216,6 +217,12 @@ class SketchSummary(ArchiveCodec, StreamingQuantileEstimator):
     #: Per-query failure probability for ``guarantee_kind="randomized"``.
     delta: float | None = None
 
+    #: Exact extremes of everything ingested, kept beside a structure
+    #: that can lose them (KLL compactions, AS95 interval boundaries)
+    #: by :meth:`_track_extremes`.  GK reads its own off its end tuples.
+    _min: float = math.inf
+    _max: float = -math.inf
+
     def __init__(self) -> None:
         super().__init__()
         self._compactions = 0
@@ -236,15 +243,23 @@ class SketchSummary(ArchiveCodec, StreamingQuantileEstimator):
         """Registry fold hook: ingest one (sorted) chunk in place."""
         self.update(chunk)
 
-    # -- per-engine surface --------------------------------------------
+    def _track_extremes(self, chunk: np.ndarray) -> None:
+        self._min = min(self._min, float(chunk.min()))
+        self._max = max(self._max, float(chunk.max()))
 
     @property
     def minimum(self) -> float:
-        raise NotImplementedError
+        """The exact smallest element ingested."""
+        self._require_data()
+        return self._min
 
     @property
     def maximum(self) -> float:
-        raise NotImplementedError
+        """The exact largest element ingested."""
+        self._require_data()
+        return self._max
+
+    # -- per-engine surface --------------------------------------------
 
     def guaranteed_rank_error(self) -> int:
         """Summary-wide rank guarantee ``g`` (distance < ``g``)."""
@@ -327,3 +342,16 @@ class SketchEngine:
     ) -> list[QuantileBounds]:
         """``summarize`` + ``bounds`` in one call."""
         return self.bounds(self.summarize(source), phis)
+
+    @classmethod
+    def restored_key_state(
+        cls,
+        loaded: SketchSummary,
+        compactions: int,
+        *,
+        epsilon: float,
+        max_samples: int,
+    ) -> SketchSummary:
+        """A restored sketch carries its whole state (KLL's RNG too), so
+        it is the registry key's fold state as it stands."""
+        return loaded

@@ -1,8 +1,16 @@
-"""GK01 as a portfolio engine: deterministic bounds from the tuple bands.
+"""GK01 (Greenwald & Khanna 2001): deterministic bounds from tuple bands.
 
-:class:`~repro.baselines.GreenwaldKhanna` is the repo's point-estimate
-baseline; :class:`GKSummary` promotes it with per-query deterministic
-bounds, a one-shot merge, and versioned serialisation (magic ``GKSUM``).
+Published four years *after* OPAQ, GK is the sketch that superseded this
+line of work: a one-pass summary of ``O((1/ε)·log(εn))`` tuples
+answering any quantile within ``±εn`` ranks deterministically.  It keeps
+the classic tuple list ``(v, g, Δ)``, where ``g`` is the rank gap to the
+previous tuple and ``Δ`` the extra rank uncertainty.  Inserts keep the
+list sorted; a compress pass after every chunk merges tuples whose
+combined span stays under ``2εn``.  Batched insertion (merge a whole
+sorted chunk at once) keeps the Python overhead tolerable.
+:class:`GKSummary` is the sketch and its summary in one: per-query
+deterministic bounds, a one-shot merge, and versioned serialisation
+(magic ``GKSUM``).
 
 The bound derivation works straight off the tuple invariant.  With
 ``rmin = cumsum(g)`` and ``rmax = rmin + delta``, tuple ``i``'s value has
@@ -43,11 +51,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.baselines.gk01 import GreenwaldKhanna
-from repro.errors import EstimationError
+from repro.errors import ConfigError, EstimationError
 from repro.portfolio.base import (
-    ArchiveCodec,
     SketchEngine,
+    SketchSummary,
     target_ranks,
     validate_phis,
 )
@@ -55,8 +62,9 @@ from repro.portfolio.base import (
 __all__ = ["GKSummary", "GKEngine"]
 
 
-class GKSummary(ArchiveCodec, GreenwaldKhanna):
-    """A GK01 sketch with bounds, merge, extremes and serialisation."""
+class GKSummary(SketchSummary):
+    """GK01 sketch: deterministic ``±εn`` rank bounds in one pass, with
+    merge, extremes and serialisation."""
 
     name = "gk"
     guarantee_kind = "deterministic"
@@ -66,37 +74,98 @@ class GKSummary(ArchiveCodec, GreenwaldKhanna):
     _SUPPORTED_FORMATS = (1,)
 
     def __init__(self, epsilon: float = 0.01) -> None:
-        super().__init__(epsilon=epsilon)
-        self._compactions = 0
+        super().__init__()
+        if not 0.0 < epsilon < 0.5:
+            raise ConfigError("epsilon must lie in (0, 0.5)")
+        self.epsilon = epsilon
+        # Parallel arrays: values, g (rank gaps), delta.
+        self._v = np.empty(0, dtype=np.float64)
+        self._g = np.empty(0, dtype=np.int64)
+        self._d = np.empty(0, dtype=np.int64)
 
-    # -- ingest bookkeeping --------------------------------------------
+    # -- the tuple list ------------------------------------------------
+
+    @property
+    def memory_footprint(self) -> int:
+        return 3 * self._v.size
+
+    @property
+    def tuples(self) -> int:
+        """Current number of summary tuples."""
+        return int(self._v.size)
+
+    def _consume(self, chunk: np.ndarray) -> None:
+        chunk = np.sort(chunk)
+        n_after = self._n + chunk.size
+        cap = max(1, int(2 * self.epsilon * n_after))
+        # Batched insert: each new element becomes a tuple with g=1 and
+        # delta inherited from its successor's rank band (g_succ + d_succ
+        # - 1, the tight choice that keeps tuples compressible), or 0 when
+        # it lands beyond either extreme — there its rank is known exactly
+        # because the extreme tuples carry no uncertainty.
+        pos = np.searchsorted(self._v, chunk, side="right")
+        if self._v.size:
+            succ = np.clip(pos, 0, self._v.size - 1)
+            delta_new = self._g[succ] + self._d[succ] - 1
+            delta_new[pos == 0] = 0
+            delta_new[pos == self._v.size] = 0
+            np.clip(delta_new, 0, max(0, cap - 1), out=delta_new)
+        else:
+            delta_new = np.zeros(chunk.size, dtype=np.int64)
+        # Merge the two sorted tuple sequences.
+        total = self._v.size + chunk.size
+        v = np.empty(total, dtype=np.float64)
+        g = np.empty(total, dtype=np.int64)
+        d = np.empty(total, dtype=np.int64)
+        mask = np.zeros(total, dtype=bool)
+        mask[pos + np.arange(chunk.size)] = True
+        v[mask], g[mask], d[mask] = chunk, 1, delta_new
+        v[~mask], g[~mask], d[~mask] = self._v, self._g, self._d
+        self._v, self._g, self._d = v, g, d
+        self._compress(cap)
 
     def _compress(self, cap: int) -> None:
-        before = self._v.size
-        super()._compress(cap)
-        if self._v.size < before:
+        """Fold each tuple into its successor while the combined band
+        ``g_i + g_{i+1} + Δ_{i+1}`` (plus what was already folded) stays
+        within ``cap``; a pass that folds anything is one compaction.
+
+        The greedy scan reads plain Python lists: indexing numpy scalars
+        one tuple at a time costs about four times as much.
+        """
+        if self._v.size <= 2:
+            return
+        g = self._g.tolist()
+        d = self._d.tolist()
+        last = len(g) - 1
+        keep = [0]
+        keep_g = [g[0]]
+        acc_g = 0
+        for i in range(1, last):
+            if acc_g + g[i] + g[i + 1] + d[i + 1] <= cap:
+                acc_g += g[i]  # fold tuple i into its successor
+            else:
+                keep.append(i)
+                keep_g.append(acc_g + g[i])
+                acc_g = 0
+        keep.append(last)
+        keep_g.append(acc_g + g[last])
+        if len(keep) < len(g):
             self._compactions += 1
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def compactions(self) -> int:
-        return self._compactions
+        self._v = self._v[keep]
+        self._g = np.array(keep_g, dtype=np.int64)
+        self._d = self._d[keep]
 
     @property
     def minimum(self) -> float:
+        """The exact smallest element: the first tuple's value."""
         self._require_data()
         return float(self._v[0])
 
     @property
     def maximum(self) -> float:
+        """The exact largest element: the last tuple's value."""
         self._require_data()
         return float(self._v[-1])
-
-    def absorb(self, chunk: np.ndarray) -> None:
-        self.update(chunk)
 
     # -- guarantees and bounds -----------------------------------------
 
@@ -165,7 +234,7 @@ class GKSummary(ArchiveCodec, GreenwaldKhanna):
         out._compactions = self._compactions
         return out
 
-    def merge(self, other: "GKSummary") -> "GKSummary":
+    def merge(self, other: SketchSummary) -> "GKSummary":
         """One-shot merge over disjoint data.
 
         Deterministic (no randomness) but **not** commutative bitwise:
@@ -298,15 +367,3 @@ class GKEngine(SketchEngine):
         ``max(g + delta) + 1 <= 2*eps_gk*n + 1``, so running GK at half
         the contract epsilon keeps ``g - 1 <= eps*n`` deterministically."""
         return GKSummary(epsilon=epsilon / 2.0)
-
-    @classmethod
-    def restored_key_state(
-        cls,
-        loaded: GKSummary,
-        compactions: int,
-        *,
-        epsilon: float,
-        max_samples: int,
-    ) -> GKSummary:
-        """A restored GK summary carries its whole state."""
-        return loaded

@@ -1,14 +1,20 @@
-"""KLL as a portfolio engine: mergeable randomized sketch with bounds.
+"""KLL (Karnin, Lang & Liberty 2016): the randomized, mergeable engine.
 
-:class:`~repro.baselines.KLLSketch` is the repo's point-estimate
-baseline; this module promotes it to a first-class engine.
-:class:`KLLSummary` adds what the baseline lacks — exact extremes,
-per-query *probabilistic* rank bounds, sketch merge, and versioned
-serialisation (magic ``KLLSUM``) including the compactor RNG state, so a
-spilled-and-restored sketch continues the exact random sequence it would
-have produced in memory.
+KLL is near-optimal in space — ``O((1/ε)·sqrt(log(1/ε)))`` items for an
+``εn`` rank guarantee *with constant probability* (contrast OPAQ's
+deterministic ``n/s`` with ``r·s`` keys, and GK's deterministic ``εn``).
+Structure: a stack of compactors.  Level ``h`` holds items of weight
+``2^h``; when a level overflows its capacity (``k·c^(depth-h)``,
+geometric decay ``c = 2/3``), it sorts itself and promotes every other
+item (random even/odd choice) to the level above.
 
-The guarantee model (documented in ``docs/portfolio.md``): the baseline's
+:class:`KLLSummary` is the sketch and its summary in one: exact
+extremes, per-query *probabilistic* rank bounds, sketch merge, and
+versioned serialisation (magic ``KLLSUM``) including the compactor RNG
+state, so a spilled-and-restored sketch continues the exact random
+sequence it would have produced in memory.
+
+The guarantee model (documented in ``docs/portfolio.md``): the sketch's
 empirical one-sigma rank error is ``sigma = 1.7*n/k``.  Compaction noise
 is a sum of independent bounded terms, so the sub-gaussian tail bound
 ``P(|err| > z*sigma) <= delta`` with ``z = sqrt(2*ln(2/delta))`` gives a
@@ -28,28 +34,38 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.baselines.kll import KLLSketch
 from repro.errors import ConfigError, EstimationError
 from repro.portfolio.base import (
-    ArchiveCodec,
     SketchEngine,
+    SketchSummary,
     target_ranks,
     validate_phis,
 )
 
 __all__ = ["KLLSummary", "KLLEngine"]
 
-#: Empirical one-sigma coefficient of the baseline sketch (rank error
-#: ``~1.7*n/k``; see :meth:`repro.baselines.KLLSketch.rank_error_estimate`).
+#: Empirical one-sigma rank-error coefficient of the sketch: rank error
+#: is ``~1.7*n/k``.
 SIGMA_COEFF = 1.7
 #: Documented per-query failure probability of every served bound.
 DELTA = 0.01
 #: Two-sided sub-gaussian z-score for ``DELTA``: ``sqrt(2*ln(2/delta))``.
 Z_SCORE = math.sqrt(2.0 * math.log(2.0 / DELTA))
+#: Geometric capacity decay from the top compactor down.
+_DECAY = 2.0 / 3.0
 
 
-class KLLSummary(ArchiveCodec, KLLSketch):
-    """A KLL sketch with bounds, merge, extremes and serialisation."""
+class KLLSummary(SketchSummary):
+    """KLL quantile sketch with bounds, merge, extremes and serialisation.
+
+    Parameters
+    ----------
+    k:
+        Capacity of the top compactor — the accuracy knob.  Rank error is
+        ``O(n/k)`` with high probability.
+    seed:
+        Seed for the (essential) compaction randomness.
+    """
 
     name = "kll"
     guarantee_kind = "randomized"
@@ -60,42 +76,74 @@ class KLLSummary(ArchiveCodec, KLLSketch):
     _SUPPORTED_FORMATS = (1,)
 
     def __init__(self, k: int = 200, seed: int = 0) -> None:
-        super().__init__(k=k, seed=seed)
-        self._compactions = 0
-        self._min = math.inf
-        self._max = -math.inf
+        super().__init__()
+        if k < 8:
+            raise ConfigError("k must be at least 8")
+        self.k = k
+        self._rng = np.random.default_rng(seed)
+        self._levels: list[list[np.ndarray]] = [[]]
+        self._sizes: list[int] = [0]
 
-    # -- ingest bookkeeping --------------------------------------------
+    # -- the compactor stack -------------------------------------------
 
-    def _consume(self, chunk: np.ndarray) -> None:
-        self._min = min(self._min, float(chunk.min()))
-        self._max = max(self._max, float(chunk.max()))
-        super()._consume(chunk)
+    def _capacity(self, level: int) -> int:
+        depth = len(self._levels) - 1
+        return max(8, int(self.k * _DECAY ** (depth - level)))
 
     def _compact(self, level: int) -> None:
-        super()._compact(level)
+        items = np.sort(np.concatenate(self._levels[level]))
+        leftover = None
+        if items.size % 2:
+            # An odd item cannot pair up; it stays at this level so the
+            # total represented weight is conserved exactly.
+            leftover = items[-1:]
+            items = items[:-1]
+        keep_odd = bool(self._rng.integers(0, 2))
+        promoted = items[1::2] if keep_odd else items[0::2]
+        self._levels[level] = [] if leftover is None else [leftover]
+        self._sizes[level] = 0 if leftover is None else 1
+        if level + 1 == len(self._levels):
+            self._levels.append([])
+            self._sizes.append(0)
+        self._levels[level + 1].append(promoted)
+        self._sizes[level + 1] += promoted.size
         self._compactions += 1
 
-    @property
-    def count(self) -> int:
-        return self._n
+    def _compact_overflowing(self) -> None:
+        """One bottom-up sweep compacting every level over capacity."""
+        level = 0
+        while level < len(self._levels):
+            if self._sizes[level] > self._capacity(level):
+                self._compact(level)
+            level += 1
+
+    def _consume(self, chunk: np.ndarray) -> None:
+        self._track_extremes(chunk)
+        self._levels[0].append(chunk.copy())
+        self._sizes[0] += chunk.size
+        self._compact_overflowing()
 
     @property
-    def compactions(self) -> int:
-        return self._compactions
+    def memory_footprint(self) -> int:
+        return sum(self._sizes)
 
     @property
-    def minimum(self) -> float:
-        self._require_data()
-        return self._min
+    def num_levels(self) -> int:
+        return len(self._levels)
 
-    @property
-    def maximum(self) -> float:
-        self._require_data()
-        return self._max
-
-    def absorb(self, chunk: np.ndarray) -> None:
-        self.update(chunk)
+    def _weighted_items(self) -> tuple[np.ndarray, np.ndarray]:
+        values = []
+        weights = []
+        for h, pieces in enumerate(self._levels):
+            if not pieces:
+                continue
+            v = np.concatenate(pieces)
+            values.append(v)
+            weights.append(np.full(v.size, 2.0**h))
+        v = np.concatenate(values)
+        w = np.concatenate(weights)
+        order = np.argsort(v, kind="stable")
+        return v[order], w[order]
 
     # -- guarantees and bounds -----------------------------------------
 
@@ -171,7 +219,7 @@ class KLLSummary(ArchiveCodec, KLLSketch):
 
     # -- merge ----------------------------------------------------------
 
-    def merge(self, other: "KLLSummary") -> "KLLSummary":
+    def merge(self, other: SketchSummary) -> "KLLSummary":
         """Combine two sketches over disjoint data (same ``k`` required).
 
         Level-wise concatenation followed by the standard compaction
@@ -202,11 +250,7 @@ class KLLSummary(ArchiveCodec, KLLSketch):
         out._min = min(self._min, other._min)
         out._max = max(self._max, other._max)
         out._compactions = self._compactions + other._compactions
-        level = 0
-        while level < len(out._levels):
-            if out._sizes[level] > out._capacity(level):
-                out._compact(level)
-            level += 1
+        out._compact_overflowing()
         return out
 
     # -- serialisation ---------------------------------------------------
@@ -299,15 +343,3 @@ class KLLEngine(SketchEngine):
         positive (``eps*n > 3*z*1.7 > 9`` there)."""
         k = max(8, int(math.ceil(3.0 * Z_SCORE * SIGMA_COEFF / epsilon)) + 1)
         return KLLSummary(k=k, seed=seed)
-
-    @classmethod
-    def restored_key_state(
-        cls,
-        loaded: KLLSummary,
-        compactions: int,
-        *,
-        epsilon: float,
-        max_samples: int,
-    ) -> KLLSummary:
-        """A restored sketch carries its whole state (RNG included)."""
-        return loaded

@@ -4,7 +4,9 @@ Each :class:`~repro.portfolio.EngineSpec` in :data:`~repro.portfolio.ENGINES`
 carries machine-readable claims (guarantee kind, mergeability, merge
 commutativity, archive magic).  This module asserts each claim against
 the implementation, so ``docs/portfolio.md``'s catalogue — generated from
-the same fields — cannot drift from the code.
+the same fields — cannot drift from the code.  The sketch summaries also
+share the single-pass chunk interface with random sampling, and are held
+to its input checks here.
 """
 
 from __future__ import annotations
@@ -14,26 +16,40 @@ import pytest
 
 from repro.core import QuantileBounds, QuantileEstimator
 from repro.errors import ConfigError, EstimationError
-from repro.portfolio import ENGINES, ENGINE_POLICIES, make_engine, resolve_engine
+from repro.portfolio import (
+    ENGINES,
+    ENGINE_POLICIES,
+    SketchSummary,
+    make_engine,
+    resolve_engine,
+)
 
 from tests.portfolio.conftest import assert_summary_sound, bounds_arrays_of
 
 PHIS = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
 
-pytestmark = pytest.mark.parametrize(
+each_engine = pytest.mark.parametrize(
     "name", sorted(ENGINES), ids=sorted(ENGINES)
 )
+SKETCHES = sorted(
+    name
+    for name, spec in ENGINES.items()
+    if issubclass(spec.summary_cls, SketchSummary)
+)
+each_sketch = pytest.mark.parametrize("name", SKETCHES, ids=SKETCHES)
 
 
 def _data(n: int = 20_000) -> np.ndarray:
     return np.random.default_rng(7).normal(size=n)
 
 
+@each_engine
 def test_engine_satisfies_the_estimator_protocol(name):
     engine = ENGINES[name].make()
     assert isinstance(engine, QuantileEstimator)
 
 
+@each_engine
 def test_summarize_bounds_bound_estimate_agree(name):
     engine = ENGINES[name].make()
     data = _data()
@@ -53,6 +69,7 @@ def test_summarize_bounds_bound_estimate_agree(name):
     ]
 
 
+@each_engine
 def test_summary_duck_surface_is_sound(name):
     data = _data()
     summary = ENGINES[name].make().summarize(data)
@@ -62,6 +79,7 @@ def test_summary_duck_surface_is_sound(name):
     assert getattr(summary, "compactions", 0) >= 0
 
 
+@each_engine
 def test_guarantee_claim_matches_engine(name):
     spec = ENGINES[name]
     engine = spec.make()
@@ -75,6 +93,7 @@ def test_guarantee_claim_matches_engine(name):
         assert summary.guaranteed_rank_error() < summary.count
 
 
+@each_engine
 def test_mergeable_claim_matches_summary(name):
     spec = ENGINES[name]
     engine = spec.make()
@@ -90,6 +109,7 @@ def test_mergeable_claim_matches_summary(name):
     assert_summary_sound(merged, data, PHIS)
 
 
+@each_engine
 def test_merge_commutes_claim(name):
     spec = ENGINES[name]
     if not spec.mergeable:
@@ -108,6 +128,7 @@ def test_merge_commutes_claim(name):
     assert_summary_sound(ba, data, PHIS)
 
 
+@each_engine
 def test_for_budget_respects_the_slot_budget(name):
     budget = 900
     n = 30_000
@@ -117,6 +138,7 @@ def test_for_budget_respects_the_slot_budget(name):
     assert summary.count == n
 
 
+@each_engine
 def test_resolve_engine_and_policies(name):
     assert resolve_engine(name) == name
     engine = make_engine(name)
@@ -125,3 +147,34 @@ def test_resolve_engine_and_policies(name):
         assert resolve_engine(policy) == target
     with pytest.raises(ConfigError, match="unknown engine"):
         resolve_engine("quantum")
+
+
+# ----------------------------------------------------------------------
+# The single-pass chunk interface the sketch summaries ingest through
+# ----------------------------------------------------------------------
+
+
+@each_sketch
+def test_empty_chunk_is_a_noop(name):
+    summary = ENGINES[name].summary_cls()
+    summary.update(np.empty(0))
+    assert summary.count == 0
+
+
+@each_sketch
+def test_two_dimensional_chunk_is_rejected(name):
+    summary = ENGINES[name].summary_cls()
+    with pytest.raises(ConfigError):
+        summary.update(np.zeros((4, 4)))
+
+
+@each_sketch
+def test_reading_before_data_raises(name):
+    summary = ENGINES[name].summary_cls()
+    with pytest.raises(EstimationError):
+        summary.bounds_arrays([0.5])
+    for extreme in ("minimum", "maximum"):
+        with pytest.raises(EstimationError):
+            getattr(summary, extreme)
+    with pytest.raises(EstimationError):
+        summary.to_bytes()

@@ -110,6 +110,12 @@ PORTFOLIO = {
     "exact_delta",
 }
 
+BASELINES = {
+    "StreamingQuantileEstimator",
+    "consume",
+    "RandomSamplingEstimator",
+}
+
 ESTIMATOR_METHODS = {"summarize", "bounds", "bound", "estimate"}
 
 
@@ -174,16 +180,10 @@ def test_service_client_batched_surface():
     assert not hasattr(ServiceClient, "quantile")
 
 
-def test_streaming_baseline_registry_is_stable():
-    assert set(repro.baselines.STREAMING_BASELINES) == {
-        "random_sampling",
-        "p2",
-        "as95",
-        "sd77",
-        "gk01",
-        "tdigest",
-        "kll",
-    }
+def test_baselines_surface_is_exactly_the_snapshot():
+    """Random sampling and the shared single-pass ingest base; every
+    sketch lives in ``repro.portfolio``."""
+    assert set(repro.baselines.__all__) == BASELINES
 
 
 def test_estimators_conform_to_protocol():
