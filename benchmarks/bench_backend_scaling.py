@@ -18,14 +18,14 @@ same run layout through :class:`~repro.parallel.machine.SimulatedMachine`,
 so the committed JSON mirrors the paper's phase-fraction tables twice:
 once as the model predicts, once as the hardware delivers.
 
-Honesty note: real speed-up needs real cores.  The JSON records
-``cores`` (``os.cpu_count()``); on a single-core box the measured
-process-backend speed-up hovers near 1x (or below — fork and queue
-overhead is real) while the *modelled* speed-up shows what the same
-program does on ``p`` actual processors.  The pytest wrapper therefore
-always asserts the modelled sample-phase speed-up at ``p=4`` is >= 2x,
-and additionally asserts it for the *measured* numbers only when the
-machine has at least 4 cores.
+Honesty note: real speed-up needs real cores.  The JSON's ``machine``
+object records the host (``cores`` is ``os.cpu_count()``); on a
+single-core box the measured process-backend speed-up hovers near 1x
+(or below — fork and queue overhead is real) while the *modelled*
+speed-up shows what the same program does on ``p`` actual processors.
+The pytest wrapper therefore always asserts the modelled sample-phase
+speed-up at ``p=4`` is >= 2x, and additionally asserts it for the
+*measured* numbers only when the machine has at least 4 cores.
 
 Run as a script to (re)generate the committed trajectory file::
 
@@ -38,7 +38,6 @@ pytest-benchmark like the other benches for ``--benchmark-json`` output.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -49,7 +48,9 @@ from repro.parallel import ParallelOPAQ
 
 try:  # pytest-benchmark path; absent when run as a plain script
     from benchmarks.conftest import run_once
+    from benchmarks.machine import machine
 except ImportError:  # pragma: no cover - script mode
+    from machine import machine
     run_once = None
 
 _N = 1_000_000
@@ -61,38 +62,33 @@ _SAMPLE_PHASES = ("io", "sampling", "local_merge")
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
 
 
-def _config(kernel: str = "numpy") -> OPAQConfig:
-    return OPAQConfig(run_size=100_000, sample_size=1_000, kernel=kernel)
+_CONFIG = OPAQConfig(run_size=100_000, sample_size=1_000)
 
 
 def _sample_phase_seconds(phase_seconds: dict[str, float]) -> float:
     return sum(phase_seconds.get(phase, 0.0) for phase in _SAMPLE_PHASES)
 
 
-def _measure(
-    backend: str, p: int, data: np.ndarray, kernel: str = "numpy"
-) -> dict[str, object]:
+def _measure(backend: str, p: int, data: np.ndarray) -> dict[str, object]:
     """One real execution: wall-clock, measured and modelled phases."""
-    popaq = ParallelOPAQ(p, _config(kernel), backend=backend)
+    popaq = ParallelOPAQ(p, _CONFIG, backend=backend)
     start = time.perf_counter()
     result = popaq.run(data, _PHIS)
     wall = time.perf_counter() - start
 
-    machine = result.machine
     reports = result.worker_reports or []
     measured_sample = max(
         (_sample_phase_seconds(r.phase_seconds) for r in reports),
         default=0.0,
     )
     modelled_sample = max(
-        _sample_phase_seconds(machine.phases(proc).times)
+        _sample_phase_seconds(result.machine.phases(proc).times)
         for proc in range(p)
     )
     return {
         "backend": backend,
         "p": p,
         "elements": int(data.size),
-        "kernel": kernel,
         "wall_seconds": wall,
         "measured_phase_seconds": result.measured_phase_totals(),
         "measured_phase_fractions": result.measured_phase_fractions(),
@@ -150,16 +146,6 @@ def _sizeup_sweep(rng: np.random.Generator) -> list[dict[str, object]]:
     return rows
 
 
-def _kernel_rows(data: np.ndarray) -> list[dict[str, object]]:
-    """python-vs-numpy sampling kernels on the serial reference."""
-    rows = [_measure("serial", 1, data, kernel=k) for k in ("python", "numpy")]
-    python, numpy_row = rows
-    numpy_row["kernel_speedup_vs_python"] = _ratio(
-        python["wall_seconds"], numpy_row["wall_seconds"]
-    )
-    return rows
-
-
 def _ratio(num: object, den: object) -> float | None:
     num, den = float(num), float(den)  # type: ignore[arg-type]
     return num / den if den else None
@@ -170,16 +156,14 @@ def main() -> dict[str, object]:
     data = rng.uniform(size=_N)
     speedup = _speedup_sweep(data)
     sizeup = _sizeup_sweep(rng)
-    kernels = _kernel_rows(data)
     report = {
         "benchmark": "backend_scaling",
+        "machine": machine(),
         "elements": _N,
-        "cores": os.cpu_count(),
         "backends": list(_BACKENDS),
         "procs": list(_PROCS),
         "speedup": speedup,
         "sizeup": sizeup,
-        "kernels": kernels,
     }
     _OUT.write_text(json.dumps(report, indent=2) + "\n")
     for row in speedup:
@@ -190,7 +174,7 @@ def main() -> dict[str, object]:
             f"sample phase x{row['modelled_sample_phase_speedup']:.2f} "
             f"modelled / x{row['measured_sample_phase_speedup']:.2f} measured"
         )
-    print(f"cores={report['cores']}; wrote {_OUT}")
+    print(f"cores={report['machine']['cores']}; wrote {_OUT}")
     return report
 
 
@@ -201,7 +185,8 @@ def bench_backend_scaling(benchmark):
         (row["backend"], row["p"]): row for row in report["speedup"]
     }
     process_p4 = by_key[("process", 4)]
-    benchmark.extra_info["cores"] = report["cores"]
+    cores = report["machine"]["cores"]
+    benchmark.extra_info["cores"] = cores
     benchmark.extra_info["process_p4_speedup_vs_serial"] = process_p4[
         "speedup_vs_serial"
     ]
@@ -211,7 +196,7 @@ def bench_backend_scaling(benchmark):
     # The cost-model replay of the real run layout must show the paper's
     # near-linear sample phase regardless of local hardware.
     assert process_p4["modelled_sample_phase_speedup"] >= 2.0
-    if (report["cores"] or 1) >= 4:
+    if (cores or 1) >= 4:
         # Real cores available: demand real speed-up (the ISSUE's bar).
         assert process_p4["measured_sample_phase_speedup"] >= 2.0
         assert process_p4["speedup_vs_serial"] > 1.0

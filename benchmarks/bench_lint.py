@@ -1,24 +1,18 @@
-"""Lint cost, cold vs warm vs parallel: what the runner machinery buys.
+"""Lint cost, cold vs warm: what the incremental cache buys.
 
 Not a paper experiment — release engineering for :mod:`repro.analysis`.
-Measures a full ``opaq lint --deep`` over ``src/repro`` four ways:
+Measures a full ``opaq lint --deep`` over ``src/repro`` three ways:
 
 * **uncached** — the baseline every run paid before v3;
 * **cold** — first run with ``--cache`` (pays the baseline plus the
   serialisation cost of writing the cache);
 * **warm** — second run against the populated cache (hash checks plus
-  replay; no parsing, no CFGs, no fixpoints);
-* **parallel cold** — first run with ``--jobs 2`` and a fresh cache:
-  the per-module phase fans out over a process pool, the deep phase
-  stays serial in the parent.
+  replay; no parsing, no CFGs, no fixpoints).
 
 The budget the CI ``lint-deep`` job also enforces: **warm under half of
-cold**.  In practice warm lands near a tenth.  The parallel row gets a
-looser bar — on a single-core runner (this container, small CI shapes)
-the pool is pure overhead, so the budget only caps that overhead at a
-modest constant factor rather than demanding a speedup.  Byte-identical
-output is asserted for every variant — a cache or a pool that bought
-speed by drifting would be worse than no cache.
+cold**.  In practice warm lands near a tenth.  Byte-identical output is
+asserted for every variant — a cache that bought speed by drifting would
+be worse than no cache.  The JSON's ``machine`` object records the host.
 
 Run as a script to (re)generate the committed trajectory file::
 
@@ -39,22 +33,18 @@ from repro.analysis import lint_paths, render_text
 
 try:  # pytest-benchmark path; absent when run as a plain script
     from benchmarks.conftest import run_once
+    from benchmarks.machine import machine
 except ImportError:  # pragma: no cover - script mode
+    from machine import machine
     run_once = None
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_lint.json"
 
-#: Ceiling on parallel-cold over serial-cold.  >1 is deliberate: with
-#: one core the pool cannot win, and the point of the row is to keep the
-#: process-pool overhead (spawn, pickling, replay) honest, not to
-#: require hardware CI does not have.
-_PARALLEL_OVERHEAD_BUDGET = 1.5
 
-
-def _timed_lint(cache: Path | None, jobs: int = 1) -> tuple[float, object]:
+def _timed_lint(cache: Path | None) -> tuple[float, object]:
     start = time.perf_counter()
-    result = lint_paths([_SRC], deep=True, cache=cache, jobs=jobs)
+    result = lint_paths([_SRC], deep=True, cache=cache)
     return time.perf_counter() - start, result
 
 
@@ -65,22 +55,15 @@ def main() -> dict[str, object]:
         cold_seconds, cold = _timed_lint(cache)
         warm_seconds, warm = _timed_lint(cache)
         cache_bytes = cache.stat().st_size
-        par_cache = Path(td) / "opaqlint-cache-par.json"
-        parallel_cold_seconds, parallel = _timed_lint(par_cache, jobs=2)
-        # ... and a warm serial run over the parallel-written cache: the
-        # interop the CI job leans on (SARIF step parallel, gate warm).
-        parallel_warm_seconds, parallel_warm = _timed_lint(par_cache)
 
-    texts = [render_text(r) for r in (uncached, cold, warm, parallel, parallel_warm)]
+    texts = [render_text(r) for r in (uncached, cold, warm)]
     assert len(set(texts)) == 1, "runner variants drifted"
     stats = warm.cache_stats
     assert stats is not None and stats.files_reused == stats.files_total
-    par_stats = parallel_warm.cache_stats
-    assert par_stats is not None
-    assert par_stats.files_reused == par_stats.files_total
 
     report = {
         "benchmark": "lint_deep_cache",
+        "machine": machine(),
         "files": warm.files_checked,
         "deep_rules": stats.deep_rules_total,
         "uncached_seconds": uncached_seconds,
@@ -89,17 +72,12 @@ def main() -> dict[str, object]:
         "warm_over_cold": warm_seconds / cold_seconds,
         "speedup": cold_seconds / warm_seconds,
         "cache_bytes": cache_bytes,
-        "parallel_jobs": 2,
-        "parallel_cold_seconds": parallel_cold_seconds,
-        "parallel_warm_seconds": parallel_warm_seconds,
-        "parallel_over_cold": parallel_cold_seconds / cold_seconds,
     }
     _OUT.write_text(json.dumps(report, indent=2) + "\n")
     print(
         f"lint --deep over {report['files']} files: "
         f"uncached {uncached_seconds:.2f}s, cold {cold_seconds:.2f}s, "
-        f"warm {warm_seconds:.2f}s ({report['speedup']:.1f}x), "
-        f"jobs=2 cold {parallel_cold_seconds:.2f}s"
+        f"warm {warm_seconds:.2f}s ({report['speedup']:.1f}x)"
     )
     print(f"wrote {_OUT}")
     return report
@@ -111,13 +89,8 @@ def bench_lint_cold_vs_warm(benchmark):
     benchmark.extra_info["cold_seconds"] = report["cold_seconds"]
     benchmark.extra_info["warm_seconds"] = report["warm_seconds"]
     benchmark.extra_info["speedup"] = report["speedup"]
-    benchmark.extra_info["parallel_cold_seconds"] = report[
-        "parallel_cold_seconds"
-    ]
     # The whole point of the cache; CI enforces the same budget.
     assert report["warm_over_cold"] < 0.5
-    # The pool must stay near-free even where it cannot win (one core).
-    assert report["parallel_over_cold"] < _PARALLEL_OVERHEAD_BUDGET
 
 
 if __name__ == "__main__":

@@ -34,10 +34,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
-import platform
-import statistics
-import subprocess
 import time
 from pathlib import Path
 
@@ -79,47 +75,6 @@ def _bounds_arrays(summary, phis):
     if method is not None:
         return method(phis)
     return _opaq_bounds_arrays(summary, phis)
-
-
-def _git_sha() -> str:
-    """HEAD's sha, suffixed ``-dirty`` when tracked files differ from it."""
-    try:
-        sha = subprocess.run(
-            ["git", "-C", str(_ROOT), "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-        dirty = subprocess.run(
-            ["git", "-C", str(_ROOT), "status", "--porcelain",
-             "--untracked-files=no"],
-            capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return f"{sha}-dirty" if dirty else sha
-
-
-def _calibration_mops() -> float:
-    """Speed of perfbench's fixed pure-Python loop (median of 5), in M
-    iterations/s: compares hosts, not a metric of the program."""
-    rates = []
-    for _ in range(5):
-        start = time.perf_counter()
-        total = 0
-        for i in range(300_000):
-            total += i & 7
-        rates.append(0.3 / (time.perf_counter() - start))
-    return statistics.median(rates)
-
-
-def _machine() -> dict[str, object]:
-    """The host fields of ``perfbench/run.py``'s run header."""
-    return {
-        "cores": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "git_sha": _git_sha(),
-        "calibration_mops": round(_calibration_mops(), 3),
-    }
 
 
 def _workload(order: str, n: int) -> np.ndarray:
@@ -229,7 +184,7 @@ def main(
             gc.enable()
     report = {
         "benchmark": "portfolio",
-        "machine": _machine(),
+        "machine": machine(),
         "budget_slots": _BUDGET_SLOTS,
         "n": n,
         "full_scale": full_scale(),
@@ -259,7 +214,9 @@ def main(
 
 try:
     from benchmarks.conftest import run_once
+    from benchmarks.machine import machine
 except ImportError:  # pragma: no cover - script mode
+    from machine import machine
     run_once = None
 
 

@@ -82,7 +82,6 @@ def _config(shards: int) -> ServiceConfig:
         run_size=100_000,
         sample_size=1_000 // shards,
         queue_capacity=64,
-        kernel="numpy",
         router_policy="chunk",
     )
 

@@ -12,14 +12,6 @@ over every module that parsed and runs the
 :class:`~repro.analysis.framework.ProjectRule` families (OPQ7xx/OPQ8xx).
 Their findings still honour per-line suppressions in the module they
 point into.
-
-``jobs > 1`` fans the per-file shallow analysis over worker processes.
-The parent keeps everything order-dependent to itself — the walk, cache
-lookups, the admit pipeline, the deep phase — and the workers only ever
-compute a pure function of one file's bytes (its raw, pre-suppression
-module-rule findings).  Worker results re-enter the parent through the
-exact replay path a cache hit uses, in walk order, so parallel output is
-byte-identical to a serial run by construction rather than by test.
 """
 
 from __future__ import annotations
@@ -36,12 +28,7 @@ from repro.analysis.cache import (
     cache_fingerprint,
     hash_bytes,
 )
-from repro.analysis.framework import (
-    Finding,
-    ModuleContext,
-    ProjectRule,
-    Suppressions,
-)
+from repro.analysis.framework import Finding, ModuleContext, ProjectRule
 from repro.analysis.project import ProjectContext, build_project
 from repro.analysis.registry import all_rules, get_rule, resolve_rule_ids
 from repro.errors import ConfigError
@@ -110,7 +97,6 @@ def lint_paths(
     deep: bool = False,
     baseline: Path | None = None,
     cache: str | Path | None = None,
-    jobs: int = 1,
 ) -> LintResult:
     """Run every registered rule over ``paths``.
 
@@ -134,11 +120,6 @@ def lint_paths(
         cached raw findings; project rules whose dependency digest is
         unchanged replay theirs.  Output is byte-identical to a cold
         run; the file is created/updated at the end of the run.
-    jobs:
-        Worker processes for the per-file shallow analysis (default 1 =
-        in-process).  Composes with ``cache``: only cache misses are
-        shipped to workers, and their results are stored like any cold
-        analysis.  Output is byte-identical for every job count.
 
     Returns
     -------
@@ -179,9 +160,6 @@ def lint_paths(
     contexts: dict[str, _CtxLike] = {}
     #: Fully parsed contexts only (the project index's input).
     parsed: dict[str, ModuleContext] = {}
-    #: Raw bytes kept by the parallel walk so a deep-phase upgrade can
-    #: re-parse from memory instead of re-reading the file.
-    sources: dict[str, bytes] = {}
     file_hashes: dict[str, str] = {}
     files_checked = 0
     suppressed = 0
@@ -197,11 +175,13 @@ def lint_paths(
         else:
             findings.append(finding)
 
-    def admit_parse_failure(
-        path: Path, message: str, line: int, col: int
-    ) -> None:
+    def parse_failure(path: Path, exc: Exception) -> None:
+        # One unreadable file is one finding, not a dead run.
+        # (ValueError covers null bytes, UnicodeDecodeError bad
+        # encodings; neither carries a location.)
         if enabled("parse-error"):
             rule = get_rule("parse-error")
+            message, line, col = _failure_facts(exc)
             findings.append(
                 Finding(
                     rule_id=rule.rule_id,
@@ -213,116 +193,47 @@ def lint_paths(
                 )
             )
 
-    def parse_failure(path: Path, exc: Exception) -> None:
-        # One unreadable file is one finding, not a dead run.
-        # (ValueError covers null bytes, UnicodeDecodeError bad
-        # encodings; neither carries a location.)
-        admit_parse_failure(path, *_failure_facts(exc))
-
-    if jobs > 1:
-        # Parallel shallow analysis.  The walk below builds an ordered
-        # plan; cache misses run in worker processes; the replay loop
-        # then admits everything in walk order — exactly the order a
-        # serial run produces, so the final stable sort breaks ties the
-        # same way.
-        plan: list[tuple[str, object]] = []
-        pending: list[tuple[str, bytes]] = []
-        for path in iter_python_files(paths):
-            files_checked += 1
-            key = str(path)
-            if stats is not None:
-                stats.files_total += 1
+    for path in iter_python_files(paths):
+        files_checked += 1
+        key = str(path)
+        if analysis_cache is not None and stats is not None:
+            stats.files_total += 1
             try:
                 data = path.read_bytes()
             except OSError as exc:
-                plan.append(("fail", (path, *_failure_facts(exc))))
+                parse_failure(path, exc)
                 continue
-            sources[key] = data
-            if analysis_cache is not None and stats is not None:
-                digest = hash_bytes(data)
-                file_hashes[key] = digest
-                hit = analysis_cache.lookup_file(key, digest)
-                if hit is not None:
-                    stats.files_reused += 1
-                    plan.append(("hit", hit))
-                    continue
-            plan.append(("job", key))
-            pending.append((key, data))
-        results = _run_jobs(pending, jobs, selected, ignored)
-        for kind, payload in plan:
-            if kind == "fail":
-                failed_path, message, line, col = payload  # type: ignore[misc]
-                admit_parse_failure(failed_path, message, line, col)
-            elif kind == "hit":
-                hit = payload  # type: ignore[assignment]
-                contexts[str(hit.path)] = hit
+            digest = hash_bytes(data)
+            file_hashes[key] = digest
+            hit = analysis_cache.lookup_file(key, digest)
+            if hit is not None:
+                stats.files_reused += 1
+                contexts[key] = hit
                 for finding in hit.findings:
                     admit(hit, finding)
-            else:
-                key = payload  # type: ignore[assignment]
-                outcome = results[key]
-                if outcome[0] == "err":
-                    _, message, line, col = outcome
-                    admit_parse_failure(Path(key), message, line, col)
-                    continue  # never cached: must re-judge until it parses
-                _, package_rel, table, raw = outcome
-                stub = CachedModule(
-                    path=Path(key),
-                    package_rel=package_rel,
-                    suppressions=Suppressions.from_table(table),
-                    findings=list(raw),
-                )
-                contexts[key] = stub
-                for finding in raw:
-                    admit(stub, finding)
-                if analysis_cache is not None:
-                    analysis_cache.store_file(
-                        key, file_hashes[key], stub, raw
-                    )
-    else:
-        for path in iter_python_files(paths):
-            files_checked += 1
-            key = str(path)
-            if analysis_cache is not None and stats is not None:
-                stats.files_total += 1
-                try:
-                    data = path.read_bytes()
-                except OSError as exc:
-                    parse_failure(path, exc)
-                    continue
-                digest = hash_bytes(data)
-                file_hashes[key] = digest
-                hit = analysis_cache.lookup_file(key, digest)
-                if hit is not None:
-                    stats.files_reused += 1
-                    contexts[key] = hit
-                    for finding in hit.findings:
-                        admit(hit, finding)
-                    continue
-                try:
-                    ctx = ModuleContext.from_source(
-                        path, data.decode("utf-8")
-                    )
-                except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
-                    parse_failure(path, exc)
-                    continue  # never cached: must re-judge until it parses
-            else:
-                try:
-                    ctx = ModuleContext.from_path(path)
-                except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
-                    parse_failure(path, exc)
-                    continue
-            contexts[key] = ctx
-            parsed[key] = ctx
-            raw = []
-            for rule in module_rules:
-                if not rule.in_scope(ctx):
-                    continue
-                raw.extend(rule.check(ctx))
-            for finding in raw:
-                admit(ctx, finding)
-            if analysis_cache is not None:
-                analysis_cache.store_file(key, file_hashes[key], ctx, raw)
+                continue
+            try:
+                ctx = ModuleContext.from_source(path, data.decode("utf-8"))
+            except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
+                parse_failure(path, exc)
+                continue  # never cached: must re-judge until it parses
+        else:
+            try:
+                ctx = ModuleContext.from_path(path)
+            except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
+                parse_failure(path, exc)
+                continue
+        contexts[key] = ctx
+        parsed[key] = ctx
+        raw = []
+        for rule in module_rules:
+            if not rule.in_scope(ctx):
+                continue
+            raw.extend(rule.check(ctx))
+        for finding in raw:
+            admit(ctx, finding)
+        if analysis_cache is not None:
+            analysis_cache.store_file(key, file_hashes[key], ctx, raw)
 
     if deep and project_rules and contexts:
         package_rels = {
@@ -355,14 +266,7 @@ def lint_paths(
             # tie in the final stable sort — matches a cold run's.
             for key, ctx_like in contexts.items():
                 if key not in parsed and isinstance(ctx_like, CachedModule):
-                    data = sources.get(key)
-                    parsed[key] = (
-                        ModuleContext.from_source(
-                            ctx_like.path, data.decode("utf-8")
-                        )
-                        if data is not None
-                        else ModuleContext.from_path(ctx_like.path)
-                    )
+                    parsed[key] = ModuleContext.from_path(ctx_like.path)
             project = build_project(
                 [parsed[key] for key in contexts if key in parsed]
             )
@@ -459,77 +363,10 @@ def parse_module(source: str, name: str = "<fixture>") -> ModuleContext:
     )
 
 
-# -- parallel workers ---------------------------------------------------
-#
-# Worker results carry only picklable values (strings, ints, Finding
-# dataclasses of primitives, suppression tables) — never an AST.  The
-# parse-failure facts mirror parse_failure() so the parent synthesises
-# an identical OPQ901 finding.
-
-
 def _failure_facts(exc: Exception) -> tuple[str, int, int]:
-    """(message, line, col) of one parse/read failure, picklably."""
+    """(message, line, col) of one parse/read failure."""
     return (
         getattr(exc, "msg", None) or str(exc),
         getattr(exc, "lineno", None) or 1,
         (getattr(exc, "offset", None) or 1) - 1,
     )
-
-
-#: Per-worker module-rule list, set once by the pool initializer.
-_WORKER_RULES: list | None = None
-
-
-def _worker_init(
-    selected: frozenset[str] | None, ignored: frozenset[str]
-) -> None:
-    global _WORKER_RULES
-    import repro.analysis  # noqa: F401  (rule registration on spawn)
-
-    _WORKER_RULES = [
-        rule
-        for rule in all_rules()
-        if not rule.synthetic
-        and not rule.requires_project
-        and (selected is None or rule.rule_id in selected)
-        and rule.rule_id not in ignored
-    ]
-
-
-def _lint_one(item: tuple[str, bytes]) -> tuple[str, tuple]:
-    """Shallow-analyse one file's bytes; pure, order-independent."""
-    key, data = item
-    try:
-        ctx = ModuleContext.from_source(Path(key), data.decode("utf-8"))
-    except (SyntaxError, ValueError, UnicodeDecodeError) as exc:
-        return key, ("err", *_failure_facts(exc))
-    raw: list[Finding] = []
-    for rule in _WORKER_RULES or []:
-        if rule.in_scope(ctx):
-            raw.extend(rule.check(ctx))
-    return key, ("ok", ctx.package_rel, ctx.suppressions.to_table(), raw)
-
-
-def _run_jobs(
-    pending: list[tuple[str, bytes]],
-    jobs: int,
-    selected: set[str] | None,
-    ignored: set[str],
-) -> dict[str, tuple]:
-    """Run the shallow analysis of ``pending`` over ``jobs`` processes."""
-    if not pending:
-        return {}
-    from concurrent.futures import ProcessPoolExecutor
-
-    results: dict[str, tuple] = {}
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(pending)),
-        initializer=_worker_init,
-        initargs=(
-            frozenset(selected) if selected is not None else None,
-            frozenset(ignored),
-        ),
-    ) as pool:
-        for key, outcome in pool.map(_lint_one, pending):
-            results[key] = outcome
-    return results

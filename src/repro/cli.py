@@ -11,7 +11,7 @@
     opaq exact keys.opaq --phi 0.5 --sample-size 1000
     opaq run keys.opaq --dectiles --trace --metrics-out metrics.json
     opaq run keys.opaq --phi 0.5 --procs 8 --merge bitonic
-    opaq run keys.opaq --phi 0.5 --procs 4 --backend process --kernel numpy
+    opaq run keys.opaq --phi 0.5 --procs 4 --backend process
     opaq run keys.opaq --dectiles --engine kll        # portfolio engines
     opaq run keys.opaq --dectiles --engine smallest-memory   # policy alias
     opaq experiment table11 --metrics-out t11.json
@@ -66,7 +66,6 @@ def _config_for(n: int, args: argparse.Namespace) -> OPAQConfig:
         sample_size=min(sample_size, run_size),
         memory=args.memory,
         strategy=args.strategy,
-        kernel=getattr(args, "kernel", "python"),
     )
 
 
@@ -87,13 +86,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "--strategy",
         default="numpy",
         help="selection strategy: numpy|sort|median_of_medians|floyd_rivest",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("python", "numpy"),
-        default="python",
-        help="hot-path implementation: python (reference) or numpy "
-        "(vectorised; bit-identical output)",
     )
 
 
@@ -275,7 +267,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_merged_samples=args.max_merged_samples,
         snapshot_every=args.snapshot_every,
         snapshot_dir=args.snapshot_dir,
-        kernel=args.kernel,
         router_policy=args.router_policy,
         tenancy=RegistryConfig(
             memory_budget=args.tenancy_budget,
@@ -549,7 +540,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             ignore=args.ignore,
             deep=args.deep,
             cache=args.cache,
-            jobs=args.jobs,
         )
         count = write_baseline(target, result.findings)
         print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} to {target}")
@@ -561,7 +551,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         deep=args.deep,
         baseline=baseline,
         cache=args.cache,
-        jobs=args.jobs,
     )
     if args.format == "json":
         print(render_json(result))
@@ -646,11 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         "http (JSON compatibility layer)",
     )
     p.add_argument("--shards", type=int, default=4, help="ingest shards")
-    p.add_argument(
-        "--kernel", choices=("python", "numpy"), default="numpy",
-        help="shard estimator hot path (numpy is vectorised and "
-        "bit-identical to the python reference; serving defaults to it)",
-    )
     p.add_argument(
         "--router-policy", choices=("hash", "chunk"), default="hash",
         help="ingest partitioning: hash (per-key, batch-boundary-"
@@ -863,12 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reuse results for unchanged files from this incremental "
         "cache file (default name when given bare: .opaqlint-cache.json); "
         "output is byte-identical to an uncached run",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyse files across N worker processes (default 1); "
-        "composes with --cache (only cache misses are fanned out) and "
-        "output is byte-identical for every N",
     )
     p.add_argument(
         "--list-rules", action="store_true",

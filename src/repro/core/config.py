@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
-from repro.selection import SelectionStrategy, get_strategy, validate_kernel
+from repro.selection import SelectionStrategy, get_strategy
 from repro.storage import MemoryModel
 
 __all__ = ["OPAQConfig"]
@@ -36,21 +36,12 @@ class OPAQConfig:
         Selection strategy name (see :mod:`repro.selection`): ``"numpy"``
         (default, vectorised introselect), ``"sort"``,
         ``"median_of_medians"`` or ``"floyd_rivest"``.
-    kernel:
-        Hot-path implementation switch (see
-        :mod:`repro.selection.kernels`): ``"python"`` (default) runs the
-        reference paths — the configured strategy's multiselect and the
-        heap-based r-way merge — while ``"numpy"`` forces the vectorised
-        C kernels for both regular-sample extraction and sample-list
-        merging.  Output is bit-identical either way; only the constant
-        factor changes.
     """
 
     run_size: int
     sample_size: int
     memory: int | None = None
     strategy: str | SelectionStrategy = "numpy"
-    kernel: str = "python"
 
     def __post_init__(self) -> None:
         if self.run_size <= 0:
@@ -62,9 +53,8 @@ class OPAQConfig:
                 f"sample_size ({self.sample_size}) cannot exceed run_size "
                 f"({self.run_size})"
             )
-        # Resolve eagerly so a typo in either name fails at config time.
+        # Resolve eagerly so a typo in the name fails at config time.
         get_strategy(self.strategy)
-        validate_kernel(self.kernel)
 
     @classmethod
     def for_memory(

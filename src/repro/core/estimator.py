@@ -111,7 +111,6 @@ class OPAQ:
         phis: Sequence[float],
         sample_size: int = 1000,
         run_size: int | None = None,
-        kernel: str = "python",
         backend: str | None = None,
         num_procs: int = 1,
     ) -> list[QuantileBounds]:
@@ -123,13 +122,12 @@ class OPAQ:
         derived from it; use an explicit :class:`~repro.core.OPAQConfig`
         and :meth:`estimate` for run iterables.
 
-        ``kernel`` selects the hot-path implementation (``"python"`` or
-        ``"numpy"``; bit-identical output either way).  ``backend`` routes
-        the estimate through the parallel formulation: ``"serial"``,
-        ``"thread"`` or ``"process"`` run POPAQ over ``num_procs`` real
-        workers (``"simulated"`` charges the cost model instead); ``None``
-        — the default — runs the sequential single pass in this thread.
-        Every combination produces the same bounds; see ``docs/parallel.md``.
+        ``backend`` routes the estimate through the parallel formulation:
+        ``"serial"``, ``"thread"`` or ``"process"`` run POPAQ over
+        ``num_procs`` real workers (``"simulated"`` charges the cost model
+        instead); ``None`` — the default — runs the sequential single pass
+        in this thread.  Every combination produces the same bounds; see
+        ``docs/parallel.md``.
 
         >>> import numpy as np
         >>> data = np.arange(100_000, dtype=float)
@@ -150,7 +148,6 @@ class OPAQ:
         config = OPAQConfig(
             run_size=run_size,
             sample_size=min(sample_size, run_size),
-            kernel=kernel,
         )
         if backend is not None:
             # Imported here: core must stay importable without parallel

@@ -28,7 +28,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.core.config import OPAQConfig
-from repro.core.sample_phase import sample_run, scaled_sample_count
+from repro.core.sample_phase import RunSampler
 from repro.errors import ConfigError
 from repro.parallel.backends.base import Comm
 from repro.selection import kway_merge
@@ -74,14 +74,8 @@ def popaq_worker(
     merged sample list with its (gap, floor) payload rows; every other
     rank returns just ``{"report"}``.
     """
-    strategy = config.selection_strategy()
     phase = {"io": 0.0, "sampling": 0.0, "local_merge": 0.0}
-    sample_lists: list[np.ndarray] = []
-    payload_lists: list[np.ndarray] = []
-    run_layout: list[tuple[int, int]] = []
-    count = 0
-    minimum = np.inf
-    maximum = -np.inf
+    sampler = RunSampler(config)
     runs = _iter_runs(partition, config.run_size)
     while True:
         t0 = time.perf_counter()
@@ -89,39 +83,21 @@ def popaq_worker(
         phase["io"] += time.perf_counter() - t0
         if run is None:
             break
-        run = np.asarray(run, dtype=np.float64)
-        if run.size == 0:
-            continue
         t0 = time.perf_counter()
-        s_k = scaled_sample_count(
-            run.size, config.run_size, config.sample_size
-        )
-        samples, gaps, floors = sample_run(
-            run, s_k, strategy, kernel=config.kernel
-        )
+        sampler.add(run)
         phase["sampling"] += time.perf_counter() - t0
-        sample_lists.append(samples)
-        payload_lists.append(
-            np.column_stack([gaps.astype(np.float64), floors])
-        )
-        run_layout.append((int(run.size), int(s_k)))
-        count += int(run.size)
-        minimum = min(minimum, float(run.min()))
-        maximum = max(maximum, float(run.max()))
-    if not sample_lists:
+    if not sampler.num_runs:
         raise ConfigError(f"processor {comm.rank} received no data")
     t0 = time.perf_counter()
-    merged, merged_payload = kway_merge(
-        sample_lists, payloads=payload_lists, kernel=config.kernel
-    )
+    merged, merged_payload = sampler.merge()
     phase["local_merge"] += time.perf_counter() - t0
     report = WorkerReport(
         rank=comm.rank,
-        num_runs=len(run_layout),
-        count=count,
-        minimum=minimum,
-        maximum=maximum,
-        run_layout=run_layout,
+        num_runs=sampler.num_runs,
+        count=sampler.count,
+        minimum=sampler.minimum,
+        maximum=sampler.maximum,
+        run_layout=sampler.run_layout,
         phase_seconds=phase,
     )
     if comm.rank != 0:
@@ -138,9 +114,7 @@ def popaq_worker(
         lists.append(peer_samples)
         payloads.append(peer_payload)
     t0 = time.perf_counter()
-    global_samples, global_payload = kway_merge(
-        lists, payloads=payloads, kernel=config.kernel
-    )
+    global_samples, global_payload = kway_merge(lists, payloads=payloads)
     phase["global_merge"] = time.perf_counter() - t0
     comm.barrier()
     return {

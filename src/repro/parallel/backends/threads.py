@@ -3,7 +3,7 @@
 Python threads share one interpreter, so pure-Python sections serialise on
 the GIL — but the hot paths this repo cares about (``numpy.partition``,
 stable argsort, array copies) release it, so the thread backend sees real
-concurrency exactly where the ``kernel="numpy"`` switch puts the work.
+concurrency in the sample phase's selection and merge.
 It is also the cheapest way to exercise the concurrent code paths (real
 barriers, real mailbox blocking) without process start-up cost.
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.config import OPAQConfig
 from repro.core.quantile_phase import bounds_for
-from repro.core.sample_phase import sample_run, scaled_sample_count
+from repro.core.sample_phase import RunSampler, assemble_summary
 from repro.core.summary import OPAQSummary
 from repro.errors import ConfigError
 from repro.obs import current_tracer
@@ -35,7 +35,6 @@ from repro.parallel.backends import (
 from repro.parallel.bitonic import bitonic_merge
 from repro.parallel.machine import MachineModel, SimulatedMachine
 from repro.parallel.sample_merge import sample_merge
-from repro.selection import kway_merge
 from repro.storage import DiskDataset, RunReader
 
 __all__ = ["ParallelOPAQ", "ParallelResult", "predict_merge_time"]
@@ -265,64 +264,20 @@ class ParallelOPAQ:
         if self.backend != "simulated":
             return self._run_real(partitions, phis)
         machine = SimulatedMachine(self.p, self.model)
-        strategy = self.config.selection_strategy()
-        s_nominal = self.config.sample_size
-        m_nominal = self.config.run_size
-
+        samplers: list[RunSampler] = []
         local_lists: list[np.ndarray] = []
         local_payloads: list[np.ndarray] = []
-        total_count = 0
-        total_runs = 0
-        minimum = np.inf
-        maximum = -np.inf
         for proc, partition in enumerate(partitions):
-            sample_lists: list[np.ndarray] = []
-            payload_lists: list[np.ndarray] = []
-            runs_here = 0
-            count_here = 0
+            sampler = RunSampler(self.config)
             for run in self._partition_runs(partition):
-                run = np.asarray(run, dtype=np.float64)
-                if run.size == 0:
-                    continue
-                s_k = scaled_sample_count(run.size, m_nominal, s_nominal)
-                samples, gaps, floors = sample_run(
-                    run, s_k, strategy, kernel=self.config.kernel
-                )
-                sampling_ops = run.size * max(1.0, math.log2(max(2, s_k)))
-                if self.overlap_io:
-                    machine.charge_overlapped(
-                        proc,
-                        {
-                            PHASE_IO: self.model.read_cost(run.size),
-                            PHASE_SAMPLING: self.model.compute_cost(sampling_ops),
-                        },
-                    )
-                else:
-                    machine.charge_io(proc, run.size, PHASE_IO)
-                    machine.charge_compute(proc, sampling_ops, PHASE_SAMPLING)
-                sample_lists.append(samples)
-                payload_lists.append(
-                    np.column_stack([gaps.astype(np.float64), floors])
-                )
-                runs_here += 1
-                count_here += run.size
-                minimum = min(minimum, float(run.min()))
-                maximum = max(maximum, float(run.max()))
-            if not runs_here:
+                sampler.add(run)
+            if not sampler.num_runs:
                 raise ConfigError(f"processor {proc} received no data")
-            merged, merged_payload = kway_merge(
-                sample_lists, payloads=payload_lists,
-                kernel=self.config.kernel,
-            )
-            machine.charge_compute(
-                proc,
-                merged.size * max(1.0, math.log2(max(2, runs_here))),
-                PHASE_LOCAL_MERGE,
-            )
+            merged, merged_payload = sampler.merge()
+            self._charge_local_phase(machine, proc, sampler.run_layout)
+            samplers.append(sampler)
             local_lists.append(merged)
             local_payloads.append(merged_payload)
-            total_count += count_here
-            total_runs += runs_here
 
         # Global merge of the p local sample lists.
         expansion = 1.0
@@ -346,15 +301,7 @@ class ParallelOPAQ:
             global_payload = np.concatenate(pays)
         machine.barrier(PHASE_GLOBAL_MERGE)
 
-        summary = OPAQSummary(
-            samples=global_samples,
-            gaps=global_payload[:, 0].astype(np.int64),
-            floors=global_payload[:, 1],
-            num_runs=total_runs,
-            count=total_count,
-            minimum=minimum,
-            maximum=maximum,
-        )
+        summary = assemble_summary(global_samples, global_payload, samplers)
         if phis is not None:
             # Constant work per quantile on the coordinating processor.
             ops = len(list(phis)) * max(1.0, math.log2(max(2, summary.num_samples)))
@@ -388,15 +335,7 @@ class ParallelOPAQ:
         )
         reports: list[WorkerReport] = [res["report"] for res in results]
         root = results[0]
-        summary = OPAQSummary(
-            samples=root["samples"],
-            gaps=root["payload"][:, 0].astype(np.int64),
-            floors=root["payload"][:, 1],
-            num_runs=sum(r.num_runs for r in reports),
-            count=sum(r.count for r in reports),
-            minimum=min(r.minimum for r in reports),
-            maximum=max(r.maximum for r in reports),
-        )
+        summary = assemble_summary(root["samples"], root["payload"], reports)
         machine = self._replay_model(reports)
         if phis is not None:
             ops = len(list(phis)) * max(1.0, math.log2(max(2, summary.num_samples)))
@@ -412,6 +351,34 @@ class ParallelOPAQ:
             worker_reports=reports,
         )
 
+    def _charge_local_phase(
+        self,
+        machine: SimulatedMachine,
+        proc: int,
+        run_layout: list[tuple[int, int]],
+    ) -> None:
+        """Charge one processor's reads, sampling and local merge for the
+        ``(run size, sample count)`` layout of its runs."""
+        for run_size, s_k in run_layout:
+            sampling_ops = run_size * max(1.0, math.log2(max(2, s_k)))
+            if self.overlap_io:
+                machine.charge_overlapped(
+                    proc,
+                    {
+                        PHASE_IO: self.model.read_cost(run_size),
+                        PHASE_SAMPLING: self.model.compute_cost(sampling_ops),
+                    },
+                )
+            else:
+                machine.charge_io(proc, run_size, PHASE_IO)
+                machine.charge_compute(proc, sampling_ops, PHASE_SAMPLING)
+        list_len = sum(s for _, s in run_layout)
+        machine.charge_compute(
+            proc,
+            list_len * max(1.0, math.log2(max(2, len(run_layout)))),
+            PHASE_LOCAL_MERGE,
+        )
+
     def _replay_model(self, reports: list[WorkerReport]) -> SimulatedMachine:
         """Charge a fresh simulated machine for the run layout a real
         execution reported — the modelled half of real-vs-modelled.
@@ -423,25 +390,7 @@ class ParallelOPAQ:
         """
         machine = SimulatedMachine(self.p, self.model)
         for proc, report in enumerate(reports):
-            for run_size, s_k in report.run_layout:
-                sampling_ops = run_size * max(1.0, math.log2(max(2, s_k)))
-                if self.overlap_io:
-                    machine.charge_overlapped(
-                        proc,
-                        {
-                            PHASE_IO: self.model.read_cost(run_size),
-                            PHASE_SAMPLING: self.model.compute_cost(sampling_ops),
-                        },
-                    )
-                else:
-                    machine.charge_io(proc, run_size, PHASE_IO)
-                    machine.charge_compute(proc, sampling_ops, PHASE_SAMPLING)
-            list_len = sum(s for _, s in report.run_layout)
-            machine.charge_compute(
-                proc,
-                list_len * max(1.0, math.log2(max(2, report.num_runs))),
-                PHASE_LOCAL_MERGE,
-            )
+            self._charge_local_phase(machine, proc, report.run_layout)
         if self.p > 1:
             lengths = [sum(s for _, s in r.run_layout) for r in reports]
             list_size = round(sum(lengths) / len(lengths))

@@ -7,18 +7,8 @@ merge of per-run sample lists.
 """
 
 from repro.selection.floyd_rivest import floyd_rivest_select
-from repro.selection.kernels import (
-    KERNEL_NAMES,
-    merge_sorted_numpy,
-    multiselect_numpy,
-    validate_kernel,
-)
-from repro.selection.kway_merge import (
-    is_sorted,
-    kway_merge,
-    merge_two,
-    merge_two_with_payload,
-)
+from repro.selection.kernels import multiselect_numpy
+from repro.selection.kway_merge import is_sorted, kway_merge, merge_two_with_payload
 from repro.selection.median_of_medians import (
     median_of_medians_pivot,
     median_of_medians_select,
@@ -36,10 +26,7 @@ from repro.selection.strategies import (
 )
 
 __all__ = [
-    "KERNEL_NAMES",
-    "validate_kernel",
     "multiselect_numpy",
-    "merge_sorted_numpy",
     "floyd_rivest_select",
     "median_of_medians_select",
     "median_of_medians_pivot",
@@ -48,7 +35,6 @@ __all__ = [
     "partition_three_way",
     "partition_counts",
     "kway_merge",
-    "merge_two",
     "merge_two_with_payload",
     "is_sorted",
     "SelectionStrategy",

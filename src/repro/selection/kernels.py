@@ -1,31 +1,14 @@
-"""Vectorised numpy kernels for the two sample-phase hot paths.
+"""The vectorised multiselect behind the ``numpy`` selection strategy.
 
-The paper's per-run cost is dominated by exactly two operations: extracting
-the ``s`` regular samples of a run (section 2.1's multiselect) and merging
-the ``r`` sorted per-run sample lists (the r-way merge).  Both have
-pure-python reference implementations in this package —
-:func:`repro.selection.multiselect.multiselect` driven by a single-rank
-selector, and the heap-based loop in
-:func:`repro.selection.kway_merge.kway_merge` — which serve as the *oracle*:
-slow, simple, and the thing every kernel is property-tested against.
-
-This module holds the vectorised counterparts, selected by the
-``kernel="python" | "numpy"`` switch on :class:`repro.core.OPAQConfig`:
-
-- :func:`multiselect_numpy` — one ``numpy.partition`` call over the unique
-  ranks (introselect in C; the same ``O(m log s)`` asymptotics, a far
-  smaller constant);
-- :func:`merge_sorted_numpy` — concatenate-then-stable-argsort.  The heap
-  merge is ``O(N log r)`` and the argsort ``O(N log N)``, but the argsort
-  runs entirely in C and wins for every realistic ``r``; bit-identical
-  output order is guaranteed because the heap breaks ties by list index
-  and a stable sort of the lists concatenated in index order does too.
-
-Both kernels are *value-deterministic*: order statistics and stable merges
-are functions of the input multiset and list order only, so switching
-kernels never changes a sample list, a payload row, or a bound.  The
-equivalence is pinned by ``tests/selection/test_kernels.py`` over ragged
-run sizes, duplicate-heavy data, and mixed-sign zeros.
+Extracting the ``s`` regular samples of a run (section 2.1's multiselect)
+dominates the sample phase's per-run cost.  :func:`multiselect_numpy` does
+it in C — one ``numpy.partition`` for sparse rank sets, one sort and a
+gather for dense ones — and is the engine of
+:class:`~repro.selection.strategies.NumpyPartitionStrategy`, the default
+strategy.  Order statistics are value-deterministic, so every strategy
+returns the same samples; ``tests/selection/test_kernels.py`` pins this
+against the ``sort`` strategy over ragged run sizes, duplicate-heavy data
+and mixed-sign zeros.
 """
 
 from __future__ import annotations
@@ -34,21 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, EstimationError
+from repro.errors import EstimationError
 
-__all__ = ["KERNEL_NAMES", "validate_kernel", "multiselect_numpy", "merge_sorted_numpy"]
-
-#: The two kernel implementations every hot path must support.
-KERNEL_NAMES = ("python", "numpy")
-
-
-def validate_kernel(name: str) -> str:
-    """Return ``name`` if it is a known kernel, else raise ConfigError."""
-    if name not in KERNEL_NAMES:
-        raise ConfigError(
-            f"unknown kernel {name!r}; choose from {KERNEL_NAMES}"
-        )
-    return name
+__all__ = ["multiselect_numpy"]
 
 
 #: Above this many distinct ranks, a full ``numpy.sort`` beats the
@@ -89,42 +60,3 @@ def multiselect_numpy(
     else:
         parted = np.partition(np.asarray(values), unique)
     return parted[rank_arr].astype(np.float64)
-
-
-def merge_sorted_numpy(
-    lists: Sequence[np.ndarray],
-    payloads: Sequence[np.ndarray] | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Merge ``r`` sorted arrays by stable argsort of their concatenation.
-
-    Ties order exactly as the reference heap merge does: by list index
-    first (lists are concatenated in index order), by position within a
-    list second (the sort is stable).  With ``payloads`` (one row array
-    per list) each key carries its payload row and the pair
-    ``(merged_keys, merged_payloads)`` is returned.
-    """
-    arrays = [np.asarray(lst) for lst in lists]
-    if payloads is not None:
-        if len(payloads) != len(arrays):
-            raise ConfigError("payloads must match lists one-to-one")
-        pays = [np.asarray(p) for p in payloads]
-        if any(p.shape[0] != a.size for p, a in zip(pays, arrays)):
-            raise ConfigError("each payload must have its list's length")
-        pays = [p for p, a in zip(pays, arrays) if a.size]
-    arrays = [a for a in arrays if a.size]
-
-    if not arrays:
-        empty = np.empty(0, dtype=np.float64)
-        return (empty, empty.astype(np.int64)) if payloads is not None else empty
-    if len(arrays) == 1:
-        if payloads is not None:
-            return arrays[0].astype(np.float64), pays[0].copy()
-        return arrays[0].astype(np.float64)
-
-    keys = np.concatenate([a.astype(np.float64, copy=False) for a in arrays])
-    order = np.argsort(keys, kind="stable")  # opaq: ignore[one-pass-sort] merging r SORTED sample lists, not sorting a run; O(rs log rs) on samples only
-    merged = keys[order]
-    if payloads is None:
-        return merged
-    payload = np.concatenate(pays)
-    return merged, payload[order]

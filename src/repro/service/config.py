@@ -70,11 +70,6 @@ class ServiceConfig:
     snapshot_retain:
         How many persisted epochs to keep on disk (older ones are
         pruned).
-    kernel:
-        Hot-path implementation for the per-shard estimators and epoch
-        merges — ``"python"`` (reference) or ``"numpy"`` (vectorised,
-        bit-identical output); forwarded into the per-shard
-        :class:`~repro.core.OPAQConfig`.
     backend:
         Execution backend for :meth:`QuantileService.estimate`, the batch
         counterpart of the streaming path: ``"serial"`` (default),
@@ -109,7 +104,6 @@ class ServiceConfig:
     snapshot_every: int | None = None
     snapshot_dir: str | Path | None = None
     snapshot_retain: int = 3
-    kernel: str = "python"
     backend: str = "serial"
     router_policy: str = "hash"
     tenancy: RegistryConfig | None = None
@@ -132,7 +126,7 @@ class ServiceConfig:
             raise ConfigError("snapshot_retain must be at least 1")
         if self.max_merged_samples is not None and self.max_merged_samples < 2:
             raise ConfigError("max_merged_samples must be at least 2")
-        # Delegate run/sample/kernel validation (and strategy resolution)
+        # Delegate run/sample validation (and strategy resolution)
         # to the core config so the two layers cannot drift apart; backend
         # names resolve against the parallel layer's registry.
         self.opaq_config()
@@ -148,7 +142,6 @@ class ServiceConfig:
         return OPAQConfig(
             run_size=self.run_size,
             sample_size=self.sample_size,
-            kernel=self.kernel,
         )
 
     @property

@@ -91,78 +91,6 @@ class TestByteIdenticalReplay:
         assert json.loads(cache.read_text(encoding="utf-8"))["files"]
 
 
-class TestParallelRunner:
-    """``jobs=N`` shares the cache invariant: byte-identical output."""
-
-    def test_jobs_output_is_byte_identical_to_serial(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        serial = lint_paths([pkg], deep=True)
-        for jobs in (1, 2, 4):
-            parallel = lint_paths([pkg], deep=True, jobs=jobs)
-            assert renders(parallel) == renders(serial), f"jobs={jobs}"
-            assert parallel.files_checked == serial.files_checked
-            assert parallel.suppressed == serial.suppressed
-
-    def test_jobs_replays_suppressions_identically(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        (pkg / "core" / "noisy.py").write_text(
-            "import time\n\n\n"
-            "def stamp():\n"
-            "    return time.time()  "
-            "# opaq: ignore[determinism-wall-clock] log only\n",
-            encoding="utf-8",
-        )
-        serial = lint_paths([pkg])
-        parallel = lint_paths([pkg], jobs=2)
-        assert renders(parallel) == renders(serial)
-        assert parallel.suppressed == serial.suppressed > 0
-        assert parallel.suppressed_by_rule == serial.suppressed_by_rule
-
-    def test_jobs_parse_failures_match_serial(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        (pkg / "core" / "broken.py").write_text(
-            "def oops(:\n", encoding="utf-8"
-        )
-        serial = lint_paths([pkg], deep=True)
-        parallel = lint_paths([pkg], deep=True, jobs=2)
-        assert renders(parallel) == renders(serial)
-        assert any(f.rule_id == "parse-error" for f in parallel.findings)
-
-    def test_jobs_composes_with_the_cache(self, tmp_path):
-        """Workers only see cache misses; their results are stored like
-        any cold analysis, so the next warm run reuses everything."""
-        pkg = make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([pkg], deep=True, cache=cache, jobs=2)
-        assert cold.cache_stats.files_reused == 0
-        warm = lint_paths([pkg], deep=True, cache=cache, jobs=2)
-        assert (
-            warm.cache_stats.files_reused == warm.cache_stats.files_total
-        )
-        assert renders(cold) == renders(warm)
-        # ... and a serial warm run reads the parallel-written cache.
-        serial_warm = lint_paths([pkg], deep=True, cache=cache)
-        assert renders(serial_warm) == renders(warm)
-        assert (
-            serial_warm.cache_stats.files_reused
-            == serial_warm.cache_stats.files_total
-        )
-
-    def test_jobs_partial_cache_ships_only_misses(self, tmp_path):
-        pkg = make_tree(tmp_path)
-        cache = tmp_path / "cache.json"
-        lint_paths([pkg], deep=True, cache=cache)
-        (pkg / "core" / "leaky.py").write_text(
-            BAD + "\n\nX = 1\n", encoding="utf-8"
-        )
-        warm = lint_paths([pkg], deep=True, cache=cache, jobs=2)
-        assert (
-            warm.cache_stats.files_reused
-            == warm.cache_stats.files_total - 1
-        )
-        assert renders(warm) == renders(lint_paths([pkg], deep=True))
-
-
 class TestInvalidation:
     def test_editing_one_file_reanalyzes_only_it(self, tmp_path):
         pkg = make_tree(tmp_path)

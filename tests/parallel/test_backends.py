@@ -1,9 +1,9 @@
 """Conformance suite for the real execution backends.
 
 The contract under test (docs/parallel.md): the identical POPAQ program,
-run on any backend and either kernel, produces **bit-identical** sample
-lists and bounds — equal to each other and to the simulated machine's —
-and every failure mode surfaces as a typed
+run on any backend, produces **bit-identical** sample lists and bounds —
+equal to each other and to the simulated machine's — and every failure
+mode surfaces as a typed
 :class:`~repro.errors.ParallelError`, never a hang or a bare
 multiprocessing traceback.
 """
@@ -36,8 +36,8 @@ _DATA = np.random.default_rng(42).permutation(np.arange(60_000.0))
 _PHIS = (0.1, 0.5, 0.9)
 
 
-def _config(kernel="python"):
-    return OPAQConfig(run_size=5_000, sample_size=100, kernel=kernel)
+def _config():
+    return OPAQConfig(run_size=5_000, sample_size=100)
 
 
 # ----------------------------------------------------------------------
@@ -51,13 +51,23 @@ def simulated_reference():
     return result
 
 
+def _partitions(form):
+    """The test data in either input form ``run`` accepts: one ndarray it
+    block-partitions itself (``"numpy"``), or one plain Python list per
+    processor (``"python"``), which the process backend pickles instead of
+    placing in shared memory."""
+    if form == "numpy":
+        return _DATA
+    return [part.tolist() for part in np.array_split(_DATA, 4)]
+
+
 @pytest.mark.parametrize("backend", REAL_BACKENDS)
-@pytest.mark.parametrize("kernel", ["python", "numpy"])
+@pytest.mark.parametrize("form", ["python", "numpy"])
 def test_backends_match_the_simulated_machine_bitwise(
-    backend, kernel, simulated_reference
+    backend, form, simulated_reference
 ):
-    result = ParallelOPAQ(4, _config(kernel), backend=backend).run(
-        _DATA, _PHIS
+    result = ParallelOPAQ(4, _config(), backend=backend).run(
+        _partitions(form), _PHIS
     )
     reference = simulated_reference
     assert (
@@ -70,7 +80,7 @@ def test_backends_match_the_simulated_machine_bitwise(
 
 def test_backend_answers_enclose_the_truth():
     sorted_data = np.sort(_DATA)
-    result = ParallelOPAQ(4, _config("numpy"), backend="process").run(
+    result = ParallelOPAQ(4, _config(), backend="process").run(
         _DATA, _PHIS
     )
     for phi, bound in zip(_PHIS, result.bounds(_PHIS)):
@@ -91,6 +101,26 @@ def test_real_backends_report_measured_phases(backend):
     # The modelled replay exists alongside, phase for phase.
     assert result.total_time > 0
     assert set(result.phase_fractions()) >= {"io", "sampling"}
+
+
+@pytest.mark.parametrize("merge_method", ["sample", "bitonic"])
+@pytest.mark.parametrize("overlap_io", [False, True])
+def test_replay_charges_the_local_phase_as_the_simulation_does(
+    merge_method, overlap_io
+):
+    """A real run's modelled replay charges reads, sampling and the local
+    merge exactly as the simulated execution does — here over a ragged
+    last run, so the per-run layout matters."""
+    data = _DATA[:-1]
+    options = {"merge_method": merge_method, "overlap_io": overlap_io}
+    simulated = ParallelOPAQ(4, _config(), **options).run(data, _PHIS)
+    replayed = ParallelOPAQ(4, _config(), backend="serial", **options).run(
+        data, _PHIS
+    )
+    modelled = simulated.machine.phase_totals()
+    replay = replayed.machine.phase_totals()
+    for phase in ("io", "sampling", "local_merge"):
+        assert modelled[phase] == replay[phase], phase
 
 
 def test_simulated_runs_measure_nothing():
@@ -275,7 +305,7 @@ def test_process_backend_with_tiny_shm_threshold():
 # ----------------------------------------------------------------------
 
 
-def test_quantiles_classmethod_takes_backend_and_kernel():
+def test_quantiles_classmethod_takes_backend():
     from repro import OPAQ
 
     data = np.random.default_rng(5).uniform(size=30_000)
@@ -285,7 +315,6 @@ def test_quantiles_classmethod_takes_backend_and_kernel():
         [0.5],
         sample_size=100,
         run_size=5_000,
-        kernel="numpy",
         backend="thread",
         num_procs=2,
     )

@@ -1,11 +1,13 @@
-"""The numpy kernels against their pure-python oracles, bit for bit.
+"""The sample phase's two steps against their oracles, bit for bit.
 
-The ``kernel="numpy"`` switch must be a pure performance decision:
-:func:`multiselect_numpy` against the recursive multiselect, and
-:func:`merge_sorted_numpy` against the heap k-way merge, over ragged run
-sizes, heavy duplicates and mixed-sign zeros — the regimes where a
-subtly different tie order or dtype would first show.
+:func:`multiselect_numpy` and every selection strategy against the
+``sort`` strategy, and :func:`kway_merge` against the textbook heap
+r-way merge, over ragged run sizes, heavy duplicates and mixed-sign
+zeros — the regimes where a subtly different tie order or dtype would
+first show.
 """
+
+import heapq
 
 import numpy as np
 import pytest
@@ -14,13 +16,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.sample_phase import sample_run
 from repro.errors import ConfigError, EstimationError
 from repro.selection import (
-    KERNEL_NAMES,
+    STRATEGY_NAMES,
     get_strategy,
     kway_merge,
-    merge_sorted_numpy,
     multiselect_numpy,
     regular_sample_ranks,
-    validate_kernel,
 )
 
 # ----------------------------------------------------------------------
@@ -64,15 +64,17 @@ def test_multiselect_numpy_matches_reference(values, data):
 def test_sample_run_is_kernel_invariant_over_ragged_runs(
     run_size, sample_count, seed
 ):
-    """The whole per-run hot path: ragged sizes, any s, both kernels."""
+    """The whole per-run hot path: ragged sizes, any s, every strategy."""
     run = np.random.default_rng(seed).uniform(size=run_size)
     # Duplicate-heavy variant of the same run exercises tie handling.
     duplicated = np.repeat(run[: max(1, run_size // 3)], 3)[:run_size]
     for data in (run, duplicated):
         s = min(sample_count, data.size)
-        python = sample_run(data, s, get_strategy("sort"), kernel="python")
-        vectorised = sample_run(data, s, get_strategy("sort"), kernel="numpy")
-        np.testing.assert_array_equal(python, vectorised)
+        reference = sample_run(data, s, get_strategy("sort"))
+        for name in STRATEGY_NAMES:
+            got = sample_run(data, s, get_strategy(name))
+            for ours, theirs in zip(got, reference):
+                assert ours.tobytes() == theirs.tobytes(), name
 
 
 def test_multiselect_numpy_rejects_bad_ranks():
@@ -92,8 +94,41 @@ def test_multiselect_numpy_permits_duplicate_ranks():
 
 
 # ----------------------------------------------------------------------
-# merge_sorted_numpy vs the heap merge
+# kway_merge vs the heap merge
 # ----------------------------------------------------------------------
+
+
+def _heap_merge(lists, payloads=None):
+    """The textbook ``O(N log r)`` heap merge, ties broken by list index.
+
+    A heap of (head value, list index, cursor) triples; the winning list
+    drains in bulk up to the next head.  A key EQUAL to that head belongs
+    to whichever list has the lower index, so the drain may swallow ties
+    only when its list's index is below the waiting head's.  Payloads are
+    one int64 per key.
+    """
+    total = sum(lst.size for lst in lists)
+    out = np.empty(total, dtype=np.float64)
+    out_pay = np.empty(total, dtype=np.int64)
+    heap = [(float(lst[0]), i, 0) for i, lst in enumerate(lists) if lst.size]
+    heapq.heapify(heap)
+    pos = 0
+    while heap:
+        _, i, cursor = heapq.heappop(heap)
+        lst = lists[i]
+        if heap:
+            limit, j = heap[0][0], heap[0][1]
+            side = "right" if i < j else "left"
+        else:
+            limit, side = np.inf, "right"
+        end = max(cursor + 1, int(np.searchsorted(lst, limit, side=side)))
+        out[pos : pos + end - cursor] = lst[cursor:end]
+        if payloads is not None:
+            out_pay[pos : pos + end - cursor] = payloads[i][cursor:end]
+        pos += end - cursor
+        if end < lst.size:
+            heapq.heappush(heap, (float(lst[end]), i, end))
+    return out if payloads is None else (out, out_pay)
 
 
 @st.composite
@@ -120,40 +155,32 @@ def _sorted_lists(draw):
 @given(lists=_sorted_lists())
 @settings(max_examples=150, deadline=None)
 def test_merge_kernels_are_bit_identical(lists):
-    python = kway_merge(lists, kernel="python")
-    vectorised = kway_merge(lists, kernel="numpy")
+    merged = kway_merge(lists)
     # assert_array_equal treats 0.0 == -0.0; the contract is bitwise.
-    assert python.tobytes() == vectorised.tobytes()
+    assert merged.tobytes() == _heap_merge(lists).tobytes()
+    assert merged.dtype == np.float64
 
 
 @given(lists=_sorted_lists())
 @settings(max_examples=100, deadline=None)
 def test_merge_kernels_carry_payloads_identically(lists):
-    """Ties must resolve to the SAME payload row under both kernels."""
+    """Ties must resolve to the SAME payload row as in the heap merge."""
     payloads = [
         np.arange(lst.size, dtype=np.int64) + 100 * idx
         for idx, lst in enumerate(lists)
     ]
-    keys_py, rows_py = kway_merge(lists, payloads, kernel="python")
-    keys_np, rows_np = kway_merge(lists, payloads, kernel="numpy")
-    assert keys_py.tobytes() == keys_np.tobytes()
-    np.testing.assert_array_equal(rows_py, rows_np)
+    keys, rows = kway_merge(lists, payloads)
+    keys_ref, rows_ref = _heap_merge(lists, payloads)
+    assert keys.tobytes() == keys_ref.tobytes()
+    assert rows.tobytes() == rows_ref.tobytes()
 
 
-def test_merge_sorted_numpy_validates_payload_shapes():
+def test_kway_merge_validates_payload_shapes():
     lists = [np.asarray([1.0, 2.0])]
     with pytest.raises(ConfigError):
-        merge_sorted_numpy(lists, payloads=[])
+        kway_merge(lists, payloads=[])
     with pytest.raises(ConfigError):
-        merge_sorted_numpy(lists, payloads=[np.arange(3)])
-
-
-def test_kernel_names_and_validation():
-    assert set(KERNEL_NAMES) == {"python", "numpy"}
-    for name in KERNEL_NAMES:
-        assert validate_kernel(name) == name
-    with pytest.raises(ConfigError):
-        validate_kernel("fortran")
+        kway_merge(lists, payloads=[np.arange(3)])
 
 
 def test_regular_sample_ranks_feed_both_kernels_identically():

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.selection import (
-    is_sorted,
-    kway_merge,
-    merge_two,
-    merge_two_with_payload,
-)
+from repro.selection import is_sorted, kway_merge, merge_two_with_payload
 
 sorted_list = st.lists(
     st.floats(allow_nan=False, allow_infinity=False, width=32), max_size=100
@@ -17,22 +12,24 @@ sorted_list = st.lists(
 
 
 class TestMergeTwo:
+    """Two-list merges through :func:`kway_merge`."""
+
     def test_basic(self):
-        out = merge_two(np.array([1.0, 3.0]), np.array([2.0, 4.0]))
+        out = kway_merge([np.array([1.0, 3.0]), np.array([2.0, 4.0])])
         assert out.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_one_empty(self):
-        out = merge_two(np.empty(0), np.array([1.0, 2.0]))
+        out = kway_merge([np.empty(0), np.array([1.0, 2.0])])
         assert out.tolist() == [1.0, 2.0]
 
     def test_duplicates(self):
-        out = merge_two(np.array([1.0, 2.0, 2.0]), np.array([2.0, 3.0]))
+        out = kway_merge([np.array([1.0, 2.0, 2.0]), np.array([2.0, 3.0])])
         assert out.tolist() == [1.0, 2.0, 2.0, 2.0, 3.0]
 
     @settings(max_examples=60)
     @given(sorted_list, sorted_list)
     def test_property_equals_sorted_concat(self, a, b):
-        out = merge_two(np.array(a), np.array(b))
+        out = kway_merge([np.array(a), np.array(b)])
         assert np.array_equal(out, np.sort(np.concatenate([a, b])))
 
 

@@ -110,6 +110,27 @@ PORTFOLIO = {
     "exact_delta",
 }
 
+SELECTION = {
+    "multiselect_numpy",
+    "floyd_rivest_select",
+    "median_of_medians_select",
+    "median_of_medians_pivot",
+    "multiselect",
+    "regular_sample_ranks",
+    "partition_three_way",
+    "partition_counts",
+    "kway_merge",
+    "merge_two_with_payload",
+    "is_sorted",
+    "SelectionStrategy",
+    "SortStrategy",
+    "NumpyPartitionStrategy",
+    "MedianOfMediansStrategy",
+    "FloydRivestStrategy",
+    "get_strategy",
+    "STRATEGY_NAMES",
+}
+
 BASELINES = {
     "StreamingQuantileEstimator",
     "consume",
@@ -143,6 +164,13 @@ def test_portfolio_surface_is_exactly_the_snapshot():
     import repro.portfolio
 
     assert set(repro.portfolio.__all__) == PORTFOLIO
+
+
+def test_selection_surface_is_exactly_the_snapshot():
+    """One r-way merge and the strategies; no hot-path switch."""
+    import repro.selection
+
+    assert set(repro.selection.__all__) == SELECTION
 
 
 def test_engine_registry_is_stable():
