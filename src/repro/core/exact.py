@@ -101,7 +101,7 @@ def exact_quantiles(
     """
     config.validate_for(dataset.count)
     reader = RunReader(dataset, run_size=config.run_size, max_passes=2)
-    summary = build_summary(reader.runs(), config)
+    summary = build_summary(reader, config)
     bounds = bounds_for(summary, phis)
     values = refine_exact(reader.runs(), bounds)
     return values, bounds, summary

@@ -149,13 +149,45 @@ def bounds_at_rank(
 def bounds_for(
     summary: OPAQSummary, phis: Iterable[float] | Sequence[float]
 ) -> list[QuantileBounds]:
-    """Bounds for many fractions — constant extra work per fraction."""
+    """Bounds for many fractions from one vectorised sweep.
+
+    The same :class:`QuantileBounds` the scalar :func:`quantile_bounds`
+    returns per fraction, bit for bit, with the same error for a
+    fraction outside (0, 1].
+    """
     fractions = [float(phi) for phi in phis]
     tracer = current_tracer()
     with tracer.span("phase.quantile", queries=len(fractions)):
-        out = [quantile_bounds(summary, phi) for phi in fractions]
+        out = _bounds_list(summary, fractions)
     tracer.count("quantile.queries", len(fractions))
     return out
+
+
+def _bounds_list(
+    summary: OPAQSummary, fractions: list[float]
+) -> list[QuantileBounds]:
+    if not fractions:
+        return []
+    vector = np.asarray(fractions, dtype=np.float64)
+    outside = ~((vector > 0.0) & (vector <= 1.0))
+    if outside.any():
+        # The scalar path's error, for the first fraction it would reject.
+        quantile_rank(fractions[int(np.argmax(outside))], summary.count)
+    columns = (column.tolist() for column in _sweep(summary, vector))
+    return [
+        QuantileBounds(
+            phi=phi,
+            rank=psi,
+            lower=lower,
+            upper=upper,
+            max_below=max_below,
+            max_above=max_above,
+            lower_index=lower_idx + 1,
+            upper_index=upper_idx + 1,
+        )
+        for phi, (psi, lower, upper, max_below, max_above, lower_idx, upper_idx)
+        in zip(fractions, zip(*columns))
+    ]
 
 
 def bounds_arrays(
@@ -179,6 +211,16 @@ def bounds_arrays(
         raise EstimationError(
             f"every phi must lie in (0, 1]; got {fractions!r}"
         )
+    psi, lower, upper, max_below, max_above, _, _ = _sweep(summary, fractions)
+    return psi, lower, upper, max_below, max_above, fractions
+
+
+def _sweep(
+    summary: OPAQSummary, fractions: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """:func:`bounds_at_rank` for a vector of valid fractions:
+    ``(psi, lower, upper, max_below, max_above, lower_idx, upper_idx)``
+    with 0-based indices (``-1``: no sample bounds from below)."""
     n = summary.count
     # quantile_rank, vectorised: psi = clamp(ceil(phi*n), 1, n).  The
     # product and ceil are the same float64 operations math.ceil performs.
@@ -203,8 +245,8 @@ def bounds_arrays(
     max_below = np.maximum(0, np.minimum(max_below, psi - 1))
     # Same guard as the scalar path: keep the enclosure non-inverted even
     # under pathological float inputs.
-    lower = np.minimum(lower, upper)
-    return psi, lower, upper, max_below, max_above, fractions
+    lower = np.where(upper < lower, upper, lower)
+    return psi, lower, upper, max_below, max_above, lower_idx, upper_idx
 
 
 def splitters(summary: OPAQSummary, q: int, which: str = "upper") -> np.ndarray:

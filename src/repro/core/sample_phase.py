@@ -18,11 +18,22 @@ run by run, then merge; :func:`assemble_summary` turns a merged list into
 an :class:`~repro.core.summary.OPAQSummary`.  Selection and merge go
 through this module's ``sample_run`` and ``kway_merge`` attributes, which
 the per-layer ledger of ``perfbench/`` wraps by name.
+
+The sampler holds the paper's one run buffer of ``m`` float64 keys, so
+``r·s + m`` is the pass's real residency: a
+:class:`~repro.storage.RunReader` reads each run straight into it, any
+other run is copied in, and the selection sorts it in place
+(``overwrite_input=True``) — a caller's array is never reordered.
+Besides the read and the sort, a run costs one O(m) pass: ``min``, taken
+before the buffer is reordered so the minimum keeps its bytes.  The
+maximum is the last sample (rank ``m - 1`` is always selected), and the
+``numpy`` and ``sort`` strategies, which rank NaN last, reveal a NaN
+there too.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -31,6 +42,7 @@ from repro.core.summary import OPAQSummary
 from repro.errors import EstimationError
 from repro.obs import current_tracer
 from repro.selection import SelectionStrategy, kway_merge, regular_sample_ranks
+from repro.storage import RunReader
 
 __all__ = [
     "RunSampler",
@@ -54,10 +66,14 @@ def scaled_sample_count(run_size: int, nominal_run: int, nominal_s: int) -> int:
     return max(1, min(run_size, scaled))
 
 
+_NAN_KEYS = "run contains NaN keys; quantiles are undefined"
+
+
 def sample_run(
     run: np.ndarray,
     sample_count: int,
     strategy: SelectionStrategy,
+    overwrite_input: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extract the regular samples of one run with ``strategy``.
 
@@ -66,16 +82,22 @@ def sample_run(
     size (the gap to the previous sample rank; gaps sum to the run size);
     and each sub-run's floor — the previous sample's value (``-inf`` for
     the first), below which none of the sub-run's elements can fall.
+
+    ``overwrite_input=True`` lets the selection reorder ``run`` in place
+    instead of a copy, as in ``numpy.median``.
     """
     run = np.asarray(run)
     if run.ndim != 1:
         raise EstimationError("a run must be a one-dimensional array")
-    if np.isnan(run).any():
-        # NaNs have no rank; letting them through would silently corrupt
-        # every guarantee downstream.
-        raise EstimationError("run contains NaN keys; quantiles are undefined")
     ranks = regular_sample_ranks(run.size, sample_count)
-    samples = strategy.multiselect(run, ranks)
+    # NaNs have no rank; letting them through would silently corrupt
+    # every guarantee downstream.  A NaN-last strategy shows one at the
+    # top sample; any other must not see one at all.
+    if not strategy.nan_last and np.isnan(run.min()):
+        raise EstimationError(_NAN_KEYS)
+    samples = strategy.multiselect(run, ranks, overwrite_input=overwrite_input)
+    if np.isnan(samples[-1]):
+        raise EstimationError(_NAN_KEYS)
     gaps = np.diff(np.concatenate([[-1], ranks])).astype(np.int64)
     floors = np.concatenate([[-np.inf], samples[:-1]])
     return samples, gaps, floors
@@ -97,14 +119,15 @@ class RunSampler:
     Each run yields its scaled sample count's regular samples, packed
     with their ``(gap, floor)`` payload rows for the r-way merge;
     ``run_layout`` records ``(run size, sample count)`` per run, the
-    quantities the parallel cost model charges.  Runs are read as
-    float64; empty runs are skipped.
+    quantities the parallel cost model charges.  Runs are sampled as
+    float64 in the sampler's one run buffer; empty runs are skipped.
     """
 
     def __init__(self, config: OPAQConfig) -> None:
         self._run_size = config.run_size
         self._sample_size = config.sample_size
         self._strategy = config.selection_strategy()
+        self._buffer = np.empty(0, dtype=np.float64)
         self._samples: list[np.ndarray] = []
         self._payloads: list[np.ndarray] = []
         self.run_layout: list[tuple[int, int]] = []
@@ -113,13 +136,32 @@ class RunSampler:
         self.minimum = np.inf
         self.maximum = -np.inf
 
+    def read(self, runs: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        """Iterate ``runs`` for :meth:`add`: a :class:`RunReader` reads
+        each run into the sampler's buffer, so :meth:`add` copies nothing;
+        any other iterable passes through."""
+        if isinstance(runs, RunReader):
+            return runs.runs(out=self._room(min(runs.run_size, runs.dataset.count)))
+        return iter(runs)
+
     def add(self, run: np.ndarray) -> None:
-        """Sample one run and tally it."""
-        run = np.asarray(run, dtype=np.float64)
+        """Sample one run and tally it; ``run`` itself is never reordered."""
+        run = np.asarray(run)
         if run.size == 0:
             return
+        if run.ndim != 1:
+            raise EstimationError("a run must be a one-dimensional array")
+        if run.base is not self._buffer:  # not read in place by read()
+            held = self._room(run.size)[: run.size]
+            np.copyto(held, run, casting="unsafe")
+            run = held
+        # The one O(m) pass besides the read and the sort, taken before
+        # the buffer is reordered so the minimum keeps its bytes.
+        lowest = run.min()
         s_k = scaled_sample_count(run.size, self._run_size, self._sample_size)
-        samples, gaps, floors = sample_run(run, s_k, self._strategy)
+        samples, gaps, floors = sample_run(
+            run, s_k, self._strategy, overwrite_input=True
+        )
         self._samples.append(samples)
         self._payloads.append(
             np.column_stack([gaps.astype(np.float64), floors])
@@ -127,8 +169,14 @@ class RunSampler:
         self.run_layout.append((int(run.size), int(s_k)))
         self.num_runs += 1
         self.count += int(run.size)
-        self.minimum = min(self.minimum, float(run.min()))
-        self.maximum = max(self.maximum, float(run.max()))
+        self.minimum = min(self.minimum, float(lowest))
+        self.maximum = max(self.maximum, float(samples[-1]))
+
+    def _room(self, size: int) -> np.ndarray:
+        """The run buffer, grown to hold at least ``size`` keys."""
+        if self._buffer.size < size:
+            self._buffer = np.empty(size, dtype=np.float64)
+        return self._buffer
 
     def merge(self) -> tuple[np.ndarray, np.ndarray]:
         """The r-way merge of the runs' sample lists, as ``(samples,
@@ -178,7 +226,7 @@ def build_summary(
     tracer = current_tracer()
     sampler = RunSampler(config)
     with tracer.span("phase.sample"):
-        for run in runs:
+        for run in sampler.read(runs):
             sampler.add(run)
         if not sampler.num_runs:
             raise EstimationError("no data: the run iterable was empty")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -56,11 +56,11 @@ class WorkerReport:
     phase_seconds: dict[str, float]
 
 
-def _iter_runs(partition: Any, run_size: int) -> Iterator[np.ndarray]:
+def _partition_runs(partition: Any, run_size: int) -> Iterable[np.ndarray]:
     """One rank's partition as runs: a real disk reader for disk-resident
     data, plain slicing for in-memory (or shared-memory) arrays."""
     if isinstance(partition, DiskDataset):
-        return iter(RunReader(partition, run_size=run_size))
+        return RunReader(partition, run_size=run_size)
     arr = np.asarray(partition, dtype=np.float64)
     return (arr[i : i + run_size] for i in range(0, arr.size, run_size))
 
@@ -76,7 +76,7 @@ def popaq_worker(
     """
     phase = {"io": 0.0, "sampling": 0.0, "local_merge": 0.0}
     sampler = RunSampler(config)
-    runs = _iter_runs(partition, config.run_size)
+    runs = sampler.read(_partition_runs(partition, config.run_size))
     while True:
         t0 = time.perf_counter()
         run = next(runs, None)  # the read (for disk partitions) is the io phase

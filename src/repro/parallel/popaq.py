@@ -269,7 +269,7 @@ class ParallelOPAQ:
         local_payloads: list[np.ndarray] = []
         for proc, partition in enumerate(partitions):
             sampler = RunSampler(self.config)
-            for run in self._partition_runs(partition):
+            for run in sampler.read(self._partition_runs(partition)):
                 sampler.add(run)
             if not sampler.num_runs:
                 raise ConfigError(f"processor {proc} received no data")

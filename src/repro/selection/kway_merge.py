@@ -92,15 +92,21 @@ def _merge_sorted(
     if payloads is not None:
         if len(payloads) != len(arrays):
             raise ConfigError("payloads must match lists one-to-one")
-        pays = [np.asarray(p) for p in payloads]
-        if any(p.shape[0] != a.size for p, a in zip(pays, arrays)):
+        all_pays = [np.asarray(p) for p in payloads]
+        if any(p.shape[0] != a.size for p, a in zip(all_pays, arrays)):
             raise ConfigError("each payload must have its list's length")
-        pays = [p for p, a in zip(pays, arrays) if a.size]
+        pays = [p for p, a in zip(all_pays, arrays) if a.size]
     arrays = [a for a in arrays if a.size]
 
     if not arrays:
         empty = np.empty(0, dtype=np.float64)
-        return (empty, empty.astype(np.int64)) if payloads is not None else empty
+        if payloads is None:
+            return empty
+        # An empty merge keeps its payloads' row shape and dtype, so it
+        # concatenates with non-empty merges of the same payloads.
+        if not all_pays:
+            return empty, np.empty(0, dtype=np.int64)
+        return empty, np.concatenate(all_pays)
     if len(arrays) == 1:
         if payloads is not None:
             return arrays[0].astype(np.float64), pays[0].copy()

@@ -64,19 +64,30 @@ class SelectionStrategy(ABC):
 
     #: Registry name; subclasses override.
     name: str = "abstract"
+    #: True when :meth:`multiselect` ranks NaN above every number, as
+    #: ``numpy.sort`` does; the sample phase then finds a NaN at the top
+    #: sample instead of scanning the run for one first.
+    nan_last: bool = False
 
     @abstractmethod
     def select(self, values: np.ndarray, rank: int) -> float:
         """Return the element of 0-based ``rank`` of ``values``."""
 
     def multiselect(
-        self, values: np.ndarray, ranks: Sequence[int] | np.ndarray
+        self,
+        values: np.ndarray,
+        ranks: Sequence[int] | np.ndarray,
+        overwrite_input: bool = False,
     ) -> np.ndarray:
         """Return the elements at the given sorted 0-based ``ranks``.
 
+        ``overwrite_input=True`` lets the strategy reorder ``values``
+        instead of a copy, as in ``numpy.median``; ``values`` is then left
+        in an unspecified order.  Without it ``values`` is never changed.
+
         Default implementation: the paper's recursive median-splitting
         multiselect driven by :meth:`select` (``O(m log s)`` when
-        :meth:`select` is linear).
+        :meth:`select` is linear); it works on copies either way.
         """
         return multiselect(values, ranks, self.select)
 
@@ -85,6 +96,7 @@ class SortStrategy(SelectionStrategy):
     """Sort the run and index it — the simple ``O(m log m)`` baseline."""
 
     name = "sort"
+    nan_last = True
 
     def select(self, values: np.ndarray, rank: int) -> float:
         if not 0 <= rank < values.size:
@@ -94,7 +106,10 @@ class SortStrategy(SelectionStrategy):
         return float(np.sort(values)[rank])
 
     def multiselect(
-        self, values: np.ndarray, ranks: Sequence[int] | np.ndarray
+        self,
+        values: np.ndarray,
+        ranks: Sequence[int] | np.ndarray,
+        overwrite_input: bool = False,
     ) -> np.ndarray:
         rank_arr = np.asarray(ranks, dtype=np.int64)
         if rank_arr.size and (
@@ -108,7 +123,12 @@ class SortStrategy(SelectionStrategy):
             size=int(values.size),
             ranks=int(rank_arr.size),
         ):
-            out = np.sort(values)[rank_arr].astype(np.float64)
+            if overwrite_input:
+                values.sort()
+                ordered = values
+            else:
+                ordered = np.sort(values)
+            out = ordered[rank_arr].astype(np.float64)
         _count_modelled_work(self.name, int(values.size), rank_arr, 1)
         return out
 
@@ -122,6 +142,7 @@ class NumpyPartitionStrategy(SelectionStrategy):
     """
 
     name = "numpy"
+    nan_last = True
 
     def select(self, values: np.ndarray, rank: int) -> float:
         if not 0 <= rank < values.size:
@@ -131,7 +152,10 @@ class NumpyPartitionStrategy(SelectionStrategy):
         return float(np.partition(values, rank)[rank])
 
     def multiselect(
-        self, values: np.ndarray, ranks: Sequence[int] | np.ndarray
+        self,
+        values: np.ndarray,
+        ranks: Sequence[int] | np.ndarray,
+        overwrite_input: bool = False,
     ) -> np.ndarray:
         rank_arr = np.asarray(ranks, dtype=np.int64)
         if rank_arr.size == 0:
@@ -143,7 +167,7 @@ class NumpyPartitionStrategy(SelectionStrategy):
             size=int(values.size),
             ranks=int(rank_arr.size),
         ):
-            out = multiselect_numpy(values, rank_arr)
+            out = multiselect_numpy(values, rank_arr, overwrite_input)
         _count_modelled_work(self.name, int(values.size), rank_arr, 1)
         return out
 

@@ -94,26 +94,51 @@ class DiskDataset:
         """Payload size in bytes (excluding the header)."""
         return self.count * self.dtype.itemsize
 
-    def read_range(self, start: int, count: int) -> np.ndarray:
+    def read_range(
+        self, start: int, count: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Read ``count`` elements starting at element index ``start``.
 
         This is the *only* read primitive: one contiguous range per call,
         mirroring a sequential disk read of part of a run.
+
+        With ``out`` — a one-dimensional array of ``count`` elements — the
+        keys land in ``out`` and ``out`` is returned: a ``readinto`` that
+        allocates nothing when ``out`` is C-contiguous and of the file's
+        dtype.  Otherwise the keys convert into it as
+        ``np.asarray(keys, dtype=out.dtype)`` would.
         """
         if start < 0 or count < 0 or start + count > self.count:
             raise DataError(
                 f"read_range({start}, {count}) out of bounds for "
                 f"dataset of {self.count} elements"
             )
+        if out is not None and out.shape != (count,):
+            raise ConfigError(
+                f"out must have shape ({count},); got {out.shape}"
+            )
         offset = _HEADER.size + start * self.dtype.itemsize
         with open(self.path, "rb") as f:
             f.seek(offset)
-            data = np.fromfile(f, dtype=self.dtype, count=count)
-        if data.size != count:
+            if (
+                out is not None
+                and out.dtype == self.dtype
+                and out.flags.c_contiguous
+                and out.flags.writeable
+            ):
+                got = f.readinto(memoryview(out).cast("B")) // out.itemsize
+                data = out
+            else:
+                data = np.fromfile(f, dtype=self.dtype, count=count)
+                got = data.size
+        if got != count:
             raise DataError(
-                f"short read from {self.path}: wanted {count}, got {data.size}"
+                f"short read from {self.path}: wanted {count}, got {got}"
             )
-        return data
+        if out is None or data is out:
+            return data
+        out[...] = data
+        return out
 
     def read_all(self) -> np.ndarray:
         """Read the entire dataset (test/ground-truth helper, not the API

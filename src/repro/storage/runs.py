@@ -6,6 +6,11 @@ property checkable: it hands out runs in order, counts every element and byte
 that crosses it, and refuses to start more passes than its budget allows
 (one, by default; the exact-quantile extension of the paper's section 4
 explicitly requests a budget of two).
+
+A pass can read every run into one caller-owned buffer
+(``runs(out=buffer)``) — the paper's run buffer of ``m`` keys, which the
+sample phase's :class:`~repro.core.sample_phase.RunSampler` holds — or
+hand out a fresh array per run, for consumers that keep the runs.
 """
 
 from __future__ import annotations
@@ -72,13 +77,27 @@ class RunReader:
         """``r = ceil(n/m)`` — the number of runs one pass yields."""
         return -(-self.dataset.count // self.run_size)
 
-    def runs(self) -> Iterator[np.ndarray]:
+    def runs(self, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
         """Yield the runs of one pass, charging I/O as they are read.
 
         Each call to :meth:`runs` starts a new pass and draws down the pass
         budget *when the first run is actually read*, so constructing the
         generator is free.
+
+        Without ``out`` every run is a fresh array.  With ``out`` — a
+        one-dimensional array of at least ``min(run_size, n)`` elements,
+        typically the sample phase's run buffer — each run is read into
+        ``out`` and yielded as the view ``out[:len(run)]``, valid until
+        the next run is read; keys convert to ``out``'s dtype.
         """
+        if out is not None and (
+            out.ndim != 1 or out.size < min(self.run_size, self.dataset.count)
+        ):
+            raise ConfigError(
+                f"out must be a one-dimensional array of at least "
+                f"{min(self.run_size, self.dataset.count)} elements; got "
+                f"shape {out.shape}"
+            )
         if self.stats.passes_started >= self.max_passes:
             raise SinglePassViolation(
                 f"pass budget exhausted: {self.max_passes} pass(es) allowed "
@@ -90,7 +109,9 @@ class RunReader:
         element_size = self.dataset.dtype.itemsize
         for index, start in enumerate(range(0, self.dataset.count, self.run_size)):
             count = min(self.run_size, self.dataset.count - start)
-            run = self.dataset.read_range(start, count)
+            run = self.dataset.read_range(
+                start, count, out=None if out is None else out[:count]
+            )
             self.stats.charge(count, element_size)
             self.stats.runs_read += 1
             tracer.count("io.elements", count, run=index)

@@ -13,7 +13,7 @@ from repro.core import (
     splitters,
     upper_bound_index,
 )
-from repro.core.quantile_phase import bounds_at_rank
+from repro.core.quantile_phase import bounds_at_rank, bounds_for
 from repro.errors import EstimationError
 from repro.metrics import quantile_rank
 
@@ -167,6 +167,95 @@ class TestBoundsArrays:
         for bad in ([], [0.0], [1.5], [[0.5]]):
             with pytest.raises(EstimationError):
                 bounds_arrays(summary, bad)
+
+
+class TestBoundsFor:
+    """``bounds_for`` (and so ``OPAQ.bounds``) answers from the vector
+    sweep, yet returns exactly the scalar path's objects."""
+
+    PHIS = [1e-9, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0]
+
+    @staticmethod
+    def _bits(bounds):
+        return [
+            (
+                np.float64(b.phi).tobytes(),
+                b.rank,
+                np.float64(b.lower).tobytes(),
+                np.float64(b.upper).tobytes(),
+                b.max_below,
+                b.max_above,
+                b.lower_index,
+                b.upper_index,
+            )
+            for b in bounds
+        ]
+
+    @pytest.mark.parametrize(
+        "run_size,sample_size", [(100, 10), (5000, 500), (64, 1), (97, 13)]
+    )
+    def test_same_objects_as_the_scalar_path(self, rng, run_size, sample_size):
+        data = rng.normal(size=10_000)
+        data[::3] = np.round(data[::3])  # duplicates, and -0.0 among them
+        summary = OPAQ(OPAQConfig(run_size=run_size, sample_size=sample_size)).summarize(data)
+        scalar = [quantile_bounds(summary, phi) for phi in self.PHIS]
+        vector = bounds_for(summary, self.PHIS)
+        assert vector == scalar
+        assert self._bits(vector) == self._bits(scalar)
+        assert [type(b.lower) for b in vector] == [float] * len(self.PHIS)
+
+    def test_negative_zero_minimum_keeps_its_sign(self):
+        """The guard against an inverted enclosure is the scalar path's
+        ``upper < lower``, not ``np.minimum``, which would flip -0.0."""
+        from repro.core import OPAQSummary
+
+        summary = OPAQSummary(
+            samples=np.array([0.0, 1.0]),
+            gaps=np.array([3, 3]),
+            num_runs=1,
+            count=6,
+            minimum=-0.0,
+            maximum=1.0,
+        )
+        [b] = bounds_for(summary, [0.001])
+        assert b.lower_index == 0
+        assert np.float64(b.lower).tobytes() == np.float64(-0.0).tobytes()
+        assert self._bits([b]) == self._bits([quantile_bounds(summary, 0.001)])
+        _, lower, _, _, _, _ = bounds_arrays(summary, [0.001])
+        assert lower[0].tobytes() == np.float64(-0.0).tobytes()
+
+    def test_no_fractions(self, rng):
+        summary = OPAQ(OPAQConfig(run_size=100, sample_size=10)).summarize(
+            rng.uniform(size=1000)
+        )
+        assert bounds_for(summary, []) == []
+
+    def test_invalid_fraction_raises_as_the_scalar_path(self, rng):
+        summary = OPAQ(OPAQConfig(run_size=100, sample_size=10)).summarize(
+            rng.uniform(size=1000)
+        )
+        for bad in ([0.5, 1.5, 0.0], [0.0], [-0.1], [float("nan")]):
+            first = next(phi for phi in bad if not 0.0 < phi <= 1.0)
+            with pytest.raises(EstimationError) as vector:
+                bounds_for(summary, bad)
+            with pytest.raises(EstimationError) as scalar:
+                quantile_bounds(summary, first)
+            assert str(vector.value) == str(scalar.value)
+
+    def test_emits_the_quantile_span_and_counter(self, rng):
+        from repro.obs import MemorySink, tracing
+
+        summary = OPAQ(OPAQConfig(run_size=100, sample_size=10)).summarize(
+            rng.uniform(size=1000)
+        )
+        sink = MemorySink()
+        with tracing(sink):
+            bounds_for(summary, [0.25, 0.5, 0.75])
+        spans = [e for e in sink.events if e.kind == "span"]
+        assert [(e.name, dict(e.attrs)) for e in spans] == [
+            ("phase.quantile", {"queries": 3})
+        ]
+        assert sink.counters()["quantile.queries"] == 3
 
 
 class TestSplitters:

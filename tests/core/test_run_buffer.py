@@ -1,0 +1,168 @@
+"""The sample phase's one run buffer.
+
+A :class:`~repro.core.sample_phase.RunSampler` holds one float64 buffer
+of ``m`` keys: a :class:`~repro.storage.RunReader` reads each run into
+it, any other run is copied in, and the selection sorts it in place.  So
+a pass over a disk-resident dataset holds about one run's bytes plus the
+``O(r·s)`` sample lists, a caller's array is never reordered, and no
+thread starts unless a run is split.
+"""
+
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+from repro.core import OPAQ, OPAQConfig, build_summary
+from repro.core.sample_phase import RunSampler
+from repro.parallel import ParallelOPAQ
+from repro.parallel.backends import ProcessBackend
+from repro.selection import kernels
+from repro.storage import DiskDataset, RunReader
+
+RUN = 200_000
+
+
+@pytest.fixture
+def force_split(monkeypatch):
+    """Every dense run sorts as two slices, whatever this host's CPUs."""
+    monkeypatch.setattr(kernels, "_SPLIT_CUTOFF", 2)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+
+
+def _summary_bytes(summary):
+    return (
+        summary.samples.tobytes(),
+        summary.gaps.tobytes(),
+        summary.floors.tobytes(),
+        summary.count,
+        summary.num_runs,
+        repr(summary.minimum),
+        repr(summary.maximum),
+    )
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_a_pass_holds_one_run_buffer(tmp_path, monkeypatch, split):
+    """Peak traced memory of a 5-run pass: one run's bytes plus O(r·s).
+
+    A fresh read array per run plus ``np.sort``'s copy would peak at two
+    runs' bytes.  Once the pass is over the buffer is gone too, even after
+    the sort helper (if it ran) sorted half of it.
+    """
+    if split:
+        monkeypatch.setattr(kernels, "_SPLIT_CUTOFF", 2)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    values = np.random.default_rng(0).uniform(size=5 * RUN - 17)
+    dataset = DiskDataset.create(tmp_path / "d.opaq", values)
+    estimator = OPAQ(OPAQConfig(run_size=RUN, sample_size=100))
+    warm = estimator.summarize(RunReader(dataset, run_size=RUN))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        summary = estimator.summarize(RunReader(dataset, run_size=RUN))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    run_bytes = RUN * 8
+    assert peak - base < 1.25 * run_bytes
+    assert current - base < run_bytes / 4
+    assert _summary_bytes(summary) == _summary_bytes(warm)
+
+
+def test_reader_runs_land_in_the_buffer(dataset_factory):
+    values = np.random.default_rng(1).normal(size=10_007)
+    dataset = dataset_factory(values)
+    sampler = RunSampler(OPAQConfig(run_size=1000, sample_size=10))
+    runs = list(sampler.read(RunReader(dataset, run_size=1000)))
+    assert len(runs) == 11
+    assert all(run.base is sampler._buffer for run in runs)
+    assert sampler._buffer.size == 1000
+
+
+def test_int64_dataset_pass(tmp_path):
+    values = np.random.default_rng(2).integers(-(10**6), 10**6, size=35_003)
+    dataset = DiskDataset.create(tmp_path / "i.opaq", values)
+    config = OPAQConfig(run_size=5_000, sample_size=50)
+    from_disk = OPAQ(config).summarize(dataset)
+    in_memory = OPAQ(config).summarize(values.astype(np.float64))
+    assert _summary_bytes(from_disk) == _summary_bytes(in_memory)
+
+
+def test_buffer_grows_for_larger_caller_runs():
+    config = OPAQConfig(run_size=64, sample_size=8)
+    rng = np.random.default_rng(3)
+    runs = [rng.uniform(size=k) for k in (3, 64, 1, 200, 17)]
+    summary = build_summary(runs, config)
+    assert summary.count == sum(r.size for r in runs)
+    assert summary.minimum == min(r.min() for r in runs)
+    assert summary.maximum == max(r.max() for r in runs)
+
+
+def test_summarize_leaves_an_array_source_unchanged(force_split):
+    data = np.random.default_rng(4).normal(size=30_011)
+    before = data.copy()
+    OPAQ(OPAQConfig(run_size=4_000, sample_size=40)).summarize(data)
+    assert data.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_backends_leave_their_inputs_unchanged(force_split, backend):
+    rng = np.random.default_rng(6)
+    parts = [rng.normal(size=12_000) for _ in range(2)]
+    before = [p.copy() for p in parts]
+    config = OPAQConfig(run_size=3_000, sample_size=30)
+    result = ParallelOPAQ(2, config, backend=backend).run(parts, [0.5])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(parts, before))
+    serial = ParallelOPAQ(2, config, backend="serial").run(
+        [p.copy() for p in before], [0.5]
+    )
+    assert result.summary.samples.tobytes() == serial.summary.samples.tobytes()
+
+
+def test_process_backend_after_the_parent_started_its_helper(force_split):
+    """Forked workers start their own helper; the parent's did not come
+    along.  Every run splits (the seam is inherited through fork), and the
+    backend's own timeout turns a hang into a ParallelError."""
+    kernels._running_helper()  # the parent's helper is up before the fork
+    rng = np.random.default_rng(7)
+    parts = [rng.normal(size=20_000) for _ in range(2)]
+    config = OPAQConfig(run_size=5_000, sample_size=50)
+    result = ParallelOPAQ(2, config, backend=ProcessBackend(timeout=60)).run(
+        parts, [0.5]
+    )
+    serial = ParallelOPAQ(2, config, backend="serial").run(parts, [0.5])
+    assert result.summary.samples.tobytes() == serial.summary.samples.tobytes()
+    assert result.bounds([0.5]) == serial.bounds([0.5])
+
+
+def test_a_pass_below_the_cutoff_starts_no_thread():
+    """In a fresh interpreter: importing repro and one pass of runs below
+    the cutoff leave the process single-threaded."""
+    script = (
+        "import threading, numpy as np\n"
+        "import repro\n"
+        "from repro.core import OPAQ, OPAQConfig\n"
+        "from repro.selection import kernels\n"
+        "assert threading.active_count() == 1, 'import'\n"
+        "m = kernels._SPLIT_CUTOFF // 2\n"
+        "OPAQ(OPAQConfig(run_size=m, sample_size=100)).summarize(\n"
+        "    np.random.default_rng(0).uniform(size=3 * m))\n"
+        "assert threading.active_count() == 1, 'pass'\n"
+        "assert kernels._helper is None\n"
+        "print('single-threaded')\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "single-threaded"

@@ -111,6 +111,25 @@ class TestSampleMerge:
         cat = np.concatenate(out)
         np.testing.assert_array_equal(cat, np.sort(np.concatenate(blocks)))
 
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_equal_pivots_on_duplicate_heavy_data(self, seed):
+        """Two equal pivots leave a bucket empty; its merge must keep the
+        payload's (n, 2) rows or the global concatenate fails."""
+        from repro.core import OPAQConfig
+        from repro.parallel import ParallelOPAQ
+
+        rng = np.random.default_rng(seed)
+        data = np.concatenate(
+            [rng.uniform(size=30_000), np.repeat(rng.normal(size=1000), 7)]
+        )
+        rng.shuffle(data)
+        config = OPAQConfig(run_size=4000, sample_size=100)
+        result = ParallelOPAQ(4, config, merge_method="sample").run(data, [0.5])
+        [bound] = result.bounds([0.5])
+        exact = np.sort(data)[int(np.ceil(0.5 * data.size)) - 1]
+        assert bound.lower <= exact <= bound.upper
+        assert result.summary.count == data.size
+
     def test_single_processor_identity(self, rng):
         machine = SimulatedMachine(1)
         block = np.sort(rng.uniform(size=32))

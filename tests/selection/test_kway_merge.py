@@ -60,6 +60,19 @@ class TestKwayMerge:
     def test_empty_input(self):
         assert kway_merge([]).size == 0
 
+    def test_empty_merge_keeps_payload_rows(self):
+        """All-empty lists: the payload keeps its row shape and dtype, so it
+        concatenates with non-empty merges of the same payloads."""
+        lists = [np.empty(0), np.empty(0)]
+        keys, rows = kway_merge(lists, payloads=[np.empty((0, 2)), np.empty((0, 2))])
+        assert keys.shape == (0,) and keys.dtype == np.float64
+        assert rows.shape == (0, 2) and rows.dtype == np.float64
+        full = kway_merge([np.array([1.0])], payloads=[np.array([[2.0, 3.0]])])[1]
+        assert np.concatenate([rows, full]).shape == (1, 2)
+        keys, rows = kway_merge([np.empty(0)], payloads=[np.empty(0, dtype=np.int32)])
+        assert rows.dtype == np.int32
+        assert kway_merge([], payloads=[])[1].shape == (0,)
+
     def test_single_list_copied(self):
         src = np.array([1.0, 2.0])
         out = kway_merge([src])

@@ -37,6 +37,31 @@ class TestRoundTrip:
         with pytest.raises(DataError):
             ds.read_range(-1, 2)
 
+    def test_read_range_into_out(self, tmp_path):
+        ds = DiskDataset.create(tmp_path / "d.opaq", np.arange(100, dtype=float))
+        out = np.full(5, -1.0)
+        got = ds.read_range(10, 5, out=out)
+        assert got is out
+        np.testing.assert_array_equal(out, np.arange(10, 15, dtype=float))
+
+    def test_read_range_converts_into_out(self, tmp_path):
+        values = np.arange(-50, 50, dtype=np.int64) * 3
+        ds = DiskDataset.create(tmp_path / "i.opaq", values)
+        out = np.empty(7, dtype=np.float64)
+        got = ds.read_range(20, 7, out=out)
+        assert got is out
+        assert out.tobytes() == np.asarray(values[20:27], dtype=np.float64).tobytes()
+        strided = np.empty(14)[::2]  # not contiguous: no readinto
+        ds_f = DiskDataset.create(tmp_path / "f.opaq", np.arange(30, dtype=float))
+        np.testing.assert_array_equal(ds_f.read_range(3, 7, out=strided), np.arange(3, 10))
+
+    def test_read_range_out_shape_checked(self, tmp_path):
+        ds = DiskDataset.create(tmp_path / "d.opaq", np.arange(10, dtype=float))
+        with pytest.raises(ConfigError):
+            ds.read_range(0, 4, out=np.empty(5))
+        with pytest.raises(ConfigError):
+            ds.read_range(0, 4, out=np.empty((2, 2)))
+
     def test_iter_ranges(self, tmp_path):
         ds = DiskDataset.create(tmp_path / "d.opaq", np.arange(10, dtype=float))
         chunks = list(ds.iter_ranges(4))

@@ -34,6 +34,46 @@ class TestRunIteration:
             RunReader(ds, run_size=5, max_passes=0)
 
 
+class TestRunsIntoABuffer:
+    def test_runs_are_views_of_out(self, dataset_factory):
+        ds = dataset_factory(np.arange(100, dtype=float))
+        out = np.empty(30)
+        seen = []
+        for run in RunReader(ds, run_size=30).runs(out=out):
+            assert run.base is out
+            seen.append(run.copy())  # valid only until the next run
+        assert [r.size for r in seen] == [30, 30, 30, 10]
+        np.testing.assert_array_equal(np.concatenate(seen), np.arange(100))
+
+    def test_without_out_runs_are_fresh(self, dataset_factory):
+        ds = dataset_factory(np.arange(100, dtype=float))
+        runs = list(RunReader(ds, run_size=30).runs())
+        assert len({id(r) for r in runs}) == 4
+        np.testing.assert_array_equal(np.concatenate(runs), np.arange(100))
+
+    def test_int_keys_convert_into_a_float_buffer(self, tmp_path):
+        from repro.storage import DiskDataset
+
+        values = np.arange(0, 70, dtype=np.int64) * 7
+        ds = DiskDataset.create(tmp_path / "i.opaq", values)
+        out = np.empty(32, dtype=np.float64)
+        got = [r.copy() for r in RunReader(ds, run_size=32).runs(out=out)]
+        assert all(r.dtype == np.float64 for r in got)
+        assert np.concatenate(got).tobytes() == values.astype(np.float64).tobytes()
+
+    def test_out_must_hold_a_run(self, dataset_factory):
+        ds = dataset_factory(np.arange(100, dtype=float))
+        reader = RunReader(ds, run_size=30)
+        with pytest.raises(ConfigError):
+            next(reader.runs(out=np.empty(29)))
+        with pytest.raises(ConfigError):
+            next(reader.runs(out=np.empty((30, 2))))
+        # A rejected buffer draws nothing from the pass budget.
+        assert reader.stats.passes_started == 0
+        small = dataset_factory(np.arange(5, dtype=float))
+        assert [r.size for r in RunReader(small, run_size=30).runs(out=np.empty(5))] == [5]
+
+
 class TestSinglePassEnforcement:
     def test_second_pass_rejected(self, dataset_factory):
         ds = dataset_factory(np.arange(10, dtype=float))
