@@ -7,7 +7,9 @@ is passed to consume its parameter?".  :func:`build_project` walks every
 parsed module once, before any rule executes, and indexes:
 
 - the **import graph** (module → imported module names, plus per-module
-  alias tables so ``from repro.service.shard import ShardWorker`` resolves),
+  alias tables so ``from repro.service.shard import ShardWorker`` resolves,
+  and the top-level names the project's own modules import under, so an
+  alias of a module outside the project — ``os``, ``numpy`` — is known),
 - **class tables**: bases, methods, the fields assigned in ``__init__``
   and the constructor type each field was initialised from,
 - **call edges**: every call site inside every function, with the callee's
@@ -139,6 +141,9 @@ class ProjectContext:
         self.imports: dict[str, set[str]] = {}
         #: module path (str) -> local alias -> imported dotted name.
         self.aliases: dict[str, dict[str, str]] = {}
+        #: Top-level names the project's modules import under
+        #: (``repro`` for the package, a standalone file's own stem).
+        self.import_roots: set[str] = set()
         self._methods_by_name: dict[str, list[FunctionInfo]] = {}
         self._functions_by_name: dict[str, list[FunctionInfo]] = {}
         self._cfgs: dict[int, CFG] = {}
@@ -165,6 +170,7 @@ class ProjectContext:
                     )
         self.imports[key] = imported
         self.aliases[key] = aliases
+        self.import_roots.add(_import_root(module))
 
         for stmt in module.tree.body:
             if isinstance(stmt, ast.ClassDef):
@@ -274,6 +280,31 @@ class ProjectContext:
             self._summaries = SummaryIndex(self)
         return self._summaries
 
+    def external_alias(self, fn: FunctionInfo, name: str) -> bool:
+        """Whether ``name`` in ``fn`` is an import alias of something
+        outside the project (``os`` after ``import os``).
+
+        A name ``fn`` binds itself (a parameter or an assignment
+        anywhere in its body) shadows the import and is not an alias.
+        """
+        target = self.aliases.get(str(fn.module.path), {}).get(name)
+        if target is None or target.split(".")[0] in self.import_roots:
+            return False
+        args = fn.node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        if args.vararg is not None:
+            params.append(args.vararg)
+        if args.kwarg is not None:
+            params.append(args.kwarg)
+        if any(arg.arg == name for arg in params):
+            return False
+        return not any(
+            isinstance(sub, ast.Name)
+            and sub.id == name
+            and isinstance(sub.ctx, ast.Store)
+            for sub in ast.walk(fn.node)
+        )
+
     def methods_named(self, name: str) -> list[FunctionInfo]:
         """Every class method with this bare name, project-wide."""
         return self._methods_by_name.get(name, [])
@@ -292,6 +323,19 @@ class ProjectContext:
         yield from self.functions
         for cls in self.classes:
             yield from cls.methods.values()
+
+
+def _import_root(module: ModuleContext) -> str:
+    """The top-level name ``module`` is imported under: its outermost
+    enclosing package, or its own stem outside any package."""
+    if module.package_rel is not None:
+        return "repro"
+    root = module.path.stem
+    parent = module.path.parent
+    while (parent / "__init__.py").exists():
+        root = parent.name
+        parent = parent.parent
+    return root
 
 
 def build_project(modules: list[ModuleContext]) -> ProjectContext:

@@ -242,8 +242,10 @@ class SummaryIndex:
 
         Bare names resolve to module-level functions; ``self.m`` to the
         caller's own class (falling back to every method named ``m``);
-        ``self.f.m`` through the field's recorded constructor type;
-        anything else to every method with the final name.
+        ``self.f.m`` through the field's recorded constructor type; a
+        call through an import alias of a module outside the project
+        (``os.close``) to nothing; anything else to every method with
+        the final name.
         """
         key = (id(caller.node) if caller is not None else 0, callee)
         if key not in self._resolve_cache:
@@ -335,6 +337,8 @@ class SummaryIndex:
             own = self._own_class_method(caller, parts)
             if own is not None:
                 return own
+        if caller is not None and self.project.external_alias(caller, parts[0]):
+            return []
         return self.project.methods_named(parts[-1])
 
     def _own_class_method(

@@ -18,8 +18,22 @@ folds and spills the *least-recently-used* keys to the
 :class:`~repro.service.tenancy.SpillStore` (byte-identical restore);
 without a spill directory the ingest fails with a retryable
 :class:`~repro.errors.ServiceError` **before** mutating anything.
-Spilled keys keep accepting pending data without being restored — the
-disk copy is merged back in at the next fold or query of that key.
+
+**Blind writes.**  Spilled keys keep accepting pending data without
+being restored.  When the budget needs the memory a spilled key's
+pending data holds, the data is sorted and appended to the key's chain
+in the store as a *delta* record, raw elements rather than a summary,
+and the key leaves memory again.  A query of a spilled key is
+read-only: it reads the base and the deltas, adds any pending data
+still resident without consuming it, and answers from a temporary
+state; it appends, evicts and keeps nothing.  A key comes back into
+memory only when its stored delta elements plus its pending ones reach
+``max_key_samples`` (or its pending data reaches ``fold_threshold``):
+the next fold then reads and tombstones the chain and keeps the key
+resident.  Every replay — read-only or folding back — absorbs the
+chain plus the pending data as one sorted chunk through the key
+state's own ``absorb``, so both answer bit-identically and every
+answer passes the engine's epsilon-gated compaction.
 
 **Per-key error budgets.**  Compaction is the only accuracy-losing
 operation, and it is gated per key: a fold compacts toward
@@ -54,6 +68,7 @@ import zlib
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -69,7 +84,7 @@ from repro.portfolio.opaq import OpaqKeyState, compact_within_budget
 from repro.portfolio.opaq import exact_delta as _exact_delta
 from repro.service.tenancy.config import RegistryConfig
 from repro.service.tenancy.keys import KEY_SEP, WILDCARD, compose_key
-from repro.service.tenancy.store import SpillStore
+from repro.service.tenancy.store import SpillRecord, SpillStore
 from repro.service.tenancy.tree import AggregationTree
 
 __all__ = ["SummaryRegistry", "KeyAnswer", "compact_within_budget"]
@@ -79,8 +94,8 @@ __all__ = ["SummaryRegistry", "KeyAnswer", "compact_within_budget"]
 class KeyAnswer:
     """One keyed quantile answer with its provenance and guarantee.
 
-    ``source`` is ``"resident"``, ``"restored"`` (the key came back off
-    disk for this query), ``"rollup:metric"`` or ``"rollup:global"``
+    ``source`` is ``"resident"``, ``"restored"`` (the key was spilled and
+    this answer was read off disk), ``"rollup:metric"`` or ``"rollup:global"``
     (wildcard answers — their guarantee is the rollup's own, not the
     per-key epsilon).  ``epsilon_bound`` is the served
     ``(guarantee - 1) / count``, the number the per-key contract caps.
@@ -169,8 +184,8 @@ class _KeyEntry:
 
 class _Shard:
     __slots__ = (
-        "lock", "entries", "used",
-        "elements", "folds", "spills", "restores", "evictions",
+        "lock", "entries", "used", "elements", "folds", "spills",
+        "restores", "evictions", "delta_appends", "disk_reads",
     )
 
     def __init__(self) -> None:
@@ -180,8 +195,42 @@ class _Shard:
         self.elements = 0
         self.folds = 0
         self.spills = 0
+        # Keys folded back into memory from their spilled chain.
         self.restores = 0
         self.evictions = 0
+        self.delta_appends = 0
+        # Queries answered from a spilled chain without restoring it.
+        self.disk_reads = 0
+
+
+def _sorted_pending(pending: list[tuple[_Block, int, int]]) -> np.ndarray:
+    """A key's pending slices as one new sorted array."""
+    if len(pending) == 1:
+        b, lo, hi = pending[0]
+        data = b.data[lo:hi].copy()
+    else:
+        data = np.concatenate([b.data[lo:hi] for b, lo, hi in pending])
+    data.sort()
+    return data
+
+
+def _fold_input(
+    pending: list[tuple[_Block, int, int]], chain: np.ndarray | None
+) -> np.ndarray | None:
+    """The one sorted chunk a fold absorbs: a spilled key's chain
+    elements plus its pending ones (``None`` when there are neither).
+
+    The pending part is sorted before it joins the chain, exactly as it
+    would be appended as a delta, so a chain answers bit-identically
+    (``±0.0`` ties included) whether that data is still in memory or
+    already on disk.
+    """
+    data = _sorted_pending(pending) if pending else None
+    if chain is None or chain.size == 0:
+        return data
+    data = chain.copy() if data is None else np.concatenate([chain, data])
+    data.sort()
+    return data
 
 
 def _strided_delta(data: np.ndarray, max_samples: int) -> OPAQSummary:
@@ -471,37 +520,40 @@ class SummaryRegistry:
     # Fold / spill / budget
     # ------------------------------------------------------------------
 
+    def _restored_state(
+        self, spec: EngineSpec, base: Any, record: SpillRecord
+    ) -> Any:
+        """A key's fold state rebuilt from its spilled base summary."""
+        return spec.restored_key_state(
+            base,
+            record.compactions,
+            epsilon=self._cfg.per_key_epsilon,
+            max_samples=self._cfg.max_key_samples,
+        )
+
     def _fold_entry_locked(
         self, shard: _Shard, key: str, entry: _KeyEntry
     ) -> None:
-        """Merge a key's pending data (and any spilled residue) into its
-        engine state, compacting under the key's own error budget."""
+        """Merge a key's pending data (and its spilled chain, which this
+        brings back into memory) into its engine state, compacting under
+        the key's own error budget."""
         cfg = self._cfg
+        chain = None
         if entry.state is None and self._store is not None and key in self._store:
-            restored, record, _ = self._store.restore(key)
-            entry.state = entry.spec.restored_key_state(
-                restored,
-                record.compactions,
-                epsilon=cfg.per_key_epsilon,
-                max_samples=cfg.max_key_samples,
-            )
+            base, record, _ = self._store.restore(key)
+            entry.state = self._restored_state(entry.spec, base, record)
             footprint = entry.state.memory_footprint
             entry.charged += footprint
             shard.used += footprint
             shard.restores += 1
-        if entry.pending_count == 0:
+            chain = record.values
+        data = _fold_input(entry.pending, chain)
+        if data is None:
             return
-        pending = entry.pending
-        if len(pending) == 1:
-            b, lo, hi = pending[0]
-            data = b.data[lo:hi].copy()
-        else:
-            data = np.concatenate([b.data[lo:hi] for b, lo, hi in pending])
-        for b, _lo, _hi in pending:
+        for b, _lo, _hi in entry.pending:
             self._release_block(shard, b)
         entry.pending = []
         entry.pending_count = 0
-        data.sort()
         if entry.state is None:
             # Seed randomized engines from the key bytes: deterministic
             # across restarts and replays, decorrelated across keys.
@@ -527,18 +579,60 @@ class SummaryRegistry:
         # pending is billed at block granularity, so without this pass a
         # single wide frame would keep ``used`` pinned above budget
         # until *every* key referencing the block was evicted, spilling
-        # the whole shard to disk when an in-memory fold sufficed.
+        # the whole shard to disk when an in-memory fold sufficed.  A
+        # spilled key's pending data goes to disk as a delta instead.
         for key, entry in list(shard.entries.items()):
             if shard.used <= budget:
                 return
-            if entry.pending_count:
+            if entry.pending_count and not self._append_delta_locked(
+                shard, key, entry
+            ):
                 self._fold_entry_locked(shard, key, entry)
         while shard.used > budget and shard.entries:
             key, entry = next(iter(shard.entries.items()))
-            self._fold_entry_locked(shard, key, entry)
-            self._spill_entry_locked(shard, key, entry)
+            self._evict_locked(shard, key, entry)
             shard.evictions += 1
             current_tracer().count("service.tenancy.evict")
+
+    def _append_delta_locked(
+        self, shard: _Shard, key: str, entry: _KeyEntry
+    ) -> bool:
+        """Append a spilled key's pending data to its chain as a delta
+        and drop the key from memory; ``False`` (nothing done) when the
+        key is not spilled or its chain is full.
+
+        A chain is full when its stored delta elements plus this pending
+        data reach ``max_key_samples``; the caller then folds the key
+        back into memory, so a chain stays below ``8 × max_key_samples``
+        bytes of raw values.  The delta lands before the key's shares of
+        the pending blocks are released: a failed append raises the
+        store's retryable ``ServiceError`` with the key's pending data
+        still resident and billed.
+        """
+        if entry.state is not None or self._store is None:
+            return False
+        record = self._store.record(key)
+        if (
+            record is None
+            or record.pending + entry.pending_count >= self._cfg.max_key_samples
+        ):
+            return False
+        self._store.spill(key, _sorted_pending(entry.pending), delta=True)
+        for b, _lo, _hi in entry.pending:
+            self._release_block(shard, b)
+        del shard.entries[key]
+        shard.used -= entry.charged
+        shard.delta_appends += 1
+        return True
+
+    def _evict_locked(self, shard: _Shard, key: str, entry: _KeyEntry) -> None:
+        """Move one key out of memory: a spilled key's pending data as a
+        delta, anything else folded and spilled whole."""
+        if not (
+            entry.pending_count and self._append_delta_locked(shard, key, entry)
+        ):
+            self._fold_entry_locked(shard, key, entry)
+            self._spill_entry_locked(shard, key, entry)
 
     def _spill_entry_locked(
         self, shard: _Shard, key: str, entry: _KeyEntry
@@ -586,34 +680,52 @@ class SummaryRegistry:
             )
         key = compose_key(tenant, metric)
         shard = self._shards[self._shard_of(key)]
-        source = "resident"
+        record = None
         with shard.lock:
             entry = shard.entries.get(key)
-            if entry is None:
-                if self._store is not None and key in self._store:
-                    entry = _KeyEntry(self._spec_for(key))
-                    shard.entries[key] = entry
-                    entry.charged = self._cfg.per_key_overhead
-                    shard.used += self._cfg.per_key_overhead
-                    source = "restored"
-                else:
-                    raise EstimationError(
-                        f"no data for tenant={tenant!r} metric={metric!r}"
-                    )
+            if (
+                (entry is None or entry.state is None)
+                and self._store is not None
+                and key in self._store
+            ):
+                # Spilled: read the chain and copy any pending data for a
+                # temporary state, changing nothing.
+                base, record, _ = self._store.restore(key, keep=True)
+                data = _fold_input(
+                    [] if entry is None else entry.pending, record.values
+                )
+                shard.disk_reads += 1
+            elif entry is None:
+                raise EstimationError(
+                    f"no data for tenant={tenant!r} metric={metric!r}"
+                )
             else:
                 shard.entries.move_to_end(key)
-            self._fold_entry_locked(shard, key, entry)
-            state = entry.state
-            compactions = entry.compactions
-            engine = entry.spec.name
-            self._enforce_budget_locked(shard)
+                self._fold_entry_locked(shard, key, entry)
+                state = entry.state
+                compactions = entry.compactions
+                engine = entry.spec.name
+                self._enforce_budget_locked(shard)
+        if record is not None:
+            spec = self._spec_for(key)
+            state = self._restored_state(spec, base, record)
+            if data is not None:
+                state.absorb(data)
+            compactions = int(state.compactions)
+            engine = spec.name
         if state is None:
             raise EstimationError(
                 f"no data for tenant={tenant!r} metric={metric!r}"
             )
         current_tracer().count("service.tenancy.query")
         return self._answer(
-            tenant, metric, source, engine, state, compactions, phis
+            tenant,
+            metric,
+            "resident" if record is None else "restored",
+            engine,
+            state,
+            compactions,
+            phis,
         )
 
     def quantiles_many(
@@ -685,9 +797,16 @@ class SummaryRegistry:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict[str, object]:
-        """Registry-wide gauges and counters (one consistent-ish pass)."""
+        """Registry-wide gauges and counters (one consistent-ish pass).
+
+        ``restores`` counts keys folded back into memory from disk,
+        ``disk_reads`` queries answered from a spilled chain without
+        restoring it, and ``delta_appends`` pending data sent to a
+        spilled key's chain.
+        """
         resident = pending = used = 0
         elements = folds = spills = restores = evictions = 0
+        delta_appends = disk_reads = 0
         engines: dict[str, int] = {}
         for shard in self._shards:
             with shard.lock:
@@ -702,6 +821,8 @@ class SummaryRegistry:
                 spills += shard.spills
                 restores += shard.restores
                 evictions += shard.evictions
+                delta_appends += shard.delta_appends
+                disk_reads += shard.disk_reads
         return {
             "resident_keys": resident,
             "resident_keys_by_engine": engines,
@@ -723,15 +844,20 @@ class SummaryRegistry:
             "spills": spills,
             "restores": restores,
             "evictions": evictions,
+            "delta_appends": delta_appends,
+            "disk_reads": disk_reads,
             "rollups": self._tree.stats(),
         }
 
     def spill_all(self) -> int:
-        """Fold and spill every resident key; returns keys spilled.
+        """Move every resident key to disk; returns keys written.
 
-        The persistence half of a warm restart: afterwards every key and
-        rollup lives in the spill directory and a fresh registry over
-        the same directory serves byte-identical answers.
+        A spilled key's pending data becomes a delta (or, with a full
+        chain, the key is folded back and spilled whole); every other
+        key is folded and spilled.  The persistence half of a warm
+        restart: afterwards every key and rollup lives in the spill
+        directory and a fresh registry over the same directory serves
+        byte-identical answers.
         """
         if self._store is None:
             raise ServiceError("spill_all requires a configured spill_dir")
@@ -740,9 +866,8 @@ class SummaryRegistry:
             with shard.lock:
                 while shard.entries:
                     key, entry = next(iter(shard.entries.items()))
-                    self._fold_entry_locked(shard, key, entry)
-                    self._spill_entry_locked(shard, key, entry)
-                    spilled += entry.state is not None
+                    self._evict_locked(shard, key, entry)
+                    spilled += 1
         self._tree.save_to(self._store)
         return spilled
 

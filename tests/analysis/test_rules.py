@@ -41,6 +41,8 @@ DEEP_BAD = [
     ("bad_resource_release.py", "resource-release-not-postdominating", 2),
     ("bad_resource_escape.py", "resource-escape-undocumented", 2),
     ("bad_lock_order.py", "lock-order-cycle", 1),
+    # A real cycle through a project close() on an untyped receiver.
+    ("bad_lock_order_project_close.py", "lock-order-cycle", 1),
     ("bad_blocking_lock.py", "blocking-while-holding-lock", 2),
     # The pre-fix shape of the real OPQ771 finding in service/aio.py
     # (STATS answered inline on the loop through a lock-taking callee).
@@ -58,6 +60,8 @@ DEEP_GOOD = [
     "good_broad_except.py",
     "good_resource_shm.py",
     "good_lock_order.py",
+    # os.close under a lock is not a call of the project's close().
+    "good_lock_order_module_call.py",
     "good_blocking_lock.py",
     "good_async_service.py",
 ]

@@ -234,3 +234,55 @@ class TestVerdicts:
         swap = fn_named(project, "Snapshotter.swap")
         assert qualified_lock("self._lock", swap) == "Snapshotter._lock"
         assert qualified_lock("_g_lock", swap).endswith(".py:_g_lock")
+
+
+class TestResolution:
+    def test_a_module_imported_from_outside_resolves_to_nothing(self):
+        project = project_of(
+            """
+            import os
+            from concurrent import futures
+
+            class Store:
+                def close(self):
+                    os.close(3)
+                    futures.wait([])
+
+            def shadowed(os):
+                os.close()
+
+            def rebound():
+                os = Store()
+                os.close()
+            """
+        )
+        index = project.summaries()
+        close = fn_named(project, "Store.close")
+        assert index.resolve(close, "os.close") == []
+        assert index.resolve(close, "futures.wait") == []
+        # An untyped receiver still resolves to every project close().
+        assert index.resolve(close, "peer.close") == [close]
+        # A parameter or local named like the import shadows it.
+        assert index.resolve(fn_named(project, "shadowed"), "os.close") == [close]
+        assert index.resolve(fn_named(project, "rebound"), "os.close") == [close]
+
+    def test_an_alias_of_a_project_module_keeps_the_fallback(self):
+        project = build_project(
+            [
+                parse_module(
+                    textwrap.dedent(
+                        """
+                        import helpers
+
+                        class Store:
+                            def close(self):
+                                helpers.close()
+                        """
+                    ),
+                    name="store.py",
+                ),
+                parse_module("def close():\n    pass\n", name="helpers.py"),
+            ]
+        )
+        close = fn_named(project, "Store.close")
+        assert project.summaries().resolve(close, "helpers.close") == [close]

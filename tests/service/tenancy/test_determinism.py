@@ -46,6 +46,20 @@ def config(tmp_path, **kw):
     return RegistryConfig(**defaults)
 
 
+#: Tenants served by sketch engines in the churn tests (the rest: opaq).
+ENGINES = {"tenant1": "gk", "tenant2": "kll"}
+
+
+def assert_encloses(answer, parts):
+    """Deterministic engines' bounds enclose the exact quantile ranks."""
+    if answer.engine not in ("opaq", "gk"):
+        return
+    truth = np.sort(np.concatenate(parts))
+    assert answer.count == truth.size
+    for i, psi in enumerate(answer.psi):
+        assert answer.lower[i] <= truth[int(psi) - 1] <= answer.upper[i]
+
+
 def keyed_workload(seed, keys=40, batches=4, batch=300):
     rng = np.random.default_rng(seed)
     for _ in range(batches):
@@ -108,18 +122,58 @@ class TestSpillRestoreBitIdentity:
         restarted.close()
 
     def test_per_key_guarantee_survives_spill_churn(self, seed, tmp_path):
-        """(g-1) <= ε·count for every key, however often it spilled."""
-        cfg = config(tmp_path, memory_budget=25_000)
+        """(g-1) <= ε·count for every key, however often it spilled, and
+        every opaq and gk answer encloses the key's exact quantiles."""
+        cfg = config(tmp_path, memory_budget=25_000, tenant_engines=ENGINES)
         registry = SummaryRegistry(cfg)
-        pairs = set()
+        data = {}
         for tenant, metric, values in keyed_workload(seed, keys=60):
             registry.ingest(tenant, metric, values)
-            pairs.add((tenant, metric))
+            data.setdefault((tenant, metric), []).append(values)
         stats = registry.stats()
         assert stats["spills"] > 0, "workload must actually spill"
         assert stats["used_slots"] <= stats["budget_slots"]
-        for pair in sorted(pairs):
+        for pair in sorted(data):
             answer = registry.quantiles(*pair, PHI_GRID)
             assert answer.epsilon_bound <= cfg.per_key_epsilon, pair
             assert (answer.guarantee - 1) <= cfg.per_key_epsilon * answer.count
+            assert_encloses(answer, data[pair])
         registry.close()
+
+    def test_blind_write_churn_keeps_every_answer_sound(self, seed, tmp_path):
+        """Small batches under a tight budget: spilled keys grow delta
+        chains up to the ``max_key_samples`` bound and fold back.  Every
+        answer along the way keeps the ε contract and (opaq, gk)
+        encloses the exact quantiles; a warm restart reads the chains
+        back bit-identically."""
+        cfg = config(tmp_path, memory_budget=6_000, tenant_engines=ENGINES)
+        registry = SummaryRegistry(cfg)
+        data = {}
+        stream = keyed_workload(seed, keys=60, batches=24, batch=12)
+        for step, (tenant, metric, values) in enumerate(stream):
+            registry.ingest(tenant, metric, values)
+            data.setdefault((tenant, metric), []).append(values)
+            if step % 37 == 0:
+                pair = sorted(data)[step % len(data)]
+                answer = registry.quantiles(*pair, PHI_GRID)
+                assert (answer.guarantee - 1) <= cfg.per_key_epsilon * answer.count
+                assert_encloses(answer, data[pair])
+        stats = registry.stats()
+        assert stats["delta_appends"] > 0 and stats["restores"] > 0
+        assert stats["disk_reads"] > 0
+        store = registry._store
+        for key in store.keys():
+            assert store.record(key).pending < cfg.max_key_samples
+        before = {}
+        for pair in sorted(data):
+            answer = registry.quantiles(*pair, PHI_GRID)
+            assert (answer.guarantee - 1) <= cfg.per_key_epsilon * answer.count
+            assert_encloses(answer, data[pair])
+            before[pair] = answer_fingerprint(answer)
+        registry.close()
+
+        restarted = SummaryRegistry(cfg)
+        for pair in sorted(data):
+            answer = restarted.quantiles(*pair, PHI_GRID)
+            assert answer_fingerprint(answer) == before[pair], pair
+        restarted.close()

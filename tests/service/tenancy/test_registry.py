@@ -12,6 +12,7 @@ from repro.service.tenancy import (
     compact_within_budget,
 )
 from repro.service.tenancy import store as store_module
+from tests.service.tenancy.test_determinism import answer_fingerprint
 
 
 def small_config(tmp_path=None, **kw):
@@ -208,8 +209,134 @@ class TestSpillFailure:
         registry.close()
 
 
+    def test_failed_delta_append_keeps_the_pending_data_and_its_charge(
+        self, rng, tmp_path, monkeypatch
+    ):
+        """A spilled key's delta that hits a full disk keeps the key's
+        pending data resident and billed: the ingest that needed the
+        room fails retryably, ``used_slots`` still equals the resident
+        charges plus the blocks they hold, and the data lands later."""
+        config = small_config(
+            tmp_path, memory_budget=100, num_shards=1, fold_threshold=10_000
+        )
+        registry = SummaryRegistry(config)
+        shard = registry._shards[0]
+        registry.ingest("t", "a", rng.uniform(size=300))
+        assert registry.stats()["spilled_keys"] == 1  # evicted whole
+        registry.ingest("t", "a", rng.uniform(size=10))
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module.os, "pwrite", _enospc)
+            with pytest.raises(ServiceError, match="retry"):
+                registry.ingest("t", "b", rng.uniform(size=200))
+        entry = shard.entries["t\x1fa"]
+        assert entry.state is None and entry.pending_count == 10
+        blocks = {id(b): b for e in shard.entries.values() for b, _, _ in e.pending}
+        assert registry.stats()["used_slots"] == sum(
+            e.charged for e in shard.entries.values()
+        ) + sum(b.data.size for b in blocks.values())
+        assert registry.stats()["delta_appends"] == 0
+        assert registry.quantiles("t", "a", [0.5]).count == 310
+        # The disk has room again: the next budget pass sends the delta.
+        registry.ingest("t", "c", rng.uniform(size=1))
+        stats = registry.stats()
+        assert stats["delta_appends"] == 1 and "t\x1fa" not in shard.entries
+        assert stats["used_slots"] <= stats["budget_slots"]
+        assert registry.quantiles("t", "a", [0.5]).count == 310
+        registry.close()
+
+
 def _enospc(fd, data, offset):
     raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def chained_registry(tmp_path, rng, engine="opaq"):
+    """A one-shard registry holding ``t/a`` spilled with two deltas,
+    plus 50 pending elements that fill its chain to the bound (64), and
+    ``t/cold`` spilled whole."""
+    config = small_config(
+        tmp_path,
+        memory_budget=2_000,
+        num_shards=1,
+        fold_threshold=10_000,
+        engine=engine,
+    )
+    registry = SummaryRegistry(config)
+    data = [rng.normal(size=300)]
+    registry.ingest("t", "a", data[-1])
+    registry.ingest("t", "cold", rng.normal(size=100))
+    registry.spill_all()
+    for size in (10, 10):
+        data.append(rng.normal(size=size))
+        registry.ingest("t", "a", data[-1])
+        registry.spill_all()  # the pending data becomes a delta
+    assert len(registry._store.record("t\x1fa").deltas) == 2
+    data.append(rng.normal(size=50))
+    registry.ingest("t", "a", data[-1])
+    return registry, np.sort(np.concatenate(data))
+
+
+def segment_bytes(tmp_path):
+    return {p.name: p.read_bytes() for p in (tmp_path / "spills").glob("segment-*.log")}
+
+
+class TestBlindWrites:
+    def test_query_of_a_spilled_key_is_read_only(self, rng, tmp_path):
+        registry, truth = chained_registry(tmp_path, rng)
+        keys = ("spilled_keys", "resident_keys", "used_slots", "restores")
+        before = {k: registry.stats()[k] for k in keys}
+        disk = segment_bytes(tmp_path)
+        first = registry.quantiles("t", "a", [0.1, 0.5, 0.9])
+        second = registry.quantiles("t", "a", [0.1, 0.5, 0.9])
+        cold = registry.quantiles("t", "cold", [0.5])
+        assert first.source == second.source == cold.source == "restored"
+        assert first.count == truth.size == second.count
+        np.testing.assert_array_equal(first.lower, second.lower)
+        np.testing.assert_array_equal(first.upper, second.upper)
+        assert {k: registry.stats()[k] for k in keys} == before
+        assert segment_bytes(tmp_path) == disk
+        assert registry.stats()["disk_reads"] == 3
+        for i, psi in enumerate(first.psi):
+            assert first.lower[i] <= truth[int(psi) - 1] <= first.upper[i]
+        registry.close()
+
+    def test_stats_count_deltas_disk_reads_and_restores(self, rng, tmp_path):
+        registry, truth = chained_registry(tmp_path, rng)
+        stats = registry.stats()
+        assert stats["delta_appends"] == 2 and stats["restores"] == 0
+        registry.quantiles("t", "a", [0.5])
+        assert registry.stats()["disk_reads"] == 1
+        # The chain is full: the next fold brings the key back.
+        registry.spill_all()
+        stats = registry.stats()
+        assert stats["restores"] == 1 and stats["delta_appends"] == 2
+        record = registry._store.record("t\x1fa")
+        assert record.pending == 0 and record.deltas == ()
+        assert registry.quantiles("t", "a", [0.5]).count == truth.size
+        registry.close()
+
+    @pytest.mark.parametrize("engine", ["opaq", "kll", "gk", "as95"])
+    def test_chain_answers_bit_identically_from_disk_and_folded_back(
+        self, rng, tmp_path, engine
+    ):
+        registry, truth = chained_registry(tmp_path, rng, engine)
+        phis = [0.01, 0.25, 0.5, 0.75, 0.99]
+        from_disk = registry.quantiles("t", "a", phis)
+        assert from_disk.source == "restored" and from_disk.engine == engine
+        assert registry.stats()["restores"] == 0
+        # Budget pressure: the fold-first pass reaches the full chain
+        # first (it is least recently used) and folds it back, then
+        # folds the newcomer; nothing is evicted.
+        registry.ingest("t", "b", rng.normal(size=3_000))
+        stats = registry.stats()
+        assert stats["restores"] == 1 and stats["evictions"] == 0
+        assert "t\x1fa" not in registry._store
+        folded = registry.quantiles("t", "a", phis)
+        assert folded.source == "resident" and folded.count == truth.size
+        assert answer_fingerprint(folded) == answer_fingerprint(from_disk)
+        if engine in ("opaq", "gk"):
+            for i, psi in enumerate(folded.psi):
+                assert folded.lower[i] <= truth[int(psi) - 1] <= folded.upper[i]
+        registry.close()
 
 
 class TestRollups:

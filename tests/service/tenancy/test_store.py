@@ -399,3 +399,257 @@ class TestAux:
             loaded = reopened.load_aux("rollup-shard-0")
             assert summary_fingerprint(loaded) == summary_fingerprint(second)
             assert reopened.load_aux("missing") is None
+
+
+def sorted_chunk(rng, n=20):
+    return np.sort(rng.normal(size=n))
+
+
+def chain_of(store, key, keep=True):
+    """``(base fingerprint, delta values, pending)`` of a spilled key."""
+    summary, record, _ = store.restore(key, keep=keep)
+    return summary_fingerprint(summary), record.values.tobytes(), record.pending
+
+
+def live_chain_bytes(store):
+    return sum(
+        length for r in store._live.values() for _s, _o, length in r.chain
+    ) + sum(length for _s, _o, length in store._aux.values())
+
+
+class TestDeltaChains:
+    """Deltas: a spilled key's pending data appended to its chain."""
+
+    def test_deltas_chain_onto_the_base_in_append_order(self, rng, tmp_path):
+        base = make_summary(rng)
+        first, second = sorted_chunk(rng), sorted_chunk(rng, 7)
+        with SpillStore(tmp_path) as store:
+            store.spill("k", base, compactions=2, epsilon=0.01)
+            store.spill("k", first, delta=True)
+            store.spill("k", second, delta=True)
+            (path,) = segments(tmp_path)
+            size, disk = path.stat().st_size, store.bytes_on_disk
+            summary, record, nbytes = store.restore("k", keep=True)
+            # A kept read appends nothing and leaves the index as it was.
+            assert path.stat().st_size == size and store.bytes_on_disk == disk
+            assert "k" in store and store.record("k") == record
+            assert summary_fingerprint(summary) == summary_fingerprint(base)
+            np.testing.assert_array_equal(
+                record.values, np.concatenate([first, second])
+            )
+            assert record.pending == 27 and record.compactions == 2
+            assert len(record.deltas) == 2
+            assert nbytes == sum(length for _s, _o, length in record.chain)
+            assert store.bytes_live == nbytes
+            assert chain_of(store, "k", keep=False)[1] == record.values.tobytes()
+            assert "k" not in store and store.bytes_live == 0
+
+    def test_delta_needs_a_base(self, rng, tmp_path):
+        with SpillStore(tmp_path) as store:
+            with pytest.raises(DataError, match="not spilled"):
+                store.spill("k", sorted_chunk(rng), delta=True)
+            assert store.bytes_on_disk == 0
+
+    def test_reopen_replays_chains(self, rng, tmp_path):
+        with SpillStore(tmp_path) as store:
+            store.spill("a", make_summary(rng), compactions=1, epsilon=0.01)
+            store.spill("a", sorted_chunk(rng), delta=True)
+            store.spill("b", make_summary(rng), compactions=0, epsilon=0.01)
+            store.spill("a", sorted_chunk(rng), delta=True)
+            expected = {key: chain_of(store, key) for key in ("a", "b")}
+            live = store.bytes_live
+        with SpillStore(tmp_path) as reopened:
+            assert {key: chain_of(reopened, key) for key in ("a", "b")} == expected
+            assert reopened.bytes_live == live
+            assert reopened.record("a").pending == 40
+
+    def test_tombstone_kills_the_whole_chain(self, rng, tmp_path):
+        with SpillStore(tmp_path) as store:
+            store.spill("other", make_summary(rng), compactions=0, epsilon=0.01)
+            other = store.bytes_live
+            store.spill("k", make_summary(rng), compactions=0, epsilon=0.01)
+            store.spill("k", sorted_chunk(rng), delta=True)
+            store.spill("k", sorted_chunk(rng), delta=True)
+            store.restore("k")
+            assert store.bytes_live == other == live_chain_bytes(store)
+            # A new base starts a new chain: the old deltas stay dead.
+            fresh = make_summary(rng)
+            store.spill("k", fresh, compactions=0, epsilon=0.01)
+            assert chain_of(store, "k") == (summary_fingerprint(fresh), b"", 0)
+        with SpillStore(tmp_path) as reopened:
+            assert chain_of(reopened, "k") == (summary_fingerprint(fresh), b"", 0)
+            assert reopened.bytes_live == live_chain_bytes(reopened)
+
+    def test_respill_supersedes_the_chain(self, rng, tmp_path):
+        with SpillStore(tmp_path) as store:
+            store.spill("k", make_summary(rng), compactions=0, epsilon=0.01)
+            store.spill("k", sorted_chunk(rng), delta=True)
+            last = make_summary(rng)
+            nbytes = store.spill("k", last, compactions=0, epsilon=0.01)
+            assert chain_of(store, "k") == (summary_fingerprint(last), b"", 0)
+            assert store.bytes_live == nbytes
+        with SpillStore(tmp_path) as reopened:
+            assert chain_of(reopened, "k") == (summary_fingerprint(last), b"", 0)
+            assert reopened.bytes_live == nbytes
+
+    @pytest.mark.parametrize("cut", ["header", "meta", "payload"])
+    def test_torn_delta_tail_truncated_on_open(self, rng, tmp_path, cut):
+        base, first = make_summary(rng), sorted_chunk(rng)
+        with SpillStore(tmp_path) as store:
+            store.spill("k", base, compactions=0, epsilon=0.01)
+            store.spill("k", first, delta=True)
+            store.spill("k", sorted_chunk(rng), delta=True)
+            _seq, offset, length = store._live["k"].deltas[-1]
+        into = {"header": 9, "meta": 30, "payload": length - 5}[cut]
+        (path,) = segments(tmp_path)
+        os.truncate(path, offset + into)
+        with SpillStore(tmp_path) as reopened:
+            assert path.stat().st_size == offset  # the torn delta is gone
+            assert chain_of(reopened, "k") == (
+                summary_fingerprint(base), first.tobytes(), first.size
+            )
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EIO])
+    def test_failed_delta_append_truncates_back(
+        self, rng, tmp_path, monkeypatch, code
+    ):
+        def fail(*args):
+            raise OSError(code, os.strerror(code))
+
+        first, third = sorted_chunk(rng), sorted_chunk(rng)
+        with SpillStore(tmp_path) as store:
+            store.spill("k", make_summary(rng), compactions=0, epsilon=0.01)
+            store.spill("k", first, delta=True)
+            (path,) = segments(tmp_path)
+            size, before = path.stat().st_size, store.record("k")
+            with monkeypatch.context() as patch:
+                patch.setattr(store_module.os, "pwrite", fail)
+                with pytest.raises(ServiceError, match="retry"):
+                    store.spill("k", sorted_chunk(rng), delta=True)
+            assert path.stat().st_size == size
+            assert store.record("k") == before
+            store.spill("k", third, delta=True)
+            assert store.record("k").deltas[-1][1] == size
+            expected = chain_of(store, "k")
+        with SpillStore(tmp_path) as reopened:
+            assert chain_of(reopened, "k") == expected
+        assert expected[1] == np.concatenate([first, third]).tobytes()
+
+    def test_vanished_base_segment_drops_its_later_deltas(
+        self, rng, tmp_path, small_segments
+    ):
+        """``k`` re-spilled and ``j`` spilled in segment 2, both given a
+        delta in segment 3; segment 2 vanishes.  Their deltas name a
+        base that is gone, so they are dropped: ``k`` falls back to its
+        older spill alone and ``j`` is gone, while every other key reads
+        byte-identically."""
+        filler = {}
+
+        def fill_until(store, count):
+            while len(store._segments) < count:
+                key = f"f{len(filler)}"
+                filler[key] = make_summary(rng)
+                store.spill(key, filler[key], compactions=0, epsilon=0.01)
+
+        older = make_summary(rng)
+        with SpillStore(tmp_path) as store:
+            store.spill("k", older, compactions=0, epsilon=0.01)
+            fill_until(store, 2)
+            store.spill("k", make_summary(rng), compactions=0, epsilon=0.01)
+            store.spill("j", make_summary(rng), compactions=0, epsilon=0.01)
+            fill_until(store, 3)
+            store.spill("k", sorted_chunk(rng), delta=True)
+            store.spill("j", sorted_chunk(rng), delta=True)
+            assert store._live["k"].segment == store._live["j"].segment == 2
+            assert store._live["k"].deltas[0][0] == 3
+            records = dict(store._live)
+            expected = {key: chain_of(store, key) for key in filler}
+        victim = segments(tmp_path)[1]
+        assert int(victim.stem[8:]) == 2
+        victim.unlink()
+        kept = {key for key in filler if records[key].segment != 2}
+        with SpillStore(tmp_path) as reopened:
+            assert set(reopened.keys()) == kept | {"k"}
+            assert chain_of(reopened, "k") == (summary_fingerprint(older), b"", 0)
+            for key in kept:
+                assert chain_of(reopened, key) == expected[key]
+
+    def test_reclaim_consolidates_chains(self, rng, tmp_path, small_segments):
+        """Reclaim rewrites a chain with deltas as one record holding the
+        base and every delta's values, in append order."""
+        expected = {}
+        pool = [make_summary(rng, n=1_000) for _ in range(4)]
+        with SpillStore(tmp_path) as store:
+            for i in range(8):
+                key = f"k{i}"
+                store.spill(key, pool[i % 4], compactions=i, epsilon=0.01)
+                chunks = [sorted_chunk(rng, 5 + i + j) for j in range(3)]
+                for chunk in chunks:
+                    store.spill(key, chunk, delta=True)
+                expected[key] = (
+                    summary_fingerprint(pool[i % 4]),
+                    np.concatenate(chunks).tobytes(),
+                    sum(c.size for c in chunks),
+                )
+            first = min(store._segments)
+            for step in range(300):  # churn one hot key into dead bytes
+                store.spill("hot", pool[step % 4], compactions=0, epsilon=0.01)
+            assert min(store._segments) > first  # segments were reclaimed
+            consolidated = [
+                key for key in expected
+                if store._live[key].pending and not store._live[key].deltas
+            ]
+            assert consolidated
+            assert {key: chain_of(store, key) for key in expected} == expected
+            assert store.record("k3").compactions == 3
+            assert store.bytes_live == live_chain_bytes(store)
+        with SpillStore(tmp_path) as reopened:
+            assert {key: chain_of(reopened, key) for key in expected} == expected
+
+    def test_crash_between_consolidating_reclaim_and_unlink(
+        self, rng, tmp_path, monkeypatch, small_segments
+    ):
+        """Both the old chains and their consolidated copies on disk: on
+        reopen every key serves its base and each delta element once."""
+
+        class Crash(BaseException):
+            pass
+
+        def crash(path):
+            raise Crash(path)
+
+        expected = {}
+        store = SpillStore(tmp_path)
+        for i in range(6):
+            key = f"k{i}"
+            summary = make_summary(rng)
+            store.spill(key, summary, compactions=0, epsilon=0.01)
+            chunks = [sorted_chunk(rng), sorted_chunk(rng, 9)]
+            for chunk in chunks:
+                store.spill(key, chunk, delta=True)
+            expected[key] = (
+                summary_fingerprint(summary), np.concatenate(chunks).tobytes(), 29
+            )
+        hot = make_summary(rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module.os, "unlink", crash)
+            with pytest.raises(Crash):
+                for _ in range(100):
+                    store.spill("hot", hot, compactions=0, epsilon=0.01)
+        copied = [p for p in segments(tmp_path) if int(p.stem[8:]) not in store._segments]
+        assert len(copied) == 1  # reclaimed, chains consolidated, not unlinked
+        assert any(
+            store._live[key].pending and not store._live[key].deltas
+            for key in expected
+        )
+        store.close()
+        with SpillStore(tmp_path) as reopened:
+            assert sorted(reopened.keys()) == sorted([*expected, "hot"])
+            assert {key: chain_of(reopened, key) for key in expected} == expected
+
+    def test_older_segment_version_refused(self, tmp_path):
+        (tmp_path / "segment-0000000001.log").write_bytes(
+            store_module._encode(store_module._HEAD, {"magic": "OPAQSPILL", "version": 2})
+        )
+        with pytest.raises(DataError, match="version 2"):
+            SpillStore(tmp_path)

@@ -348,6 +348,9 @@ class TestKeyedEndToEnd:
         tenancy = client.stats()["tenancy"]
         assert tenancy["resident_keys"] == 1
         assert tenancy["ingested_elements"] == 1_000
+        # The spill traffic counters travel with the rest of the section.
+        assert tenancy["delta_appends"] == tenancy["disk_reads"] == 0
+        assert tenancy["restores"] == 0
 
     def test_keyed_answers_match_http_shim_bit_identically(self, served, rng):
         """The HTTP compatibility layer must serve the same bytes as the
