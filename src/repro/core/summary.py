@@ -244,31 +244,66 @@ class OPAQSummary:
     # Incremental maintenance (paper section 4)
     # ------------------------------------------------------------------
 
-    def merge(self, other: "OPAQSummary") -> "OPAQSummary":
-        """Combine two summaries built over disjoint data.
+    def merge(self, *others: "OPAQSummary | np.ndarray") -> "OPAQSummary":
+        """Combine this summary with others built over disjoint data.
 
         This is the paper's incremental extension: keep the sorted samples
-        of the old runs, sample only the new runs, and merge the two sorted
+        of the old runs, sample only the new runs, and merge the sorted
         lists (gap and floor bookkeeping ride along, so the merged
         guarantees stay exact).
 
         The merge runs column by column: one stable argsort of the
         concatenated samples orders the samples, gaps and floors alike.
-        Equal samples keep ``self``'s before ``other``'s, each side in
-        its own order — the tie layout compaction reads.
+        Equal samples keep earlier parts' before later ones', each part
+        in its own order — the tie layout compaction reads.  So
+        ``a.merge(b, c)`` equals ``a.merge(b).merge(c)`` byte for byte;
+        the extremes fold left to right as ``min`` and ``max`` do, so
+        even the sign of a tied ``±0.0`` extreme matches.
+
+        A part may also be a sorted, non-empty float64 array, standing
+        for its exact summary (one run, unit gaps, floors equal to its
+        values) without building one.  With no other part the summary
+        is returned as it is.
         """
-        if not isinstance(other, OPAQSummary):
-            raise EstimationError("can only merge with another OPAQSummary")
-        samples = np.concatenate([self.samples, other.samples])
-        order = samples.argsort(kind="stable")
+        if not others:
+            return self
+        samples = [self.samples]
+        gaps = [self.gaps]
+        floors = [self.floors]
+        minima = [self.minimum]
+        maxima = [self.maximum]
+        num_runs, count = self.num_runs, self.count
+        for part in others:
+            if isinstance(part, OPAQSummary):
+                samples.append(part.samples)
+                gaps.append(part.gaps)
+                floors.append(part.floors)
+                num_runs += part.num_runs
+                count += part.count
+                minima.append(part.minimum)
+                maxima.append(part.maximum)
+            elif isinstance(part, np.ndarray):
+                samples.append(part)
+                gaps.append(np.ones(part.size, dtype=np.int64))
+                floors.append(part)
+                num_runs += 1
+                count += part.size
+                minima.append(float(part[0]))
+                maxima.append(float(part[-1]))
+            else:
+                raise EstimationError(
+                    "can only merge with another OPAQSummary or a sorted array"
+                )
+        merged = np.concatenate(samples)
+        order = merged.argsort(kind="stable")
         return OPAQSummary(
-            samples=samples[order],
-            gaps=np.concatenate([self.gaps, other.gaps])[order],
-            floors=np.concatenate([self.floors, other.floors])[order],
-            num_runs=self.num_runs + other.num_runs,
-            count=self.count + other.count,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
+            samples=merged[order],
+            gaps=np.concatenate(gaps)[order],
+            floors=np.concatenate(floors)[order],
+            num_runs=num_runs,
+            count=count,
+            minimum=min(minima),
+            maximum=max(maxima),
         )
 
     def __add__(self, other: "OPAQSummary") -> "OPAQSummary":

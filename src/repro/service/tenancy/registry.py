@@ -47,9 +47,11 @@ average.  Under memory pressure the budget is met by spilling more
 keys, never by quietly loosening a key's epsilon.
 
 Cross-key queries (``tenant="*"``) are answered by the
-:class:`~repro.service.tenancy.AggregationTree`, which is fed one exact
-delta per ingest frame per shard — rollups never touch (or restore)
-cold keys.
+:class:`~repro.service.tenancy.AggregationTree`, which is fed each
+ingest frame's sorted slice per shard and per metric as raw values; it
+buffers a slice until the rollup's compaction point or a read, so a
+frame merges nothing there.  Rollups never touch (or restore) cold
+keys.
 
 The summary behind each key is pluggable: any engine in the algorithm
 portfolio (:data:`repro.portfolio.ENGINES`) can serve a tenant's keys,
@@ -72,7 +74,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.summary import OPAQSummary
 from repro.errors import DataError, EstimationError, ServiceError
 from repro.obs import current_tracer
 from repro.portfolio import ENGINES, EngineSpec
@@ -81,7 +82,7 @@ from repro.portfolio import ENGINES, EngineSpec
 # re-exported here (and aliased for ``_exact_delta``) so every historical
 # import path through the registry keeps working.
 from repro.portfolio.opaq import OpaqKeyState, compact_within_budget
-from repro.portfolio.opaq import exact_delta as _exact_delta
+from repro.portfolio.opaq import exact_delta as _exact_delta  # noqa: F401
 from repro.service.tenancy.config import RegistryConfig
 from repro.service.tenancy.keys import KEY_SEP, WILDCARD, compose_key
 from repro.service.tenancy.store import SpillRecord, SpillStore
@@ -233,42 +234,6 @@ def _fold_input(
     return data
 
 
-def _strided_delta(data: np.ndarray, max_samples: int) -> OPAQSummary:
-    """Sorted data -> pre-compacted delta of at most ``max_samples + 1``
-    groups, built directly with strided slicing.
-
-    Each group of ``k`` consecutive sorted elements is represented by its
-    maximum (the sample) with the group minimum as floor — the same
-    bookkeeping a full construction + :meth:`~OPAQSummary.compact` would
-    produce, without materialising the frame-sized intermediate summary.
-    The rollup feed's hot path: its guarantee (``~k``) is the rollup's
-    own and never enters any per-key budget.
-    """
-    n = data.size
-    if n <= max_samples:
-        # Small path copies so the summary never pins a caller buffer.
-        return _exact_delta(data.copy())
-    k = -(-n // max_samples)
-    q, r = divmod(n, k)
-    last = np.arange(1, q + 1, dtype=np.int64) * k - 1
-    samples = data[last]
-    floors = data[last - (k - 1)]
-    gaps = np.full(q, k, dtype=np.int64)
-    if r:
-        samples = np.append(samples, data[-1])
-        floors = np.append(floors, data[n - r])
-        gaps = np.append(gaps, r)
-    return OPAQSummary(
-        samples=samples,
-        gaps=gaps,
-        num_runs=1,
-        count=n,
-        minimum=float(data[0]),
-        maximum=float(data[-1]),
-        floors=floors,
-    )
-
-
 class SummaryRegistry:
     """Keyed summaries under one global budget; thread-safe.
 
@@ -307,7 +272,16 @@ class SummaryRegistry:
         return zlib.crc32(key.encode("utf-8")) % self._cfg.num_shards
 
     def _spec_for(self, key: str) -> EngineSpec:
-        """The portfolio engine serving this key (per-tenant config)."""
+        """The portfolio engine serving this key.
+
+        A key keeps the engine it was created with: a spilled key's is
+        the one its spill record names.  The per-tenant config picks the
+        engine for new keys only, so re-pinning a tenant across a
+        restart leaves its spilled keys readable.
+        """
+        record = None if self._store is None else self._store.record(key)
+        if record is not None:
+            return ENGINES[record.engine]
         tenant = key.partition(KEY_SEP)[0]
         return ENGINES[self._cfg.engine_for(tenant)]
 
@@ -389,7 +363,6 @@ class SummaryRegistry:
         counts_list = counts.tolist()
 
         touched = 0
-        rollup_max = self._cfg.rollup_max_samples
         key_order_list = key_order.tolist()
         for s in range(num_shards):
             klo, khi = int(key_bounds[s]), int(key_bounds[s + 1])
@@ -412,14 +385,11 @@ class SummaryRegistry:
             # in-place sort is safe: the keys reference the block's
             # private copy, not ``grouped``.
             segment.sort()
-            self._tree.absorb(s, _strided_delta(segment, rollup_max))
+            self._tree.absorb(s, segment)
 
         if len(metric_names) == 1:
-            chunk = np.sort(values)
-            if chunk.size:
-                self._tree.absorb_metric(
-                    metric_names[0], _strided_delta(chunk, rollup_max)
-                )
+            if total:
+                self._tree.absorb_metric(metric_names[0], np.sort(values))
         else:
             elem_metrics = np.repeat(metric_ids, counts)
             morder = np.argsort(elem_metrics, kind="stable")
@@ -432,9 +402,7 @@ class SummaryRegistry:
                 chunk = mgrouped[int(mbounds[m]):int(mbounds[m + 1])]
                 if chunk.size:
                     chunk.sort()
-                    self._tree.absorb_metric(
-                        metric, _strided_delta(chunk, rollup_max)
-                    )
+                    self._tree.absorb_metric(metric, chunk)
 
         tracer = current_tracer()
         tracer.count("service.tenancy.ingest.elements", total)
@@ -707,7 +675,7 @@ class SummaryRegistry:
                 engine = entry.spec.name
                 self._enforce_budget_locked(shard)
         if record is not None:
-            spec = self._spec_for(key)
+            spec = ENGINES[record.engine]
             state = self._restored_state(spec, base, record)
             if data is not None:
                 state.absorb(data)

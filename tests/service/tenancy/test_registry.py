@@ -339,6 +339,63 @@ class TestBlindWrites:
         registry.close()
 
 
+_ENGINE_NAMES = ("opaq", "kll", "gk", "as95")
+
+
+class TestEngineRepin:
+    @pytest.mark.parametrize(
+        "old, new",
+        [(a, b) for a in _ENGINE_NAMES for b in _ENGINE_NAMES if a != b],
+    )
+    def test_spilled_keys_keep_their_records_engine(self, rng, tmp_path, old, new):
+        """Re-pinning a tenant across a warm restart moves its new keys
+        only: a spilled key answers through the engine its record names
+        on a read-only query, after a delta append, and after folding
+        back at the chain bound.  Every key stays small enough that no
+        engine compacts, so every answer encloses the sorted oracle."""
+
+        def registry_for(engine):
+            return SummaryRegistry(small_config(
+                tmp_path,
+                num_shards=1,
+                per_key_epsilon=0.005,
+                fold_threshold=50,
+                tenant_engines={"acme": engine},
+            ))
+
+        def check(answer, data, source, engine):
+            truth = np.sort(np.concatenate(data))
+            assert answer.engine == engine and answer.source == source
+            assert answer.count == truth.size and answer.compactions == 0
+            for i, psi in enumerate(answer.psi):
+                assert answer.lower[i] <= truth[int(psi) - 1] <= answer.upper[i]
+
+        phis = [0.1, 0.5, 0.9]
+        data = [rng.normal(size=40)]
+        with registry_for(old) as registry:
+            registry.ingest("acme", "a", data[-1])
+        registry = registry_for(new)
+        check(registry.quantiles("acme", "a", phis), data, "restored", old)
+        data.append(rng.normal(size=20))
+        registry.ingest("acme", "a", data[-1])
+        registry.spill_all()
+        assert registry.stats()["delta_appends"] == 1
+        check(registry.quantiles("acme", "a", phis), data, "restored", old)
+        # 20 stored + 50 pending reach the chain bound (64): the fold at
+        # the fold threshold brings the key back into memory.
+        data.append(rng.normal(size=50))
+        registry.ingest("acme", "a", data[-1])
+        assert registry.stats()["restores"] == 1
+        check(registry.quantiles("acme", "a", phis), data, "resident", old)
+        fresh = [rng.normal(size=30)]
+        registry.ingest("acme", "fresh", fresh[-1])
+        check(registry.quantiles("acme", "fresh", phis), fresh, "resident", new)
+        registry.close()
+        with registry_for(new) as registry:
+            check(registry.quantiles("acme", "a", phis), data, "restored", old)
+            check(registry.quantiles("acme", "fresh", phis), fresh, "restored", new)
+
+
 class TestRollups:
     def test_global_rollup_counts_everything(self, rng):
         with SummaryRegistry(small_config()) as registry:
