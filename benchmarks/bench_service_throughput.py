@@ -30,8 +30,9 @@ Run as a script to (re)generate the committed trajectory file::
 
     PYTHONPATH=src python benchmarks/bench_service_throughput.py
 
-which writes ``BENCH_service.json`` at the repo root, or through
-pytest-benchmark like the other benches for ``--benchmark-json`` output.
+which writes ``BENCH_service.json`` at the repo root, headed by the host
+fields of :mod:`benchmarks.machine`, or through pytest-benchmark like the
+other benches for ``--benchmark-json`` output.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ from repro.service import (
 
 try:  # pytest-benchmark path; absent when run as a plain script
     from benchmarks.conftest import run_once
+    from benchmarks.machine import machine
 except ImportError:  # pragma: no cover - script mode
+    from machine import machine
     run_once = None
 
 _N = 1_000_000
@@ -82,7 +85,6 @@ def _config(shards: int) -> ServiceConfig:
         run_size=100_000,
         sample_size=1_000 // shards,
         queue_capacity=64,
-        router_policy="chunk",
     )
 
 
@@ -179,6 +181,7 @@ def main() -> dict[str, object]:
     ]
     report = {
         "benchmark": "service_throughput",
+        "machine": machine(),
         "elements": _N,
         "query_phis": len(dectile_fractions()),
         "before_http": before,

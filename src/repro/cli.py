@@ -267,7 +267,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_merged_samples=args.max_merged_samples,
         snapshot_every=args.snapshot_every,
         snapshot_dir=args.snapshot_dir,
-        router_policy=args.router_policy,
         tenancy=RegistryConfig(
             memory_budget=args.tenancy_budget,
             num_shards=args.tenancy_shards,
@@ -635,11 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
         "http (JSON compatibility layer)",
     )
     p.add_argument("--shards", type=int, default=4, help="ingest shards")
-    p.add_argument(
-        "--router-policy", choices=("hash", "chunk"), default="hash",
-        help="ingest partitioning: hash (per-key, batch-boundary-"
-        "independent) or chunk (contiguous slices, zero routing cost)",
-    )
     p.add_argument(
         "--sample-size", type=int, default=1000, help="s: samples per run"
     )

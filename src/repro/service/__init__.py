@@ -4,8 +4,8 @@ The summary that one pass produces (:class:`~repro.core.OPAQSummary`) is
 mergeable, compactable and serialisable — exactly the properties a
 production serving system needs.  This package turns them into one:
 
-- :class:`ShardRouter` — deterministic hash, chunk, or user-keyed
-  partitioning of ingest batches across shards;
+- :class:`ShardRouter` — deterministic partitioning of each ingest
+  batch into contiguous per-shard views;
 - :class:`ShardWorker` — per-shard worker threads feeding
   :class:`~repro.core.IncrementalOPAQ` through **bounded** queues whose
   blocking is the backpressure signal;
@@ -42,7 +42,7 @@ from repro.service.config import ServiceConfig
 from repro.service.engine import QuantileService, QueryResult
 from repro.service.http import ServiceHTTPServer, make_server
 from repro.service.proto import QuantileVector
-from repro.service.router import ShardRouter, hash_shard_indices
+from repro.service.router import ShardRouter
 from repro.service.shard import ShardWorker
 from repro.service.snapshot import EpochSnapshot, SnapshotStore, Snapshotter
 from repro.service.tenancy import KeyAnswer, RegistryConfig, SummaryRegistry
@@ -53,7 +53,6 @@ __all__ = [
     "QueryResult",
     "QuantileVector",
     "ShardRouter",
-    "hash_shard_indices",
     "ShardWorker",
     "EpochSnapshot",
     "SnapshotStore",

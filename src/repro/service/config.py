@@ -17,7 +17,6 @@ from pathlib import Path
 from repro.core.config import OPAQConfig
 from repro.errors import ConfigError
 from repro.parallel.backends import validate_backend
-from repro.service.router import ROUTER_POLICIES
 from repro.service.tenancy.config import RegistryConfig
 
 __all__ = ["ServiceConfig"]
@@ -76,13 +75,6 @@ class ServiceConfig:
         ``"thread"``, ``"process"`` or ``"simulated"`` (see
         :mod:`repro.parallel.backends`).  The streaming ingest path always
         uses its own shard worker threads regardless.
-    router_policy:
-        How ingest batches are partitioned across shards: ``"hash"``
-        (default; per-key SplitMix64, batch-boundary-independent) or
-        ``"chunk"`` (contiguous slices, zero routing cost — the serving
-        layer's high-throughput choice).  Either way the merged epoch
-        summary covers exactly the ingested multiset; see
-        :mod:`repro.service.router`.
     tenancy:
         Configuration of the multi-tenant summary registry serving the
         keyed opcodes (``INGEST_KEYED`` / ``QUANTILES_KEYED``):
@@ -105,7 +97,6 @@ class ServiceConfig:
     snapshot_dir: str | Path | None = None
     snapshot_retain: int = 3
     backend: str = "serial"
-    router_policy: str = "hash"
     tenancy: RegistryConfig | None = None
 
     def __post_init__(self) -> None:
@@ -131,11 +122,6 @@ class ServiceConfig:
         # names resolve against the parallel layer's registry.
         self.opaq_config()
         validate_backend(self.backend)
-        if self.router_policy not in ROUTER_POLICIES:
-            raise ConfigError(
-                f"unknown router_policy {self.router_policy!r}; choose from "
-                f"{ROUTER_POLICIES}"
-            )
 
     def opaq_config(self) -> OPAQConfig:
         """The per-shard estimator configuration."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,17 +79,9 @@ class QueryResult:
 class QuantileService:
     """Sharded, epoch-snapshotted quantile serving over OPAQ summaries."""
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        key_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        self._router = ShardRouter(
-            self.config.num_shards,
-            key_fn=key_fn,
-            policy=self.config.router_policy,
-        )
+        self._router = ShardRouter(self.config.num_shards)
         self._workers = [
             ShardWorker(shard, self.config)
             for shard in range(self.config.num_shards)
@@ -382,29 +374,29 @@ class QuantileService:
             "samples": snapshot.summary.num_samples if snapshot else 0,
             "closed": self._closed,
             "tenancy": self._registry.stats(),
-            "per_shard": [
-                {
-                    "shard": w.shard_id,
-                    "ingested": w.ingested,
-                    "pending_batches": w.pending,
-                    "folds": w.folds,
-                    "samples": (
-                        w.summary.num_samples if w.summary is not None else 0
-                    ),
-                    # The shard's own error budget.  The merged epoch's
-                    # "guarantee" above is NOT the max of these: merging
-                    # composes the budgets (see the accounting pinned in
-                    # tests/core/test_merge_algebra.py), which is why it
-                    # degrades as shards rise — reported separately here
-                    # so the trade is visible, never hidden.
-                    "guarantee": (
-                        w.summary.guaranteed_rank_error()
-                        if w.summary is not None
-                        else None
-                    ),
-                }
-                for w in self._workers
-            ],
+            "per_shard": [self._shard_stats(w) for w in self._workers],
+        }
+
+    @staticmethod
+    def _shard_stats(worker: ShardWorker) -> dict[str, object]:
+        # One read of the shard summary: each read merges the shard's
+        # published parts.
+        summary = worker.summary
+        return {
+            "shard": worker.shard_id,
+            "ingested": worker.ingested,
+            "pending_batches": worker.pending,
+            "folds": worker.folds,
+            "samples": summary.num_samples if summary is not None else 0,
+            # The shard's own error budget.  The merged epoch's
+            # "guarantee" above is NOT the max of these: merging
+            # composes the budgets (see the accounting pinned in
+            # tests/core/test_merge_algebra.py), which is why it
+            # degrades as shards rise — reported separately here so
+            # the trade is visible, never hidden.
+            "guarantee": (
+                summary.guaranteed_rank_error() if summary is not None else None
+            ),
         }
 
     # ------------------------------------------------------------------

@@ -1,123 +1,44 @@
-"""Shard routing: deterministic partitioning of ingest batches.
+"""Shard routing: each ingest batch cut into contiguous per-shard views.
 
 Any partition of the data across shards yields the *same* merged summary
 guarantees (summaries are mergeable over disjoint data), so routing is
-purely a parallelism decision.  What matters is determinism: the same
-batch must always split the same way, so that a replayed ingest schedule
-reproduces byte-identical epoch snapshots.
+purely a parallelism decision, and the cheapest partition serves: each
+batch is cut into near-equal contiguous slices, one per shard — no
+per-element hash, no masks, views instead of copies.
 
-Three policies are provided:
-
-``hash``
-    The default.  Each key's IEEE-754 bit pattern runs through a
-    SplitMix64-style avalanche (vectorised over numpy's uint64 wrap-around
-    arithmetic) and the result is reduced to a shard index with the
-    multiply-shift trick (``(z >> 32) * shards >> 32`` — no integer
-    division on the hot path).  This is process- and platform-independent
-    — unlike ``hash(float)``, which is stable only within one interpreter
-    configuration — and batch-boundary-independent: a key lands on the
-    same shard however the stream is batched.
-
-``chunk``
-    Contiguous equal slices of each batch, one per shard — zero hashing,
-    zero masking, views instead of copies.  The cheapest split there is,
-    chosen by the serving layer's high-throughput ingest path.  Still
-    deterministic for a replayed schedule, but the placement of a key
-    depends on where its batch was cut, so per-key affinity (e.g. future
-    tenant routing) needs ``hash`` or a ``key_fn``.
-
-user-supplied ``key_fn``
-    Any callable mapping a key array to an integer shard-index array
-    (e.g. route by tenant bucket, by value range, round-robin on a
-    counter the caller owns).  Outputs are validated to be in range.
+The split is deterministic: the same batch always splits the same way,
+so a replayed ingest schedule reproduces byte-identical epoch
+snapshots.  Where a key lands depends on where its batch was cut; keyed
+data, which needs per-key placement, goes through the multi-tenant
+registry instead (:mod:`repro.service.tenancy`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError, DataError
 
-__all__ = ["ShardRouter", "hash_shard_indices", "ROUTER_POLICIES"]
-
-_MIX1 = np.uint64(0x9E3779B97F4A7C15)
-_MIX2 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX3 = np.uint64(0x94D049BB133111EB)
-
-ROUTER_POLICIES = ("hash", "chunk")
-
-
-def hash_shard_indices(values: np.ndarray, num_shards: int) -> np.ndarray:
-    """SplitMix64 of each key's bit pattern, reduced to ``[0, num_shards)``.
-
-    Deterministic across processes and platforms; uniform enough that the
-    per-shard loads stay within a few percent of each other for any real
-    key distribution (adjacent floats land on unrelated shards).  The
-    reduction is multiply-shift on the avalanche's top 32 bits rather
-    than a modulo — the same uniformity without a vector integer divide.
-    """
-    if num_shards < 1:
-        raise ConfigError("num_shards must be at least 1")
-    bits = np.ascontiguousarray(values, dtype="<f8").view(np.uint64)
-    z = bits + _MIX1
-    z = (z ^ (z >> np.uint64(30))) * _MIX2
-    z = (z ^ (z >> np.uint64(27))) * _MIX3
-    z ^= z >> np.uint64(31)
-    reduced = ((z >> np.uint64(32)) * np.uint64(num_shards)) >> np.uint64(32)
-    return reduced.astype(np.int64)
+__all__ = ["ShardRouter"]
 
 
 class ShardRouter:
     """Splits a batch of keys into one sub-batch per shard."""
 
-    def __init__(
-        self,
-        num_shards: int,
-        key_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-        policy: str = "hash",
-    ) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ConfigError("num_shards must be at least 1")
-        if policy not in ROUTER_POLICIES:
-            raise ConfigError(
-                f"unknown router policy {policy!r}; choose from "
-                f"{ROUTER_POLICIES}"
-            )
-        if key_fn is not None and policy != "hash":
-            raise ConfigError(
-                "key_fn replaces the routing policy; pass policy='hash' "
-                "(the default) alongside it"
-            )
         self.num_shards = num_shards
-        self.key_fn = key_fn
-        self.policy = policy
-
-    def shard_indices(self, values: np.ndarray) -> np.ndarray:
-        """The shard index of each key (vectorised, deterministic)."""
-        if self.key_fn is None:
-            return hash_shard_indices(values, self.num_shards)
-        indices = np.asarray(self.key_fn(values), dtype=np.int64)
-        if indices.shape != values.shape:
-            raise ConfigError(
-                "key_fn must return one shard index per key "
-                f"(got shape {indices.shape} for {values.shape})"
-            )
-        if indices.size and (
-            int(indices.min()) < 0 or int(indices.max()) >= self.num_shards
-        ):
-            raise ConfigError(
-                f"key_fn produced a shard index outside [0, {self.num_shards})"
-            )
-        return indices
 
     def split(self, values: Sequence[float] | np.ndarray) -> list[np.ndarray]:
-        """Partition ``values`` into ``num_shards`` sub-arrays.
+        """Partition ``values`` into ``num_shards`` contiguous views.
 
-        Order is preserved within each shard (irrelevant to the summary,
-        convenient for debugging).  NaNs are rejected up front — they are
-        unorderable, so no quantile statement about them is possible.
+        Order is preserved (the concatenated views are the batch), and
+        the view sizes differ by at most one.  NaNs are rejected up front
+        — they are unorderable, so no quantile statement about them is
+        possible.
         """
         try:
             arr = np.asarray(values, dtype=np.float64)
@@ -129,8 +50,4 @@ class ShardRouter:
             raise DataError("ingest batch contains NaN; NaNs have no rank")
         if self.num_shards == 1:
             return [arr]
-        if self.policy == "chunk" and self.key_fn is None:
-            # Contiguous views — no hash, no masks, no copies.
-            return np.array_split(arr, self.num_shards)
-        indices = self.shard_indices(arr)
-        return [arr[indices == shard] for shard in range(self.num_shards)]
+        return np.array_split(arr, self.num_shards)

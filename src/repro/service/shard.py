@@ -16,8 +16,17 @@ barrier: when it completes, everything submitted before it is reflected
 in :attr:`ShardWorker.summary` — the consistency point the epoch
 snapshotter builds on.
 
-Summaries are immutable (:class:`~repro.core.OPAQSummary` is frozen), so
-readers simply grab the current reference; there is nothing to lock.
+A fold samples the buffer into one run and hands it to the estimator,
+which keeps it pending: the shard's new runs merge into its summary only
+at a barrier (an epoch is about to read every shard, so the worker
+merges them there, once, on its own thread) or at the compaction point
+(``max_shard_samples``), in one k-way merge either way.  After each
+fold and each barrier the worker publishes the estimator's parts — the
+summary, then the pending runs in arrival order — as one immutable
+tuple, with a single reference assignment.  Summaries are immutable
+(:class:`~repro.core.OPAQSummary` is frozen), so readers grab the
+current tuple and merge it themselves; there is nothing to lock, and no
+reader ever changes the worker's estimator.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ class ShardWorker:
         )
         self._buffer: list[np.ndarray] = []
         self._buffered = 0
-        self._latest: OPAQSummary | None = None
+        self._latest: tuple[OPAQSummary, ...] = ()
         self._error: BaseException | None = None
         self._ingested = 0
         self._folds = 0
@@ -171,9 +180,19 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     @property
-    def summary(self) -> OPAQSummary | None:
-        """The shard's current immutable summary (None before data)."""
+    def parts(self) -> tuple[OPAQSummary, ...]:
+        """The shard's published state: its summary, then the runs folded
+        since its last merge, in arrival order (empty before data)."""
         return self._latest
+
+    @property
+    def summary(self) -> OPAQSummary | None:
+        """The shard's current summary (None before data): its published
+        parts, merged."""
+        parts = self._latest
+        if not parts:
+            return None
+        return parts[0].merge(*parts[1:])
 
     @property
     def ingested(self) -> int:
@@ -200,6 +219,7 @@ class ShardWorker:
             try:
                 if isinstance(item, _Control):
                     self._fold()
+                    self._settle()
                     item.done.set()
                     if item.kind == "stop":
                         return
@@ -229,7 +249,18 @@ class ShardWorker:
         self._buffered = 0
         tracer = current_tracer()
         with tracer.span("service.shard.fold", shard=self.shard_id, elements=batch.size):
-            self._latest = self._estimator.update(batch)
+            self._estimator.update(batch)
+            self._latest = self._estimator.parts
         self._ingested += int(batch.size)
         self._folds += 1
         tracer.count("service.shard.folded", batch.size, shard=self.shard_id)
+
+    def _settle(self) -> None:
+        """Merge the pending runs into the shard summary (no compaction).
+
+        Runs at every barrier: the epoch that follows then merges one
+        summary per shard, and no run waits past the next epoch, so the
+        compaction point merges at most one epoch's runs.
+        """
+        if len(self._latest) > 1:
+            self._latest = (self._estimator.summary,)

@@ -4,12 +4,16 @@ The serving subsystem separates *ingest state* (per-shard incremental
 summaries, written only by their worker threads) from *query state* (one
 merged, compacted, immutable :class:`~repro.core.OPAQSummary` per epoch).
 The :class:`Snapshotter` advances epochs: it barriers every shard (fold
-everything submitted so far), merges the shard summaries **in shard-id
-order** (deterministic; the merge algebra is order-insensitive for the
-served bounds, but fixing the order makes snapshots byte-stable too),
-optionally compacts to a memory bound, and swaps the new epoch in under
-the swap lock (lint rule OPQ602).  Readers never take that lock — they
-read the current epoch reference, which CPython swaps atomically.
+everything submitted so far, and merge the shard's waiting runs),
+merges the restored base and every shard's published parts — its
+summary, then any runs it has not merged yet — **in shard-id order**,
+in one k-way merge (deterministic; the merge algebra is
+order-insensitive for the served bounds, but fixing the order makes
+snapshots byte-stable too, and byte-identical to merging the shard
+summaries one after another), optionally compacts to a memory bound,
+and swaps the new epoch in under the swap lock (lint rule OPQ602).
+Readers never take that lock — they read the current epoch reference,
+which CPython swaps atomically.
 
 Epochs are numbered densely from 1 and advance on *data volume*, never on
 wall time, so a replayed ingest schedule reproduces identical epochs.
@@ -251,16 +255,17 @@ class Snapshotter:
                 controls = [w.begin_flush() for w in self._workers]
                 for worker, control in zip(self._workers, controls):
                     worker.finish_flush(control)
-            parts = [w.summary for w in self._workers]
-            merged = self._base
-            with tracer.span("service.snapshot.merge", shards=len(parts)):
-                for part in parts:  # shard-id order: deterministic
-                    if part is not None:
-                        merged = part if merged is None else merged.merge(part)
-                if merged is None:
+            # Shard-id order, each shard's parts in arrival order:
+            # deterministic.
+            parts: list[OPAQSummary] = [] if self._base is None else [self._base]
+            for worker in self._workers:
+                parts.extend(worker.parts)
+            with tracer.span("service.snapshot.merge", shards=len(self._workers)):
+                if not parts:
                     raise EstimationError(
                         "cannot snapshot an empty service: no data ingested yet"
                     )
+                merged = parts[0].merge(*parts[1:])
                 if self._max_merged_samples is not None:
                     merged = merged.compact_to(self._max_merged_samples)
             previous = self._snapshot

@@ -1,50 +1,10 @@
-"""Shard routing: determinism, coverage, key_fn validation."""
+"""Shard routing: determinism, coverage, input validation."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, DataError
-from repro.service import ShardRouter, hash_shard_indices
-
-
-class TestHashRouting:
-    def test_deterministic_across_calls(self, rng):
-        values = rng.uniform(size=10_000)
-        first = hash_shard_indices(values, 8)
-        second = hash_shard_indices(values.copy(), 8)
-        np.testing.assert_array_equal(first, second)
-
-    def test_indices_in_range_and_all_shards_hit(self, rng):
-        values = rng.uniform(size=10_000)
-        indices = hash_shard_indices(values, 8)
-        assert indices.min() >= 0 and indices.max() < 8
-        assert set(np.unique(indices)) == set(range(8))
-
-    def test_load_is_roughly_uniform(self, rng):
-        values = rng.normal(size=40_000)
-        counts = np.bincount(hash_shard_indices(values, 4), minlength=4)
-        assert counts.min() > 0.8 * values.size / 4
-        assert counts.max() < 1.2 * values.size / 4
-
-    def test_equal_values_land_on_one_shard(self):
-        values = np.full(1_000, 3.25)
-        indices = hash_shard_indices(values, 8)
-        assert np.unique(indices).size == 1
-
-    def test_adjacent_floats_decorrelate(self):
-        # A range of consecutive representable floats must not all map to
-        # the same shard (the raw bit patterns differ by 1).
-        base = np.float64(1.0)
-        values = np.array([np.nextafter(base, 2.0, dtype=np.float64)])
-        for _ in range(63):
-            values = np.append(
-                values, np.nextafter(values[-1], 2.0, dtype=np.float64)
-            )
-        assert np.unique(hash_shard_indices(values, 8)).size > 1
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ConfigError):
-            hash_shard_indices(np.array([1.0]), 0)
+from repro.service import ShardRouter
 
 
 class TestSplit:
@@ -57,6 +17,10 @@ class TestSplit:
         np.testing.assert_array_equal(
             np.sort(np.concatenate(parts)), np.sort(values)
         )
+
+    def test_zero_shards_rejected(self):
+        with pytest.raises(ConfigError):
+            ShardRouter(0)
 
     def test_single_shard_fast_path(self, rng):
         values = rng.uniform(size=100)
@@ -77,57 +41,31 @@ class TestSplit:
 
 
 class TestChunkPolicy:
-    """The zero-cost ingest partitioning policy: contiguous views."""
+    """The one ingest partitioning: contiguous views."""
 
     def test_partitions_exactly_and_preserves_order(self, rng):
         values = rng.uniform(size=5_003)  # deliberately not divisible
-        parts = ShardRouter(4, policy="chunk").split(values)
+        parts = ShardRouter(4).split(values)
         assert len(parts) == 4
         np.testing.assert_array_equal(np.concatenate(parts), values)
 
     def test_near_even_sizes(self, rng):
-        parts = ShardRouter(8, policy="chunk").split(rng.uniform(size=10_001))
+        parts = ShardRouter(8).split(rng.uniform(size=10_001))
         sizes = [p.size for p in parts]
         assert max(sizes) - min(sizes) <= 1
 
     def test_parts_are_views_not_copies(self, rng):
         values = rng.uniform(size=1_000)
-        parts = ShardRouter(4, policy="chunk").split(values)
+        parts = ShardRouter(4).split(values)
         assert all(p.base is not None for p in parts if p.size)
 
     def test_deterministic(self, rng):
         values = rng.uniform(size=2_000)
-        a = ShardRouter(3, policy="chunk").split(values)
-        b = ShardRouter(3, policy="chunk").split(values.copy())
+        a = ShardRouter(3).split(values)
+        b = ShardRouter(3).split(values.copy())
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa, pb)
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError, match="policy"):
-            ShardRouter(2, policy="round-robin")
-
-    def test_key_fn_with_chunk_policy_rejected(self):
-        with pytest.raises(ConfigError, match="key_fn"):
-            ShardRouter(2, policy="chunk", key_fn=lambda v: v.astype(np.int64))
-
     def test_same_validation_as_hash(self):
         with pytest.raises(DataError, match="NaN"):
-            ShardRouter(2, policy="chunk").split([1.0, float("nan")])
-
-
-class TestKeyFn:
-    def test_custom_key_fn_controls_placement(self):
-        router = ShardRouter(2, key_fn=lambda v: (v >= 0).astype(np.int64))
-        negatives, positives = router.split([-1.0, 2.0, -3.0, 4.0])
-        assert set(negatives) == {-1.0, -3.0}
-        assert set(positives) == {2.0, 4.0}
-
-    def test_key_fn_shape_mismatch_rejected(self):
-        router = ShardRouter(2, key_fn=lambda v: np.zeros(1, dtype=np.int64))
-        with pytest.raises(ConfigError, match="one shard index per key"):
-            router.split([1.0, 2.0, 3.0])
-
-    def test_key_fn_out_of_range_rejected(self):
-        router = ShardRouter(2, key_fn=lambda v: np.full(v.shape, 7))
-        with pytest.raises(ConfigError, match="outside"):
-            router.split([1.0, 2.0])
+            ShardRouter(2).split([1.0, float("nan")])

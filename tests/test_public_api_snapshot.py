@@ -60,7 +60,6 @@ SERVICE = {
     "QueryResult",
     "QuantileVector",
     "ShardRouter",
-    "hash_shard_indices",
     "ShardWorker",
     "EpochSnapshot",
     "SnapshotStore",
