@@ -55,8 +55,12 @@ __all__ = [
     "hash_bytes",
 ]
 
-#: Bump when the cache layout or replay semantics change.
-CACHE_VERSION = 1
+#: Bump when the cache layout or replay semantics change, and when a
+#: rule starts judging code it did not judge before: the fingerprint
+#: names rules only by code, so a cache from before would replay the
+#: old findings for every unchanged file.  2: OPQ771/OPQ774 judge
+#: asyncio protocol callbacks.
+CACHE_VERSION = 2
 
 
 def hash_bytes(data: bytes) -> str:

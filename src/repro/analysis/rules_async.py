@@ -19,19 +19,23 @@ failure modes, because neither involves a second thread:
 The model mirrors the thread family's shape, with coroutines as the
 seed:
 
-1. **Coroutine roles.**  Every ``async def`` (and every sync function it
-   calls directly — not through a stored callback or a lambda) runs in
-   the ``event-loop`` role.  ``threading.Thread(target=...)`` targets
-   and callables handed to ``asyncio.to_thread``/``run_in_executor`` —
-   directly or through a callee whose summary *offloads* the parameter,
-   like ``AsyncServiceServer._blocking`` — run in the ``thread`` role.
-   The offload boundary is exactly where a call chain stops being the
+1. **Coroutine roles.**  Every ``async def``, every callback method of
+   an ``asyncio.Protocol``/``BufferedProtocol`` subclass (the loop calls
+   ``get_buffer``, ``buffer_updated``, ``eof_received`` and the rest
+   itself), and every sync function either calls directly — not through
+   a stored callback or a lambda — runs in the ``event-loop`` role.
+   ``threading.Thread(target=...)`` targets and callables handed to
+   ``asyncio.to_thread``/``run_in_executor`` — directly or through a
+   callee whose summary *offloads* the parameter, like
+   ``AsyncServiceServer._blocking`` — run in the ``thread`` role.  The
+   offload boundary is exactly where a call chain stops being the
    loop's problem.
-2. **Judgement.**  OPQ771 flags calls a coroutine makes into blocking
-   synchronous code; OPQ772 runs the sync-lock must-analysis over the
-   new suspension-point ops; OPQ773 catches the classic dropped
-   coroutine object; OPQ774 is the asyncio half of OPQ701 — state
-   written by both roles needs a loop-safe handoff.
+2. **Judgement.**  OPQ771 flags calls a coroutine or a protocol
+   callback makes into blocking synchronous code; OPQ772 runs the
+   sync-lock must-analysis over the new suspension-point ops; OPQ773
+   catches the classic dropped coroutine object; OPQ774 is the asyncio
+   half of OPQ701 — state written by both roles needs a loop-safe
+   handoff.
 
 Call resolution here carries a precision bit: receivers whose type is
 known (``self.m``, ``self.f.m`` with a recorded field type, annotated
@@ -71,6 +75,7 @@ from repro.analysis.summaries import offload_callable, param_names
 __all__ = [
     "AsyncModel",
     "build_async_model",
+    "protocol_callbacks",
     "BlockingCallInCoroutineRule",
     "LockAcrossAwaitRule",
     "UnawaitedCoroutineRule",
@@ -87,9 +92,51 @@ ROLE_THREAD = "thread"
 #: Dotted names that block the calling thread outright.
 _SLEEP_CALLS = {"time.sleep"}
 
+#: asyncio's stream protocol classes (``typing.Protocol`` is not one).
+_PROTOCOL_BASES = {"asyncio.Protocol", "asyncio.BufferedProtocol"}
+
+#: The methods the event loop itself calls on a protocol instance.
+_PROTOCOL_CALLBACKS = (
+    "connection_made",
+    "connection_lost",
+    "pause_writing",
+    "resume_writing",
+    "data_received",
+    "eof_received",
+    "get_buffer",
+    "buffer_updated",
+)
+
 
 def _is_coroutine_fn(fn: FunctionInfo) -> bool:
     return isinstance(fn.node, ast.AsyncFunctionDef)
+
+
+def protocol_callbacks(
+    project: ProjectContext, classes: list[ClassInfo]
+) -> list[FunctionInfo]:
+    """The protocol callback methods defined by ``classes``.
+
+    A class qualifies when a base, with the module's import aliases
+    resolved, names one of asyncio's protocol classes.  The loop calls
+    these methods inline, so they are as much the loop's code as a
+    coroutine is.
+    """
+    found: list[FunctionInfo] = []
+    for cls in classes:
+        aliases = project.aliases.get(str(cls.module.path), {})
+        bases: set[str] = set()
+        for base in cls.bases:
+            head, _, rest = base.partition(".")
+            resolved = aliases.get(head, head)
+            bases.add(f"{resolved}.{rest}" if rest else resolved)
+        if bases & _PROTOCOL_BASES:
+            found.extend(
+                cls.methods[name]
+                for name in _PROTOCOL_CALLBACKS
+                if name in cls.methods
+            )
+    return found
 
 
 def _direct_call_ids(fn: FunctionInfo) -> set[int]:
@@ -229,6 +276,8 @@ class _AsyncRoleInference:
                 self.roles[fn].add(role)
                 worklist.append((fn, role))
 
+        for fn in protocol_callbacks(self.project, self.classes):
+            seed(fn, ROLE_EVENT_LOOP)
         for fn in self.scoped_fns:
             if _is_coroutine_fn(fn):
                 seed(fn, ROLE_EVENT_LOOP)
@@ -351,7 +400,9 @@ def blocking_reasons(
     resolver: _Resolver,
     fn: FunctionInfo,
 ) -> Iterator[tuple[ast.Call, str]]:
-    """(call, why) for each way coroutine ``fn`` can block the loop.
+    """(call, why) for each way ``fn``, run by the loop, can block it.
+
+    ``fn`` is a coroutine or a protocol callback.
 
     Shared between OPQ771 and the async-model test suite, so "the event
     loop never blocks" can be asserted as a derived fact.
@@ -440,9 +491,10 @@ class BlockingCallInCoroutineRule(ProjectRule):
     rule_id = "async-blocking-call"
     code = "OPQ771"
     description = (
-        "a coroutine calls blocking synchronous code (sleep, file I/O, "
-        "bare blocking primitive, or a callee whose summary blocks or "
-        "takes locks) inline; one stalled task wedges every connection"
+        "a coroutine or asyncio protocol callback calls blocking "
+        "synchronous code (sleep, file I/O, bare blocking primitive, or a "
+        "callee whose summary blocks or takes locks) inline; one stalled "
+        "task wedges every connection"
     )
     paper_ref = "docs/service.md (the event loop never blocks)"
     scope_prefixes = ("service/",)
@@ -452,9 +504,13 @@ class BlockingCallInCoroutineRule(ProjectRule):
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         classes, functions, resolver = _scoped_items(self, project)
-        for fn in functions:
-            if not _is_coroutine_fn(fn):
-                continue
+        entries = [
+            ("coroutine", fn) for fn in functions if _is_coroutine_fn(fn)
+        ] + [
+            ("protocol callback", fn)
+            for fn in protocol_callbacks(project, classes)
+        ]
+        for kind, fn in entries:
             for call, why in blocking_reasons(project, resolver, fn):
                 yield Finding(
                     rule_id=self.rule_id,
@@ -462,7 +518,7 @@ class BlockingCallInCoroutineRule(ProjectRule):
                     path=str(fn.module.path),
                     line=call.lineno,
                     col=call.col_offset,
-                    message=f"in coroutine {fn.qualname}: {why}",
+                    message=f"in {kind} {fn.qualname}: {why}",
                 )
 
 

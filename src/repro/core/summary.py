@@ -112,11 +112,10 @@ class OPAQSummary:
         Summary construction is hot in the multi-tenant registry: a fold
         builds several short-lived summaries per key (the exact delta,
         then one candidate per compaction width), and only the survivor
-        ever answers a rank query.  Deferring the argsort/searchsorted
-        sweep here cuts construction to its validation cost.  Two
-        threads racing on first use both build the same idempotent
-        array, so the benign race costs one redundant build, never a
-        wrong answer.
+        ever answers a rank query.  Deferring the build here cuts
+        construction to its validation cost.  Two threads racing on
+        first use both build the same idempotent array, so the benign
+        race costs one redundant build, never a wrong answer.
         """
         cached: np.ndarray | None = self.__dict__.get("_maxlt_cache")
         if cached is None:
@@ -141,28 +140,40 @@ class OPAQSummary:
                        + sum of (gap - 1) of straddling groups
                                 (floor < v <= sample)
 
-        Vectorised by inclusion-exclusion: the straddle indicator is
-        ``[floor < v] - [sample < v]``, so two sorted prefix-sum lookups
-        cover all positions in O(r·s log(r·s)).  The result is
-        non-decreasing (it bounds a non-decreasing function and both event
-        types only add mass as ``v`` grows).
+        By inclusion-exclusion the straddle indicator is ``[floor < v] -
+        [sample < v]``, and a group with ``sample < v`` has ``floor < v``
+        too, so the sum collapses to::
+
+            maxlt(v) = count(samples < v) + sum of (gap - 1) of groups
+                                             with floor < v
+
+        The first term is the index of the first sample equal to ``v``,
+        read off the run starts of the sorted samples.  For the second,
+        one default sort orders the floors — integer prefix sums do not
+        depend on the order of equal floors — and a stable sort of the
+        samples followed by the sorted floors merges the two sorted
+        lists, placing every sample before the floors equal to it: its
+        merged position minus its index counts the floors strictly below
+        it.  The result is non-decreasing (it bounds a non-decreasing
+        function and both terms only grow with ``v``).
         """
-        gm1 = (gaps - 1).astype(np.float64)
-        # Prefix sums of (gap-1) in sample order and in floor order.
-        cum_gm1_by_sample = np.concatenate([[0.0], np.cumsum(gm1)])
-        order = np.argsort(floors, kind="stable")
-        floors_sorted = floors[order]
-        cum_gm1_by_floor = np.concatenate([[0.0], np.cumsum(gm1[order])])
-        # For each position i with value v = samples[i]:
-        left = np.searchsorted(samples, samples, side="left")
-        cum_full = np.concatenate([[0], cum])
-        base = cum_full[left]  # gaps of groups with sample < v
-        below_floor = cum_gm1_by_floor[
-            np.searchsorted(floors_sorted, samples, side="left")
-        ]
-        below_sample = cum_gm1_by_sample[left]
-        maxlt = base + (below_floor - below_sample)
-        return np.minimum(maxlt, cum[-1] - 1).astype(np.int64)
+        n = samples.size
+        # Allocated ahead of the temporaries.  A scan builds this array
+        # between freeing one pass's run buffer and taking the next; a
+        # long-lived array placed behind the temporaries can split that
+        # freed block, and the heap then grows by a whole run buffer.
+        maxlt = np.empty(n, dtype=np.int64)
+        order = floors.argsort()
+        merged = np.concatenate((samples, floors[order])).argsort(kind="stable")
+        index = np.arange(n)
+        below = (merged < n).nonzero()[0]
+        below -= index  # floors below each sample
+        gap_sums = np.concatenate(([0], gaps[order].cumsum()))
+        np.take(gap_sums, below, out=maxlt)
+        maxlt -= below  # their sum of gap - 1
+        np.putmask(index[1:], samples[1:] == samples[:-1], 0)
+        maxlt += np.maximum.accumulate(index, out=index)  # first index of each value
+        return np.minimum(maxlt, cum[-1] - 1, out=maxlt)
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return (

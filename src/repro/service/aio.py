@@ -1,17 +1,36 @@
 """The asyncio wire layer: protocol v3 served over plain TCP.
 
-:class:`AsyncServiceServer` is an ``asyncio.start_server`` loop speaking
-the framed binary protocol of :mod:`repro.service.proto`.  One coroutine
-per connection reads frames with ``readexactly``, dispatches on the
-opcode, and writes one reply frame per request — in request order, so
-clients may pipeline: send K frames, then read K replies.
+:class:`AsyncServiceServer` serves the framed binary protocol of
+:mod:`repro.service.proto` on an asyncio loop.  Each connection is a
+:class:`_FrameReader`, an :class:`asyncio.BufferedProtocol`: the loop
+``recv_into``\\ s the peer's bytes straight into buffers the reader
+owns, one ``recv_into`` per readiness event.
+
+* Headers and every payload that fits are received into one reused
+  staging buffer and parsed out of it in place; a small payload is
+  copied out once, as the ``bytes`` its decoder reads.
+* A payload too large for the staging buffer gets a buffer of its own
+  when its header arrives, and is received straight into it.  The buffer
+  is allocated untouched, so its memory becomes resident only as its
+  bytes arrive.
+
+One task per connection answers the parsed frames one request at a time:
+it dispatches on the opcode and writes one reply frame per request, in
+request order, so clients may pipeline: send K frames, then read K
+replies.  Reading stops while more than ``_BACKLOG_BYTES`` of frames
+wait behind the request in flight (TCP then pushes back on the peer),
+and the task waits for the transport to drain when its write buffer is
+full.
 
 Error discipline (mirrors the protocol module's contract):
 
-* **Framing errors** — truncated header, wrong magic, version skew,
-  oversized length — poison the byte stream.  The server sends one typed
-  error frame (best effort) and **closes the connection**; nothing after
-  a bad header can be trusted.
+* **Framing errors** — wrong magic, version skew, oversized length, EOF
+  inside a payload — poison the byte stream.  The frames before the bad
+  one are answered; then the server sends one typed error frame, drops
+  whatever else the peer sends until its EOF (at most ``_LINGER_S``
+  seconds: closing on unread input would reset the connection and could
+  destroy the error frame) and **closes the connection**.  EOF inside a
+  header closes it without an error frame.
 * **Application errors** — NaN ingest, query before the first epoch,
   backpressure timeout — are request-scoped.  The server replies with a
   typed error frame and **keeps the connection open**; the stream is
@@ -20,7 +39,8 @@ Error discipline (mirrors the protocol module's contract):
 Blocking service calls (ingest backpressure, snapshot barriers) run in
 the default executor under ``asyncio.wait_for`` so a stalled shard can
 never wedge the event loop (lint rule OPQ404 covers this module);
-queries are lock-free reads and run inline.
+queries are lock-free reads and run inline.  The reader's protocol
+callbacks run on the loop too, and only move bytes.
 
 :class:`ThreadedBinaryServer` hosts the loop on a daemon thread with the
 same start/stop surface as the HTTP server — what ``opaq serve`` and the
@@ -31,6 +51,8 @@ from __future__ import annotations
 
 import asyncio
 import threading
+
+import numpy as np
 
 from repro.errors import DataError, ReproError, ServiceError
 from repro.obs import current_tracer
@@ -44,9 +66,22 @@ __all__ = ["AsyncServiceServer", "ThreadedBinaryServer"]
 #: timeout; this is the event loop's last-resort protection.
 _REQUEST_TIMEOUT = 120.0
 
+#: Size of a connection's staging buffer, in bytes.  Headers and the
+#: payloads that fit are received into it; a larger payload is received
+#: into a buffer of its own.
+_STAGING_BYTES = 64 * 1024
+
+#: Bytes of parsed frames that may wait behind the request in flight
+#: before the connection stops reading.
+_BACKLOG_BYTES = 256 * 1024
+
+#: After a framing error, the longest a connection keeps reading (and
+#: dropping) the peer's input while it waits for the peer's EOF.
+_LINGER_S = 2.0
+
 
 class AsyncServiceServer:
-    """Protocol v2 over TCP for one :class:`QuantileService`."""
+    """Wire protocol v3 over TCP for one :class:`QuantileService`."""
 
     def __init__(
         self,
@@ -75,8 +110,9 @@ class AsyncServiceServer:
         """Bind the listening socket (``port=0``: OS-assigned)."""
         # _server is only ever touched from the event loop's own thread
         # (start/serve_forever/close are coroutines on that loop).
-        self._server = await asyncio.start_server(  # opaq: ignore[thread-unguarded-write] event-loop-confined state
-            self._serve_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(  # opaq: ignore[thread-unguarded-write] event-loop-confined state
+            lambda: _FrameReader(self), self.host, self.port
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -99,63 +135,9 @@ class AsyncServiceServer:
             await self._server.wait_closed()
             self._server = None  # opaq: ignore[thread-unguarded-write] event-loop-confined state
 
-    # -- connection loop -----------------------------------------------
+    # -- requests ------------------------------------------------------
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            await self._frame_loop(reader, writer)
-        except asyncio.CancelledError:
-            pass  # server shutdown: the connection is simply dropped
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass  # peer (or loop) already gone; nothing left to flush
-
-    async def _frame_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        tracer = current_tracer()
-        tracer.count("service.proto.connections", 1)
-        while True:
-            try:
-                header = await reader.readexactly(proto.HEADER.size)
-            except asyncio.IncompleteReadError:
-                return  # EOF between frames (or a torn header): close
-            try:
-                opcode, length = proto.parse_header(
-                    header, max_payload=self.max_payload
-                )
-                payload = await reader.readexactly(length)
-            except (DataError, asyncio.IncompleteReadError) as exc:
-                # Framing failure: reply if possible, then close —
-                # the stream can no longer be trusted.
-                if isinstance(exc, asyncio.IncompleteReadError):
-                    exc = ServiceError(
-                        "connection closed mid-frame: "
-                        f"{len(exc.partial)} of {length} payload bytes"
-                    )
-                tracer.count("service.proto.errors", 1, fatal=True)
-                await self._send_error(writer, exc)
-                return
-            reply = await self._dispatch(opcode, payload)
-            writer.write(reply)
-            await writer.drain()
-
-    async def _send_error(
-        self, writer: asyncio.StreamWriter, exc: BaseException
-    ) -> None:
-        """Best-effort error frame; swallow transport failures."""
-        try:
-            writer.write(proto.encode_frame(proto.ERROR_OP, proto.encode_error(exc)))
-            await writer.drain()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass  # the peer is gone; the close below is all that is left
-
-    async def _dispatch(self, opcode: int, payload: bytes) -> bytes:
+    async def _dispatch(self, opcode: int, payload: bytes | memoryview) -> bytes:
         """One request frame in, one reply frame out (never raises)."""
         tracer = current_tracer()
         tracer.count("service.proto.requests", 1, opcode=opcode)
@@ -168,7 +150,10 @@ class AsyncServiceServer:
             return proto.encode_frame(
                 proto.ERROR_OP,
                 proto.encode_error(
-                    DataError(f"unknown opcode {opcode:#x} in a v2 frame")
+                    DataError(
+                        f"unknown opcode {opcode:#x} in a "
+                        f"v{proto.WIRE_VERSION} frame"
+                    )
                 ),
             )
         try:
@@ -179,7 +164,7 @@ class AsyncServiceServer:
             tracer.count("service.proto.errors", 1, opcode=opcode)
             return proto.encode_frame(proto.ERROR_OP, proto.encode_error(exc))
 
-    async def _handle(self, opcode: int, payload: bytes) -> bytes:
+    async def _handle(self, opcode: int, payload: bytes | memoryview) -> bytes:
         if opcode == proto.Op.PING:
             return b""
         if opcode == proto.Op.QUANTILES:
@@ -223,15 +208,17 @@ class AsyncServiceServer:
             # touch spill files — registry work, off the event loop.
             stats = await self._blocking(self.service.stats)
             return proto.encode_stats_reply(stats)
-        raise DataError(f"unknown opcode {opcode:#x} in a v2 frame")
+        raise DataError(
+            f"unknown opcode {opcode:#x} in a v{proto.WIRE_VERSION} frame"
+        )
 
     _REPLY_CACHE_MAX = 128
 
-    def _answer_quantiles(self, payload: bytes) -> bytes:
+    def _answer_quantiles(self, payload: bytes | memoryview) -> bytes:
         snapshot = self.service.current_epoch
         key = None
         if snapshot is not None:
-            key = (snapshot.epoch, self.service.staleness, payload)
+            key = (snapshot.epoch, self.service.staleness, bytes(payload))
             cached = self._reply_cache.get(key)
             if cached is not None:
                 return cached
@@ -256,6 +243,213 @@ class AsyncServiceServer:
                 f"service call exceeded the {self.request_timeout:g}s "
                 "request ceiling; the shards may be wedged"
             ) from None
+
+
+class _FrameReader(asyncio.BufferedProtocol):
+    """One connection of :class:`AsyncServiceServer`.
+
+    The loop calls :meth:`get_buffer` and :meth:`buffer_updated` on each
+    readiness event; they parse every complete frame the bytes finish
+    and queue it.  :meth:`_serve`, the connection's one task, answers
+    the queue in order, one request in flight at a time.
+    """
+
+    def __init__(self, server: AsyncServiceServer) -> None:
+        self._server = server
+        self._transport: asyncio.Transport  # set by connection_made
+        self._staging = memoryview(bytearray(_STAGING_BYTES))
+        self._start = 0  # first staged byte not yet parsed
+        self._end = 0  # end of the staged bytes
+        self._opcode = 0
+        self._length = -1  # payload length of the frame being read, or -1
+        self._payload: memoryview | None = None  # own buffer of a large payload
+        self._filled = 0  # bytes of it received so far
+        # Parsed frames, oldest first; a framing error queues as the
+        # error it raises, answered in its turn.
+        self._frames: list[tuple[int, bytes | memoryview | ReproError]] = []
+        self._backlog = 0  # bytes of the frames waiting to be answered
+        self._busy = False  # a request is in flight
+        self._paused = False  # reading paused on the backlog
+        self._failed = False  # a framing error: further input is dropped
+        self._eof = False  # the peer sent EOF, or the connection is lost
+        self._write_paused = False
+        self._wakeup: asyncio.Future | None = None
+        self._task: asyncio.Task | None = None
+
+    # -- protocol callbacks (run by the event loop) --------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+        current_tracer().count("service.proto.connections", 1)
+        # Held here: the loop keeps only a weak reference to its tasks.
+        self._task = asyncio.get_running_loop().create_task(self._serve())
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._payload is not None:
+            return self._payload[self._filled :]
+        if self._failed:
+            return self._staging
+        return self._staging[self._end :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._failed:
+            return  # input after a framing error is read and dropped
+        if self._payload is not None:
+            self._filled += nbytes
+            if self._filled == self._length:
+                self._push(self._payload)
+                self._payload = None
+            return
+        self._end += nbytes
+        staged, start, end = self._staging, self._start, self._end
+        while True:
+            if self._length < 0:
+                if end - start < proto.HEADER.size:
+                    break
+                try:
+                    self._opcode, self._length = proto.parse_header(
+                        staged[start : start + proto.HEADER.size],
+                        max_payload=self._server.max_payload,
+                    )
+                except DataError as exc:
+                    self._fail(exc)
+                    return
+                start += proto.HEADER.size
+            length = self._length
+            if end - start >= length:
+                self._push(bytes(staged[start : start + length]))
+                start += length
+                continue
+            if length > len(staged):
+                # np.empty leaves the pages untouched until recv_into
+                # fills them; the bytes already staged are copied over.
+                payload = memoryview(np.empty(length, dtype=np.uint8))
+                self._filled = end - start
+                payload[: self._filled] = staged[start:end]
+                self._payload = payload
+                start = end
+            break
+        # Keep a partial frame at the front, where it has room to finish.
+        if start == end:
+            start = end = 0
+        elif start:
+            staged[: end - start] = staged[start:end]
+            start, end = 0, end - start
+        self._start, self._end = start, end
+
+    def eof_received(self) -> bool:
+        if not self._failed and self._length >= 0:
+            if self._payload is not None:
+                have = self._filled
+            else:
+                have = self._end - self._start
+            self._fail(
+                ServiceError(
+                    "connection closed mid-frame: "
+                    f"{have} of {self._length} payload bytes"
+                )
+            )
+        self._eof = True
+        self._wake()
+        return True  # stay open to write the replies still owed
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._eof = True
+        self._write_paused = False
+        self._wake()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake()
+
+    # -- frame queue ---------------------------------------------------
+
+    def _push(self, payload: bytes | memoryview) -> None:
+        self._frames.append((self._opcode, payload))
+        self._length = -1
+        self._backlog += proto.HEADER.size + len(payload)
+        if self._busy and not self._paused and self._backlog > _BACKLOG_BYTES:
+            self._paused = True
+            self._transport.pause_reading()
+        self._wake()
+
+    def _fail(self, exc: ReproError) -> None:
+        self._failed = True
+        self._frames.append((self._opcode, exc))
+        self._resume_reading()  # drain the peer while the error goes out
+        self._wake()
+
+    def _resume_reading(self) -> None:
+        if self._paused:
+            self._paused = False
+            self._transport.resume_reading()
+
+    def _wake(self) -> None:
+        waiter, self._wakeup = self._wakeup, None
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    async def _wait(self) -> None:
+        """Sleep until a callback reports news (frames, EOF, drain)."""
+        self._wakeup = asyncio.get_running_loop().create_future()
+        await self._wakeup
+
+    # -- the connection's task -----------------------------------------
+
+    async def _serve(self) -> None:
+        try:
+            while True:
+                if not self._frames:
+                    if self._eof:
+                        return
+                    self._busy = False
+                    await self._wait()
+                    continue
+                self._busy = True
+                frames, self._frames = self._frames, []
+                for opcode, payload in frames:
+                    if not await self._answer(opcode, payload):
+                        return
+        finally:
+            self._transport.close()
+
+    async def _answer(
+        self, opcode: int, payload: bytes | memoryview | ReproError
+    ) -> bool:
+        """Answer one queued frame; False once the connection must end."""
+        transport = self._transport
+        if isinstance(payload, ReproError):
+            # Framing failure: reply if possible, then close — the
+            # stream can no longer be trusted.
+            current_tracer().count("service.proto.errors", 1, fatal=True)
+            transport.write(
+                proto.encode_frame(proto.ERROR_OP, proto.encode_error(payload))
+            )
+            if transport.can_write_eof():
+                transport.write_eof()
+            try:
+                await asyncio.wait_for(self._until_eof(), _LINGER_S)
+            except asyncio.TimeoutError:
+                pass  # a peer that keeps sending is cut off
+            return False
+        self._backlog -= proto.HEADER.size + len(payload)
+        if self._backlog <= _BACKLOG_BYTES:
+            self._resume_reading()
+        reply = await self._server._dispatch(opcode, payload)
+        if transport.is_closing():
+            return False  # the peer is gone; nobody reads the reply
+        transport.write(reply)
+        while self._write_paused:
+            await self._wait()
+        return True
+
+    async def _until_eof(self) -> None:
+        while not self._eof:
+            await self._wait()
 
 
 class ThreadedBinaryServer:

@@ -3,8 +3,9 @@ contract — not restate it.
 
 ``docs/service.md`` promises that the event loop in ``service/aio.py``
 never blocks: every registry/engine mutation crosses the ``_blocking``
-offload boundary (``run_in_executor`` under a ``wait_for`` deadline) and
-only the lock-free snapshot read is answered inline.  These tests build
+offload boundary (``run_in_executor`` under a ``wait_for`` deadline),
+only the lock-free snapshot read is answered inline, and the frame
+reader's protocol callbacks only move bytes.  These tests build
 the async model over the real ``repro.service`` sources and assert that
 contract as facts the analyzer inferred on its own.
 """
@@ -23,6 +24,7 @@ from repro.analysis.rules_async import (
     _scoped_items,
     blocking_reasons,
     build_async_model,
+    protocol_callbacks,
 )
 
 SERVICE = Path(repro.__file__).parent / "service"
@@ -51,9 +53,42 @@ class TestDerivedRoles:
     def test_every_aio_handler_is_event_loop_role(self):
         project = service_project()
         model = async_model(project)
-        for method in ("_handle", "_dispatch", "_serve_connection"):
+        for method in ("_handle", "_dispatch"):
             fn = fn_named(project, f"AsyncServiceServer.{method}")
             assert ROLE_EVENT_LOOP in model.roles_of(fn), method
+        # The loop calls the reader's protocol callbacks itself, and the
+        # helpers they call inline inherit the role.
+        for method in (
+            "get_buffer",
+            "buffer_updated",
+            "eof_received",
+            "connection_lost",
+            "_push",
+            "_fail",
+            "_serve",
+            "_answer",
+        ):
+            fn = fn_named(project, f"_FrameReader.{method}")
+            assert model.roles_of(fn) == {ROLE_EVENT_LOOP}, method
+
+    def test_only_asyncio_protocols_have_loop_callbacks(self):
+        project = service_project()
+        callbacks = {
+            fn.qualname
+            for fn in protocol_callbacks(project, list(project.classes))
+        }
+        assert callbacks == {
+            f"aio.py:_FrameReader.{name}"
+            for name in (
+                "connection_made",
+                "get_buffer",
+                "buffer_updated",
+                "eof_received",
+                "connection_lost",
+                "pause_writing",
+                "resume_writing",
+            )
+        }
 
     def test_offloaded_callees_carry_the_thread_role(self):
         # self._blocking(self.service.stats) crosses the role boundary:
@@ -76,20 +111,23 @@ class TestDerivedRoles:
 
 class TestDerivedInvariants:
     def test_the_event_loop_never_blocks(self):
-        """The marquee fact: no coroutine in the service calls blocking
-        synchronous code inline — except the one documented inline
-        answer path (the lock-free quantile read), which carries its
-        suppression in the source."""
+        """The marquee fact: no coroutine and no protocol callback in the
+        service calls blocking synchronous code inline — except the one
+        documented inline answer path (the lock-free quantile read),
+        which carries its suppression in the source."""
         project = service_project()
         classes = list(project.classes)
         resolver = _Resolver(project, classes)
+        loop_code = [
+            fn
+            for cls in classes
+            for fn in cls.methods.values()
+            if isinstance(fn.node, ast.AsyncFunctionDef)
+        ] + protocol_callbacks(project, classes)
         offenders = []
-        for cls in classes:
-            for fn in cls.methods.values():
-                if not isinstance(fn.node, ast.AsyncFunctionDef):
-                    continue
-                for call, why in blocking_reasons(project, resolver, fn):
-                    offenders.append((fn.qualname, call.lineno, why))
+        for fn in loop_code:
+            for call, why in blocking_reasons(project, resolver, fn):
+                offenders.append((fn.qualname, call.lineno, why))
         assert len(offenders) == 1, offenders
         qualname, _, why = offenders[0]
         assert qualname == "aio.py:AsyncServiceServer._handle"
@@ -143,13 +181,13 @@ class TestResolutionPrecision:
         ]
 
     def test_external_receiver_is_precisely_empty(self):
-        # writer: asyncio.StreamWriter — a known type outside the
+        # self._transport: asyncio.Transport — a known type outside the
         # project: precise and empty means "out of judgement", not
         # "every close() in the repo might run".
         project = service_project()
-        serve = fn_named(project, "AsyncServiceServer._serve_connection")
+        serve = fn_named(project, "_FrameReader._serve")
         resolver = _Resolver(project, list(project.classes))
-        candidates, precise = resolver.resolve(serve, "writer.close")
+        candidates, precise = resolver.resolve(serve, "self._transport.close")
         assert precise
         assert candidates == []
 

@@ -50,6 +50,9 @@ DEEP_BAD = [
     ("bad_async_lock_across_await.py", "async-lock-across-await", 2),
     ("bad_async_unawaited.py", "async-unawaited-coroutine", 2),
     ("bad_async_cross_role.py", "async-cross-role-write", 2),
+    # Protocol callbacks are the loop's code, like coroutines.
+    ("bad_async_protocol_callback.py", "async-blocking-call", 3),
+    ("bad_async_protocol_callback.py", "async-cross-role-write", 2),
 ]
 
 #: fixtures that must be fully clean under the whole deep rule set
@@ -64,6 +67,7 @@ DEEP_GOOD = [
     "good_lock_order_module_call.py",
     "good_blocking_lock.py",
     "good_async_service.py",
+    "good_async_protocol.py",
 ]
 
 #: (fixture file, rule that must stay silent there)

@@ -12,9 +12,13 @@ the binary protocol and the legacy HTTP shim must serve byte-identical
 wire layers over the one vectorised ``query_arrays`` kernel.
 """
 
+import asyncio
+import gc
 import json
 import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -48,12 +52,18 @@ def served():
         service.close(final_snapshot=False)
 
 
+def connect(server):
+    host, port = server.url.removeprefix("opaq://").rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)), timeout=10.0)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 def raw_exchange(server, payload_bytes, read_frames=1):
     """Open a raw socket, send arbitrary bytes, read up to ``read_frames``
     reply frames (or until EOF).  Returns (frames, eof_seen)."""
-    host, port = server.url.removeprefix("opaq://").rsplit(":", 1)
     frames, eof = [], False
-    with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+    with connect(server) as sock:
         sock.sendall(payload_bytes)
         sock.shutdown(socket.SHUT_WR)
         buf = b""
@@ -174,7 +184,7 @@ class TestErrorDiscipline:
 
     def test_truncated_frame_never_hangs(self, served):
         """A frame that promises more payload than it delivers must end in
-        a clean close (readexactly fails at EOF), not a hang."""
+        a "mid-frame" error frame and a close at EOF, not a hang."""
         _, server, _ = served
         header = proto.HEADER.pack(
             proto.MAGIC, proto.WIRE_VERSION, proto.Op.INGEST, 0, 1024
@@ -219,6 +229,194 @@ class TestErrorDiscipline:
         for t in threads:
             t.join(timeout=30.0)
         assert not errors
+
+
+def read_frames(sock, count):
+    """Read exactly ``count`` reply frames: ``[(opcode, payload), ...]``."""
+    buf, frames = b"", []
+    while len(frames) < count:
+        if len(buf) >= proto.HEADER.size:
+            opcode, length = proto.parse_header(buf[: proto.HEADER.size])
+            end = proto.HEADER.size + length
+            if len(buf) >= end:
+                frames.append((opcode, buf[proto.HEADER.size : end]))
+                buf = buf[end:]
+                continue
+        chunk = sock.recv(1 << 20)
+        assert chunk, f"EOF after {len(frames)} of {count} frames"
+        buf += chunk
+    return frames
+
+
+def resident_bytes():
+    """This process's resident set size, from /proc/self/status."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    pytest.skip("no VmRSS in /proc/self/status")
+
+
+def serve_tasks(server):
+    """Names of the connection tasks alive on the server's loop."""
+
+    async def names():
+        return [
+            task.get_coro().__qualname__
+            for task in asyncio.all_tasks()
+            if task.get_coro().__qualname__.startswith("_FrameReader")
+        ]
+
+    return asyncio.run_coroutine_threadsafe(names(), server._loop).result(10.0)
+
+
+class TestFrameReader:
+    """Frames cut anywhere, pipelined, oversized, hostile or abandoned."""
+
+    @pytest.mark.parametrize("size", [1_000, 20_000])  # staged; own buffer
+    def test_dribbled_frame_and_split_header(self, served, rng, size):
+        _, server, client = served
+        data = rng.normal(size=size)
+        frame = proto.encode_frame(
+            proto.Op.INGEST, proto.encode_ingest_request(data)
+        )
+        with connect(server) as sock:
+            # Two sends split the header; the payload's head follows a
+            # few bytes per send, the rest in ragged chunks.
+            pieces = [frame[:5], frame[5:12]]
+            pos = 12
+            while pos < 400:
+                pieces.append(frame[pos : pos + 3])
+                pos += 3
+            cuts = np.sort(rng.choice(np.arange(pos + 1, len(frame)), 20, replace=False))
+            pieces += [frame[a:b] for a, b in zip([pos, *cuts], [*cuts, len(frame)])]
+            for piece in pieces[:200]:
+                sock.sendall(piece)
+                time.sleep(0.0005)
+            for piece in pieces[200:]:
+                sock.sendall(piece)
+            sock.sendall(proto.encode_frame(proto.Op.PING))
+            (ingest, ping) = read_frames(sock, 2)
+        assert ingest[0] == proto.Op.INGEST | proto.REPLY_BIT
+        assert proto.decode_ingest_reply(ingest[1])["accepted"] == size
+        assert ping[0] == proto.Op.PING | proto.REPLY_BIT
+        client.snapshot()
+        vec = client.quantiles(PHI_GRID)
+        ordered = np.sort(data)
+        assert vec.count == size
+        for i in range(len(PHI_GRID)):
+            assert vec.lower[i] <= ordered[vec.ranks[i] - 1] <= vec.upper[i]
+
+    def test_pipelined_burst_answers_in_order(self, served, rng):
+        _, server, client = served
+        client.ingest(rng.uniform(size=1_000))
+        client.snapshot()
+        big = rng.uniform(size=1_000_000)  # an 8 MB payload
+        ping = proto.encode_frame(proto.Op.PING)
+        query = proto.encode_frame(
+            proto.Op.QUANTILES, proto.encode_quantiles_request(np.array(PHI_GRID))
+        )
+        burst = [
+            ping,
+            proto.encode_frame(proto.Op.INGEST, proto.encode_ingest_request(big)),
+            query,
+            ping,
+            query,
+            proto.encode_frame(
+                proto.Op.INGEST, proto.encode_ingest_request(big[:1_000])
+            ),
+            ping,
+        ]
+        with connect(server) as sock:
+            sock.sendall(b"".join(burst))
+            replies = read_frames(sock, len(burst))
+        expected = [proto.HEADER.unpack(f[:12])[2] | proto.REPLY_BIT for f in burst]
+        assert [op for op, _ in replies] == expected
+        assert proto.decode_ingest_reply(replies[1][1])["accepted"] == 1_000_000
+        assert proto.decode_ingest_reply(replies[5][1])["accepted"] == 1_000
+        # Both queries read the one published epoch, byte for byte.
+        assert replies[2][1] == replies[4][1]
+        assert proto.decode_quantiles_reply(replies[2][1]).count == 1_000
+
+    def test_framing_error_before_unread_bytes_still_answers(self, served):
+        """The peer is still sending when its header is refused: the
+        server reads and drops the rest, so closing does not reset the
+        connection under the error frame."""
+        _, server, _ = served
+        junk = b"XXXX" + bytes(2 * 1024 * 1024)
+        frames, eof = raw_exchange(server, junk)
+        assert eof and len(frames) == 1
+        assert frames[0][0] == proto.ERROR_OP
+        assert b"not an OPAQ frame" in frames[0][1]
+
+    def test_framing_error_ends_the_stream_without_peer_eof(self, served):
+        _, server, client = served
+        with connect(server) as sock:
+            sock.sendall(b"not a frame header")
+            # The server half-closes after the error frame; it does not
+            # wait out its linger for the peer to hang up first.
+            sock.settimeout(1.0)
+            (error,) = read_frames(sock, 1)
+            assert error[0] == proto.ERROR_OP
+            assert sock.recv(1024) == b""  # EOF follows the error frame
+        assert client.health() is True
+
+    def test_stalled_max_payload_peer_blocks_nobody(self, served, rng):
+        _, server, client = served
+        header = proto.HEADER.pack(
+            proto.MAGIC, proto.WIRE_VERSION, proto.Op.INGEST, 0, proto.MAX_PAYLOAD
+        )
+        rss = resident_bytes()
+        with connect(server) as stalled:
+            stalled.sendall(header + b"\x01" * 1000)
+            time.sleep(0.05)
+            # The 64 MiB payload buffer is allocated, but untouched.
+            assert resident_bytes() - rss < proto.MAX_PAYLOAD // 4
+            # Other connections are served while the frame waits.
+            client.ingest(rng.uniform(size=5_000))
+            assert client.snapshot()["count"] == 5_000
+            assert client.quantiles([0.5]).count == 5_000
+            stalled.shutdown(socket.SHUT_WR)
+            (error,) = read_frames(stalled, 1)
+            assert stalled.recv(1024) == b""
+        assert error[0] == proto.ERROR_OP
+        assert b"mid-frame" in error[1]
+        assert f"1000 of {proto.MAX_PAYLOAD}".encode() in error[1]
+
+    def test_disconnect_during_ingest_leaves_no_task(self, served, rng, caplog):
+        service, server, client = served
+        entered, release = threading.Event(), threading.Event()
+        ingest = service.ingest
+
+        def slow_ingest(values):
+            entered.set()
+            release.wait(10.0)
+            return ingest(values)
+
+        service.ingest = slow_ingest
+        frame = proto.encode_frame(
+            proto.Op.INGEST, proto.encode_ingest_request(rng.uniform(size=1_000))
+        )
+        with connect(server) as sock:
+            sock.sendall(frame)
+            assert entered.wait(10.0)
+        time.sleep(0.1)  # the loop sees the connection go
+        release.set()
+        # An idle connection reset by its peer (no EOF first) ends too.
+        with connect(server) as sock:
+            sock.sendall(proto.encode_frame(proto.Op.PING))
+            read_frames(sock, 1)
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        deadline = time.monotonic() + 10.0
+        while serve_tasks(server) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert serve_tasks(server) == []
+        gc.collect()
+        assert "never retrieved" not in caplog.text
+        del service.ingest
+        assert client.health() is True
 
 
 class TestClientAddressing:
