@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.config import OPAQConfig
 from repro.core.summary import OPAQSummary
-from repro.errors import EstimationError
+from repro.errors import DataError, EstimationError
 from repro.obs import current_tracer
 from repro.selection import SelectionStrategy, kway_merge, regular_sample_ranks
 from repro.storage import RunReader
@@ -94,10 +94,10 @@ def sample_run(
     # every guarantee downstream.  A NaN-last strategy shows one at the
     # top sample; any other must not see one at all.
     if not strategy.nan_last and np.isnan(run.min()):
-        raise EstimationError(_NAN_KEYS)
+        raise DataError(_NAN_KEYS)
     samples = strategy.multiselect(run, ranks, overwrite_input=overwrite_input)
     if np.isnan(samples[-1]):
-        raise EstimationError(_NAN_KEYS)
+        raise DataError(_NAN_KEYS)
     gaps = np.diff(np.concatenate([[-1], ranks])).astype(np.int64)
     floors = np.concatenate([[-np.inf], samples[:-1]])
     return samples, gaps, floors

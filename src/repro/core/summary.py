@@ -72,13 +72,34 @@ class OPAQSummary:
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
         gaps = np.asarray(self.gaps, dtype=np.int64)
-        if self.floors is None:
-            floors = np.full(samples.shape, -np.inf)
-        else:
-            floors = np.asarray(self.floors, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "floors", floors)
+        floors = np.full(samples.shape, -np.inf) if self.floors is None else self.floors
+        vars(self).update(
+            samples=samples, gaps=gaps, _cum=gaps.cumsum(),
+            floors=np.asarray(floors, dtype=np.float64),
+        )
+        self.validate()
+
+    @classmethod
+    def _trusted(
+        cls, samples: np.ndarray, gaps: np.ndarray, floors: np.ndarray,
+        num_runs: int, count: int, minimum: float, maximum: float,
+    ) -> "OPAQSummary":
+        """A summary of float64 samples and floors and int64 gaps that keep
+        G1-G3 by construction (merges, compactions, deltas): no checks."""
+        summary = object.__new__(cls)
+        vars(summary).update(
+            samples=samples, gaps=gaps, floors=floors, num_runs=num_runs,
+            count=count, minimum=minimum, maximum=maximum, _cum=gaps.cumsum(),
+        )
+        return summary
+
+    def validate(self) -> None:
+        """Check the group invariants G1-G3 (docs/guarantees.md) in O(n).
+
+        Raises :class:`~repro.errors.EstimationError` on the first one
+        broken.  The public constructor, and so every decode, runs it.
+        """
+        samples, gaps, floors = self.samples, self.gaps, self.floors
         if self.count <= 0:
             raise EstimationError("summary must describe at least one element")
         if samples.size == 0:
@@ -97,23 +118,21 @@ class OPAQSummary:
             raise EstimationError("minimum exceeds maximum")
         if not is_sorted(samples):
             raise EstimationError("sample list must be sorted")
-        cum = gaps.cumsum()
-        if int(cum[-1]) != self.count:
+        if int(self._cum[-1]) != self.count:
             raise EstimationError(
-                f"sub-run sizes sum to {int(cum[-1])} but the summary claims "
+                f"sub-run sizes sum to {int(self._cum[-1])} but the summary claims "
                 f"{self.count} elements"
             )
-        object.__setattr__(self, "_cum", cum)
 
     @property
     def _maxlt(self) -> np.ndarray:
         """The ``maxlt`` array, built on first use and cached.
 
         Summary construction is hot in the multi-tenant registry: a fold
-        builds several short-lived summaries per key (the exact delta,
-        then one candidate per compaction width), and only the survivor
-        ever answers a rank query.  Deferring the build here cuts
-        construction to its validation cost.  Two threads racing on
+        builds several short-lived summaries per key (the merge, then
+        one candidate per compaction width), and only the survivor ever
+        answers a rank query.  Deferring the build here cuts a merge or
+        compaction to its own array work.  Two threads racing on
         first use both build the same idempotent array, so the benign
         race costs one redundant build, never a wrong answer.
         """
@@ -307,7 +326,7 @@ class OPAQSummary:
                 )
         merged = np.concatenate(samples)
         order = merged.argsort(kind="stable")
-        return OPAQSummary(
+        return OPAQSummary._trusted(
             samples=merged[order],
             gaps=np.concatenate(gaps)[order],
             floors=np.concatenate(floors)[order],
@@ -345,7 +364,7 @@ class OPAQSummary:
         starts = np.concatenate([[0], survivors[:-1] + 1])
         new_gaps = np.add.reduceat(self.gaps, starts)
         new_floors = np.minimum.reduceat(self.floors, starts)
-        return OPAQSummary(
+        return OPAQSummary._trusted(
             samples=self.samples[survivors].copy(),
             gaps=new_gaps,
             floors=new_floors,
@@ -425,7 +444,7 @@ class OPAQSummary:
                 minimum=float(meta["minimum"]),
                 maximum=float(meta["maximum"]),
             )
-        except KeyError as exc:
+        except (KeyError, EstimationError) as exc:  # missing or invalid fields
             raise DataError(f"malformed summary file {source}: {exc}") from None
 
     def save(self, path: str | os.PathLike) -> None:
@@ -442,10 +461,10 @@ class OPAQSummary:
         """Load a summary saved with :meth:`save`.
 
         Accepts formats 2-5; pre-floor archives load with fully
-        conservative ``-inf`` floors (sound, looser).  A wrong magic or an
-        unknown version raises :class:`~repro.errors.DataError` here, with
-        a message naming the problem — never an arbitrary failure three
-        layers downstream.
+        conservative ``-inf`` floors (sound, looser).  A wrong magic, an
+        unknown version or arrays that fail :meth:`validate` raise
+        :class:`~repro.errors.DataError` here, with a message naming the
+        problem — never an arbitrary failure three layers downstream.
         """
         path = Path(path)
         if path.suffix != ".npz" and not path.exists():

@@ -45,7 +45,8 @@ class EstimationError(ReproError, RuntimeError):
 
 
 class DataError(ReproError, ValueError):
-    """Malformed on-disk data: truncated file, wrong dtype, bad header."""
+    """Input the library cannot take: malformed on-disk data (truncated
+    file, wrong dtype, bad header), or NaN keys, which have no rank."""
 
 
 class ParallelError(ReproError, RuntimeError):

@@ -13,7 +13,7 @@ This module is also where the *canonical* per-key fold logic lives —
 multi-tenant registry can treat OPAQ as one engine among several: the
 service layer imports from the portfolio, never the reverse.
 :class:`OpaqKeyState` replicates the registry's historical fold
-behaviour exactly (sorted pending → exact delta → merge →
+behaviour exactly (sorted pending → merge, as its exact delta →
 epsilon-gated compaction), byte for byte.
 """
 
@@ -45,15 +45,15 @@ __all__ = [
 def exact_delta(data: np.ndarray) -> OPAQSummary:
     """Sorted data -> exact summary (unit gaps, rank guarantee 1).
 
-    ``data`` must already be sorted and owned by the caller.  Each
-    element is its own group, so its floor IS the element — without
-    explicit floors they default to the conservative ``-inf``, which is
-    harmless while gaps are 1 but makes every group a straddler for
-    every value after compaction, blowing the guarantee up to
-    ``~s*(k-1)`` instead of ``~k`` and defeating
-    :func:`compact_within_budget`.
+    ``data`` must already be a sorted, non-empty float64 array owned by
+    the caller; it is trusted, not checked.  Each element is its own
+    group, so its floor IS the element — without explicit floors they
+    default to the conservative ``-inf``, which is harmless while gaps
+    are 1 but makes every group a straddler for every value after
+    compaction, blowing the guarantee up to ``~s*(k-1)`` instead of
+    ``~k`` and defeating :func:`compact_within_budget`.
     """
-    return OPAQSummary(
+    return OPAQSummary._trusted(
         samples=data,
         gaps=np.ones(data.size, dtype=np.int64),
         num_runs=1,
@@ -240,9 +240,9 @@ class OpaqKeyState:
         return 0 if self.summary is None else self.summary.memory_footprint
 
     def absorb(self, data: np.ndarray) -> None:
-        """Merge one sorted chunk: exact delta -> merge -> gated compact."""
-        delta = exact_delta(data)
-        merged = delta if self.summary is None else self.summary.merge(delta)
+        """Merge one sorted chunk (its exact delta on the first fold),
+        then compact within the epsilon gate."""
+        merged = exact_delta(data) if self.summary is None else self.summary.merge(data)
         merged, compacted = compact_within_budget(
             merged, epsilon=self.epsilon, target=self.max_samples
         )

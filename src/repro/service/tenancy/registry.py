@@ -78,11 +78,9 @@ from repro.errors import DataError, EstimationError, ServiceError
 from repro.obs import current_tracer
 from repro.portfolio import ENGINES, EngineSpec
 
-# The canonical fold primitives live with the OPAQ portfolio engine now;
-# re-exported here (and aliased for ``_exact_delta``) so every historical
-# import path through the registry keeps working.
+# The canonical fold primitives live with the OPAQ portfolio engine;
+# ``compact_within_budget`` is re-exported here.
 from repro.portfolio.opaq import OpaqKeyState, compact_within_budget
-from repro.portfolio.opaq import exact_delta as _exact_delta  # noqa: F401
 from repro.service.tenancy.config import RegistryConfig
 from repro.service.tenancy.keys import KEY_SEP, WILDCARD, compose_key
 from repro.service.tenancy.store import SpillRecord, SpillStore

@@ -85,7 +85,7 @@ def _strided_delta(data: np.ndarray, max_samples: int) -> OPAQSummary:
         samples = np.append(samples, data[-1])
         floors = np.append(floors, data[n - r])
         gaps = np.append(gaps, r)
-    return OPAQSummary(
+    return OPAQSummary._trusted(
         samples=samples,
         gaps=gaps,
         num_runs=1,
@@ -123,6 +123,11 @@ class _Rollup:
         is_slice = not isinstance(part, OPAQSummary)
         if is_slice and part.size == 0:
             raise EstimationError("a rollup slice must be non-empty")
+        # Deltas are built unchecked, so a slice that fits under the
+        # bound is checked here, on either path.  A larger one is not:
+        # the registry sorts it, and a pass would slow large frames.
+        if is_slice and part.size <= self._max and not is_sorted(part):
+            raise EstimationError("a rollup slice must be sorted")
         with self._lock:
             fill = self._ends[-1] if self._ends else 0
             current = self._summary
@@ -131,10 +136,6 @@ class _Rollup:
                 and current is not None
                 and current.num_samples + fill + part.size <= self._max
             ):
-                # The eager path's summary constructors check what they
-                # build; a buffered slice meets none until its fold.
-                if not is_sorted(part):
-                    raise EstimationError("a rollup slice must be sorted")
                 end = fill + part.size
                 if end > self._values.size:
                     grown = np.empty(min(max(end, 2 * self._values.size), self._max))

@@ -174,13 +174,20 @@ class TestLazyFolds:
             else:
                 parts = inc.parts
                 merged = parts[0].merge(*parts[1:])
+                merged.validate()
                 assert merged.to_bytes() == oracle.summary.to_bytes()
                 # Reading the parts merges nothing.
                 assert len(inc.parts) == len(parts)
                 assert all(a is b for a, b in zip(inc.parts, parts))
+            if oracle.summary is not None:
+                # Merges and compactions are built unchecked.
+                oracle.summary.validate()
+                for part in inc.parts:
+                    part.validate()
             if max_samples is not None and oracle.summary is not None:
                 assert sum(p.num_samples for p in inc.parts) <= max_samples
         if oracle.summary is not None:
+            inc.summary.validate()
             assert inc.summary.to_bytes() == oracle.summary.to_bytes()
             assert len(inc.parts) == 1
 

@@ -44,6 +44,7 @@ def oracle_maxlt(samples, gaps, floors, cum):
 
 
 def assert_matches_oracle(summary: OPAQSummary) -> None:
+    summary.validate()  # merges, compactions and deltas are built unchecked
     cum = summary.cumulative_min_ranks()
     expected = oracle_maxlt(summary.samples, summary.gaps, summary.floors, cum)
     got = summary.max_below_all()

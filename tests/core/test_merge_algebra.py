@@ -22,6 +22,14 @@ from repro.selection import merge_two_with_payload
 PHI_GRID = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
 
 
+def checked(summary: OPAQSummary) -> OPAQSummary:
+    """``summary``, once :meth:`~OPAQSummary.validate` passes on it:
+    merges and compactions are built unchecked, so the suite checks
+    every one it makes."""
+    summary.validate()
+    return summary
+
+
 def bounds_fingerprint(summary: OPAQSummary) -> bytes:
     """Byte-exact serialisation of the bounds over the φ grid.
 
@@ -33,6 +41,7 @@ def bounds_fingerprint(summary: OPAQSummary) -> bytes:
     that array legitimately depends on merge order even though the values
     and guarantees at every position do not.
     """
+    checked(summary)
     blob = b""
     for phi in PHI_GRID:
         b = quantile_bounds(summary, phi)
@@ -59,7 +68,7 @@ def make_shards(rng: np.random.Generator, k: int) -> list[OPAQSummary]:
 def fold(shards: list[OPAQSummary]) -> OPAQSummary:
     merged = shards[0]
     for s in shards[1:]:
-        merged = merged.merge(s)
+        merged = checked(merged.merge(s))
     return merged
 
 
@@ -68,7 +77,7 @@ def tree_fold(shards: list[OPAQSummary]) -> OPAQSummary:
     level = list(shards)
     while len(level) > 1:
         nxt = [
-            level[i].merge(level[i + 1]) if i + 1 < len(level) else level[i]
+            checked(level[i].merge(level[i + 1])) if i + 1 < len(level) else level[i]
             for i in range(0, len(level), 2)
         ]
         level = nxt
@@ -97,7 +106,7 @@ def test_merge_association_does_not_change_bounds(rng, k):
 
 def test_merge_commutes_pairwise(rng):
     a, b = make_shards(rng, 2)
-    ab, ba = a.merge(b), b.merge(a)
+    ab, ba = checked(a.merge(b)), checked(b.merge(a))
     assert bounds_fingerprint(ab) == bounds_fingerprint(ba)
     # The scalar bookkeeping must agree exactly as well.
     assert ab.count == ba.count
@@ -159,7 +168,7 @@ def test_compaction_is_deterministic_on_canonical_merge(rng):
     assert bounds_fingerprint(fold(shards).compact_to(200)) == ref
 
     for variant in (fold(shards[::-1]), tree_fold(shards)):
-        compacted = variant.compact_to(200)
+        compacted = checked(variant.compact_to(200))
         assert compacted.count == canonical.count
         for phi in PHI_GRID:
             b = quantile_bounds(compacted, phi)
@@ -205,7 +214,7 @@ def summaries(draw) -> OPAQSummary:
         minimum=samples[0],
         maximum=samples[-1],
     )
-    return summary.compact(draw(st.integers(1, 3)))
+    return checked(summary.compact(draw(st.integers(1, 3))))
 
 
 def _reference_merge(a: OPAQSummary, b: OPAQSummary):
@@ -225,7 +234,7 @@ def test_merge_matches_the_reference_two_way_merge(a, b):
     """Compaction reads the merged tie layout (see the test above), so
     the merge must reproduce the reference kernel's arrays byte for
     byte: ties keep ``a`` before ``b``, sign bits included."""
-    merged = a.merge(b)
+    merged = checked(a.merge(b))
     samples, gaps, floors = _reference_merge(a, b)
     assert merged.samples.tobytes() == samples.tobytes()
     assert merged.gaps.dtype == np.int64

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import OPAQConfig, build_summary, sample_run, scaled_sample_count
-from repro.errors import EstimationError
+from repro.errors import DataError, EstimationError
 from repro.selection import get_strategy
 
 
@@ -159,12 +159,12 @@ class TestNaNRejection:
     def test_nan_in_run_rejected(self, rng):
         run = rng.uniform(size=100)
         run[17] = np.nan
-        with pytest.raises(EstimationError, match="NaN"):
+        with pytest.raises(DataError, match="NaN"):
             sample_run(run, 10, get_strategy("numpy"))
 
     def test_nan_rejected_through_build(self, rng):
         config = OPAQConfig(run_size=100, sample_size=10)
         bad = rng.uniform(size=200)
         bad[150] = np.nan
-        with pytest.raises(EstimationError, match="NaN"):
+        with pytest.raises(DataError, match="NaN"):
             build_summary([bad[:100], bad[100:]], config)

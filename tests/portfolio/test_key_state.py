@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.portfolio import ENGINES
+from repro.portfolio.opaq import OpaqKeyState
 
 EPSILON = 0.01
 MAX_SAMPLES = 256
@@ -21,6 +22,14 @@ MAX_SAMPLES = 256
 #: Engines whose key state is expected to honour the epsilon contract
 #: (deterministically or per seeded query); as95 is exempt by design.
 CONTRACT_ENGINES = [n for n, s in sorted(ENGINES.items()) if s.guarantee != "none"]
+
+
+def absorb(state, data: np.ndarray) -> None:
+    """Fold ``data`` in; an OPAQ state's summary is built unchecked, so
+    its invariants are checked here after every fold."""
+    state.absorb(data)
+    if isinstance(state, OpaqKeyState):
+        state.summary.validate()
 
 
 def _chunks(rng, count=40, size=1_500):
@@ -38,7 +47,7 @@ def test_epsilon_contract_holds_after_every_fold(name, rng):
     state = ENGINES[name].key_state(EPSILON, MAX_SAMPLES, seed=7)
     total = 0
     for chunk in _chunks(rng):
-        state.absorb(chunk)
+        absorb(state, chunk)
         total += chunk.size
         assert state.count == total
         g = state.guaranteed_rank_error()
@@ -46,7 +55,7 @@ def test_epsilon_contract_holds_after_every_fold(name, rng):
     for count in SMALL_COUNTS:
         small = ENGINES[name].key_state(EPSILON, MAX_SAMPLES, seed=7)
         data = np.sort(rng.normal(size=count))
-        small.absorb(data)
+        absorb(small, data)
         g = small.guaranteed_rank_error()
         assert g - 1 <= EPSILON * count, (name, count, g)
         psi, lower, upper, _, _, _ = small.bounds_arrays([0.01, 0.5, 1.0])
@@ -58,7 +67,7 @@ def test_epsilon_contract_holds_after_every_fold(name, rng):
 def test_key_state_answers_the_uniform_interface(name, rng, tmp_path):
     state = ENGINES[name].key_state(EPSILON, MAX_SAMPLES, seed=3)
     data = np.sort(rng.normal(size=6_000))
-    state.absorb(data)
+    absorb(state, data)
     assert state.count == data.size
     assert state.memory_footprint > 0
     assert state.compactions >= 0
@@ -78,7 +87,7 @@ def test_key_state_answers_the_uniform_interface(name, rng, tmp_path):
 def test_restored_key_state_resumes_folding(name, rng, tmp_path):
     spec = ENGINES[name]
     state = spec.key_state(EPSILON, MAX_SAMPLES, seed=5)
-    state.absorb(np.sort(rng.normal(size=5_000)))
+    absorb(state, np.sort(rng.normal(size=5_000)))
     compactions = state.compactions
     path = tmp_path / "spilled.npz"
     state.save(path)
@@ -91,7 +100,7 @@ def test_restored_key_state_resumes_folding(name, rng, tmp_path):
     )
     assert resumed.count == 5_000
     assert resumed.compactions == compactions
-    resumed.absorb(np.sort(rng.normal(size=5_000)))
+    absorb(resumed, np.sort(rng.normal(size=5_000)))
     assert resumed.count == 10_000
     if spec.guarantee != "none":
         g = resumed.guaranteed_rank_error()
@@ -104,14 +113,14 @@ def test_opaq_key_state_compaction_is_epsilon_gated(rng):
     than breach the key's epsilon."""
     tight = ENGINES["opaq"].key_state(1e-6, 4, seed=0)
     data = np.sort(rng.normal(size=2_000))
-    tight.absorb(data)
+    absorb(tight, data)
     # Epsilon of 1e-6 over 2k elements forbids any lossy compaction.
     assert tight.guaranteed_rank_error() == 1
     assert tight.compactions == 0
     assert tight.memory_footprint == 3 * data.size
 
     loose = ENGINES["opaq"].key_state(0.05, 4, seed=0)
-    loose.absorb(data)
+    absorb(loose, data)
     assert loose.compactions == 1
     assert loose.memory_footprint < 3 * data.size
     assert loose.guaranteed_rank_error() - 1 <= 0.05 * data.size

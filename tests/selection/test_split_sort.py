@@ -118,7 +118,7 @@ def test_overwrite_input_true_sorts_in_place():
 
 
 def test_sample_run_rejects_nan_under_every_strategy(force_split):
-    from repro.errors import EstimationError
+    from repro.errors import DataError
     from repro.selection import STRATEGY_NAMES
 
     run = np.random.default_rng(4).uniform(size=200)
@@ -126,7 +126,7 @@ def test_sample_run_rejects_nan_under_every_strategy(force_split):
     for name in STRATEGY_NAMES:
         for s in (1, 2, 10):  # 1 and 2 ranks take numpy's partition path
             for overwrite in (False, True):
-                with pytest.raises(EstimationError, match="NaN"):
+                with pytest.raises(DataError, match="NaN"):
                     sample_run(run.copy(), s, get_strategy(name), overwrite)
 
 

@@ -339,6 +339,84 @@ class TestBlindWrites:
         registry.close()
 
 
+class TestValidateOnce:
+    def test_only_decoded_records_are_checked(self, rng, tmp_path, monkeypatch):
+        """Summaries enter a registry from its spill directory and are
+        checked there, once per decoded record; the merges, compactions
+        and deltas the registry and its rollups build are never checked.
+        """
+        from repro.core.summary import OPAQSummary
+        from repro.portfolio import opaq
+        from repro.service.tenancy import tree
+
+        validated: list[OPAQSummary] = []
+        decoded: list[OPAQSummary] = []
+        trusted: dict[str, list[OPAQSummary]] = {}
+        validate = OPAQSummary.validate
+        from_fields = OPAQSummary._from_fields.__func__
+
+        def counting_validate(self):
+            validated.append(self)
+            validate(self)
+
+        def counting_from_fields(cls, *args):
+            summary = from_fields(cls, *args)
+            decoded.append(summary)
+            return summary
+
+        def recording(name, build):
+            def wrapped(*args, **kwargs):
+                summary = build(*args, **kwargs)
+                if summary is not args[0]:  # merge/compact may return self
+                    trusted.setdefault(name, []).append(summary)
+                return summary
+            return wrapped
+
+        monkeypatch.setattr(OPAQSummary, "validate", counting_validate)
+        monkeypatch.setattr(
+            OPAQSummary, "_from_fields", classmethod(counting_from_fields)
+        )
+        for owner, name in [
+            (OPAQSummary, "merge"),
+            (OPAQSummary, "compact"),
+            (opaq, "exact_delta"),
+            (tree, "exact_delta"),
+            (tree, "_strided_delta"),
+        ]:
+            monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+
+        config = small_config(
+            tmp_path, memory_budget=300, num_shards=1, fold_threshold=64
+        )
+        with SummaryRegistry(config) as registry:
+            registry.ingest("t", "a", rng.normal(size=300))
+            registry.ingest("t", "b", rng.normal(size=300))
+            assert registry.stats()["spills"] == 1  # the budget evicts t/a
+            registry.ingest("t", "a", rng.normal(size=20))
+            registry.ingest("t", "c", rng.normal(size=100))
+            assert registry.stats()["delta_appends"] == 1
+            cold = registry.quantiles("t", "a", [0.5])
+            assert cold.source == "restored" and cold.count == 320
+            registry.ingest("t", "a", rng.normal(size=70))  # folds it back
+            stats = registry.stats()
+            assert stats["restores"] == 1 and stats["disk_reads"] == 1
+            assert registry.quantiles("t", "a", [0.5]).count == 390
+        with SummaryRegistry(config) as reopened:  # decodes the rollups
+            assert reopened.quantiles("*", "*", [0.5]).count == 790
+            assert reopened.quantiles("t", "a", [0.5]).count == 390
+
+        assert sorted(trusted) == [
+            "_strided_delta", "compact", "exact_delta", "merge"
+        ]
+        # t/a's record for the cold query, the fold-back and the query
+        # after the restart, and the four rollups (one shard, three metrics).
+        assert len(decoded) == 7
+        assert len(validated) == len(decoded)
+        assert all(v is d for v, d in zip(validated, decoded))
+        built = {id(s) for summaries in trusted.values() for s in summaries}
+        assert not any(id(s) in built for s in validated)
+
+
 _ENGINE_NAMES = ("opaq", "kll", "gk", "as95")
 
 
@@ -426,10 +504,10 @@ class TestRollups:
 
 class TestCompactWithinBudget:
     def test_backs_off_rather_than_break_epsilon(self, rng):
-        from repro.service.tenancy.registry import _exact_delta
+        from repro.portfolio.opaq import exact_delta
 
         data = np.sort(rng.uniform(size=50_000))
-        summary = _exact_delta(data)
+        summary = exact_delta(data)
         compacted, did = compact_within_budget(
             summary, epsilon=0.001, target=8
         )

@@ -14,18 +14,18 @@ from hypothesis import given, settings, strategies as st
 from repro.core.quantile_phase import bounds_arrays
 from repro.core.summary import OPAQSummary
 from repro.errors import EstimationError
+from repro.portfolio import opaq
 from repro.service.tenancy import (
     AggregationTree,
     RegistryConfig,
     SpillStore,
     SummaryRegistry,
 )
-from repro.service.tenancy.registry import _exact_delta
 from repro.service.tenancy.tree import _strided_delta
 
 
 def exact_delta(data):
-    return _exact_delta(np.sort(np.asarray(data, dtype=np.float64)))
+    return opaq.exact_delta(np.sort(np.asarray(data, dtype=np.float64)))
 
 
 class TestRollups:
@@ -176,7 +176,12 @@ class EagerTree:
 
 
 def as_bytes(summary: OPAQSummary | None) -> bytes | None:
-    return None if summary is None else summary.to_bytes()
+    """The summary's record, once its invariants check out: rollups are
+    merged and compacted unchecked."""
+    if summary is None:
+        return None
+    summary.validate()
+    return summary.to_bytes()
 
 
 # Heavy duplicates, both signed zeros, and slices from 1 to 2 x MAX.
@@ -205,14 +210,14 @@ def check_save_load(tree: AggregationTree, oracle: EagerTree) -> None:
                 assert as_bytes(saved) == as_bytes(summary)
             for metric, summary in oracle.metrics.items():
                 saved = store.load_aux(f"rollup-metric-{metric}")
-                assert saved.to_bytes() == summary.to_bytes()
+                assert as_bytes(saved) == as_bytes(summary)
         with SpillStore(Path(tmp)) as store:
             fresh = AggregationTree(num_shards=SHARDS, max_samples=MAX)
             fresh.load_from(store)
     for i, summary in enumerate(oracle.shards):
         assert as_bytes(fresh.shard_summary(i)) == as_bytes(summary)
     for metric, summary in oracle.metrics.items():
-        assert fresh.metric_summary(metric).to_bytes() == summary.to_bytes()
+        assert as_bytes(fresh.metric_summary(metric)) == as_bytes(summary)
     assert as_bytes(fresh.global_summary()) == as_bytes(oracle.global_summary())
 
 
@@ -319,16 +324,18 @@ def test_concurrent_absorbs_and_reads_lose_nothing():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert tree.metric_summary("m").count == sum(fed)
-    assert tree.global_summary().count == sum(fed)
+    for summary in (tree.metric_summary("m"), tree.global_summary()):
+        summary.validate()
+        assert summary.count == sum(fed)
 
 
 def test_frames_below_the_bound_build_no_rollup_summary_until_read(
     monkeypatch, rng
 ):
     """After a rollup's first frame, frames that fit under the bound
-    build no ``OPAQSummary`` at all (key folds are held off by the fold
-    threshold); a read of the metric rollup then builds exactly one."""
+    build no ``OPAQSummary`` at all, checked or trusted (key folds are
+    held off by the fold threshold); a read of the metric rollup then
+    builds exactly one."""
     config = RegistryConfig(
         memory_budget=10**6,
         num_shards=1,
@@ -337,12 +344,19 @@ def test_frames_below_the_bound_build_no_rollup_summary_until_read(
     )
     built: list[int] = []
     post_init = OPAQSummary.__post_init__
+    trusted = OPAQSummary._trusted.__func__
 
     def counting(self):
         built.append(self.count)
         post_init(self)
 
+    def counting_trusted(cls, *args, **kwargs):
+        summary = trusted(cls, *args, **kwargs)
+        built.append(summary.count)
+        return summary
+
     monkeypatch.setattr(OPAQSummary, "__post_init__", counting)
+    monkeypatch.setattr(OPAQSummary, "_trusted", classmethod(counting_trusted))
     with SummaryRegistry(config) as registry:
         registry.ingest("t", "m", rng.normal(size=10))
         assert len(built) == 2  # the shard's and the metric's first part

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import OPAQ, OPAQConfig
+from repro.core import OPAQ, OPAQConfig, OPAQSummary
 from repro.errors import DataError
 from repro.service import EpochSnapshot, QuantileService, ServiceConfig, SnapshotStore
 
@@ -209,6 +209,20 @@ class TestCrashResilience:
         store.save(make_snapshot(rng, epoch=1), retain=5)
         store.save(make_snapshot(rng, epoch=2), retain=5)
         (tmp_path / "epoch-00000002.npz").unlink()
+        loaded = store.load_latest()
+        assert loaded is not None and loaded.epoch == 1
+
+    def test_archive_that_breaks_the_invariants_falls_back(self, rng, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.save(make_snapshot(rng, epoch=1), retain=5)
+        store.save(make_snapshot(rng, epoch=2), retain=5)
+        path = tmp_path / "epoch-00000002.npz"
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["samples"] = arrays["samples"][::-1].copy()  # parses, unsorted
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match="malformed summary file"):
+            OPAQSummary.load(path)
         loaded = store.load_latest()
         assert loaded is not None and loaded.epoch == 1
 
