@@ -107,12 +107,15 @@ def _pair(i: int) -> tuple[str, str]:
 
 
 def _budget(keys: int, el_per_key: int) -> int:
-    """Fixed slot budget: 1.3x the fold-compacted working set.
+    """Fixed slot budget: 1.3x the working set of folded OPAQ keys.
 
     A folded key occupies ``per_key_overhead + 3*num_samples`` slots
     with ``num_samples <= min(el_per_key, max_key_samples)``; the slack
     absorbs in-flight ingest blocks and shard imbalance without ever
-    letting residency grow past the recorded ceiling.
+    letting residency grow past the recorded ceiling.  Keys of at most
+    ``max_key_samples`` elements stay raw, one slot per element, so the
+    smaller rows' keys fit with room to spare; the formula is kept so
+    budgets stay comparable across recordings.
     """
     slots_per_key = 4 + 3 * min(el_per_key, _MAX_KEY_SAMPLES)
     return int(1.3 * keys * slots_per_key)

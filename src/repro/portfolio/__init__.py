@@ -15,16 +15,21 @@ recording its guarantee kind, mergeability and serialisation magic next
 to constructors for every context an engine is built in — default
 (:meth:`EngineSpec.make`), equal-memory shootouts
 (:meth:`EngineSpec.for_budget`), and the multi-tenant registry's
-per-key fold state (:meth:`EngineSpec.key_state`).  ``docs/portfolio.md``
-is the prose companion: the "which engine when" decision table plus the
-measured equal-memory shootout behind it.
+per-key fold state (:meth:`EngineSpec.key_state`), which a registry key
+reaches from the raw state every key starts in
+(:meth:`EngineSpec.raw_key_state`, :mod:`repro.portfolio.raw`).
+``docs/portfolio.md`` is the prose companion: the "which engine when"
+decision table plus the measured equal-memory shootout behind it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
+
+import numpy as np
 
 from repro.core.summary import OPAQSummary
 from repro.errors import ConfigError
@@ -38,6 +43,7 @@ from repro.portfolio.opaq import (
     compact_within_budget,
     exact_delta,
 )
+from repro.portfolio.raw import RawKeyState, raw_plan
 
 __all__ = [
     "ENGINES",
@@ -47,6 +53,7 @@ __all__ = [
     "make_engine",
     "OPAQEngine",
     "OpaqKeyState",
+    "RawKeyState",
     "KLLEngine",
     "KLLSummary",
     "GKEngine",
@@ -116,6 +123,22 @@ class EngineSpec:
         return self.engine_cls.restored_key_state(
             loaded, compactions, epsilon=epsilon, max_samples=max_samples
         )
+
+    def raw_key_state(
+        self,
+        epsilon: float,
+        max_samples: int,
+        seed: int = 0,
+        values: np.ndarray | None = None,
+        absorbs: int = 0,
+        minimum: float = math.inf,
+        maximum: float = -math.inf,
+    ) -> RawKeyState:
+        """A registry key's state until this engine would compact: its
+        values, sorted (empty for a new key; a spilled raw key passes
+        its values, absorb count and extremes back)."""
+        plan = raw_plan(self.name, self.engine_cls, epsilon, max_samples)
+        return RawKeyState(plan, seed, values, absorbs, minimum, maximum)
 
 
 ENGINES: dict[str, EngineSpec] = {

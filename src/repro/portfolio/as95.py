@@ -55,6 +55,7 @@ from repro.portfolio.base import (
     target_ranks,
     validate_phis,
 )
+from repro.portfolio.raw import RawKeyState
 
 __all__ = ["IntervalSummary", "AS95Engine"]
 
@@ -217,9 +218,13 @@ class IntervalSummary(SketchSummary):
             (target - before) / np.maximum(counts[cell], 1e-300),
             0.5,
         )
-        left = self._bounds[cell]
+        # An infinite end (data holding ±inf) leaves nothing to
+        # interpolate: such a cell answers its other end.
         right = self._bounds[cell + 1]
-        estimate = np.clip(left + inside * (right - left), self._min, self._max)
+        left = np.where(np.isfinite(self._bounds[cell]), self._bounds[cell], right)
+        right = np.where(np.isfinite(right), right, left)
+        span = np.subtract(right, left, out=np.zeros_like(left), where=left != right)
+        estimate = np.clip(left + inside * span, self._min, self._max)
         max_below = psi - 1
         max_above = n - psi
         return psi, estimate, estimate.copy(), max_below, max_above, fractions
@@ -317,3 +322,20 @@ class AS95Engine(SketchEngine):
         contract is *not* honoured — AS95 has no error bound; the served
         guarantee says so."""
         return IntervalSummary(intervals=max(4, max_samples))
+
+    @classmethod
+    def raw_limit(cls, epsilon: float, max_samples: int) -> int:
+        """One short of the seed buffer: ``4 × intervals`` elements seed
+        the interval boundaries."""
+        return 4 * cls.key_state(epsilon, max_samples).intervals - 1
+
+    @classmethod
+    def key_state_from_raw(
+        cls, raw: RawKeyState, epsilon: float, max_samples: int, seed: int = 0
+    ) -> IntervalSummary:
+        """An unseeded summary whose buffer holds the values."""
+        state = cls.key_state(epsilon, max_samples, seed)
+        state._pending = [raw.values]
+        state._pending_size = state._n = raw.values.size
+        state._min, state._max = raw.minimum, raw.maximum
+        return state

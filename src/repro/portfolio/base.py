@@ -239,9 +239,11 @@ class SketchSummary(ArchiveCodec, StreamingQuantileEstimator):
         """Lossy compaction events absorbed so far."""
         return self._compactions
 
-    def absorb(self, chunk: np.ndarray) -> None:
-        """Registry fold hook: ingest one (sorted) chunk in place."""
+    def absorb(self, chunk: np.ndarray) -> "SketchSummary":
+        """Registry fold hook: ingest one (sorted) chunk in place; returns
+        this summary, the key's state after the fold."""
         self.update(chunk)
+        return self
 
     def _track_extremes(self, chunk: np.ndarray) -> None:
         self._min = min(self._min, float(chunk.min()))

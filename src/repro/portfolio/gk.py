@@ -58,6 +58,7 @@ from repro.portfolio.base import (
     target_ranks,
     validate_phis,
 )
+from repro.portfolio.raw import RawKeyState
 
 __all__ = ["GKSummary", "GKEngine"]
 
@@ -367,3 +368,30 @@ class GKEngine(SketchEngine):
         ``max(g + delta) + 1 <= 2*eps_gk*n + 1``, so running GK at half
         the contract epsilon keeps ``g - 1 <= eps*n`` deterministically."""
         return GKSummary(epsilon=epsilon / 2.0)
+
+    @classmethod
+    def raw_limit(cls, epsilon: float, max_samples: int) -> int:
+        """The most elements a key state holds as the data itself: the
+        compress pass folds a tuple only under a cap ``int(2·ε·n)`` of at
+        least 2, and the inserts' deltas stay 0 below it."""
+        eps = cls.key_state(epsilon, max_samples).epsilon
+        n = int(1.0 / eps)
+        while int(2 * eps * (n + 1)) < 2:
+            n += 1
+        while n and int(2 * eps * n) >= 2:
+            n -= 1
+        return n
+
+    @classmethod
+    def key_state_from_raw(
+        cls, raw: RawKeyState, epsilon: float, max_samples: int, seed: int = 0
+    ) -> GKSummary:
+        """The uncompressed tuple list: one tuple per value, ``g = 1``,
+        ``delta = 0``."""
+        state = cls.key_state(epsilon, max_samples, seed)
+        n = raw.values.size
+        state._v = raw.values
+        state._g = np.ones(n, dtype=np.int64)
+        state._d = np.zeros(n, dtype=np.int64)
+        state._n = n
+        return state

@@ -41,6 +41,7 @@ from repro.portfolio.base import (
     target_ranks,
     validate_phis,
 )
+from repro.portfolio.raw import RawKeyState
 
 __all__ = ["KLLSummary", "KLLEngine"]
 
@@ -343,3 +344,19 @@ class KLLEngine(SketchEngine):
         positive (``eps*n > 3*z*1.7 > 9`` there)."""
         k = max(8, int(math.ceil(3.0 * Z_SCORE * SIGMA_COEFF / epsilon)) + 1)
         return KLLSummary(k=k, seed=seed)
+
+    @classmethod
+    def raw_limit(cls, epsilon: float, max_samples: int) -> int:
+        """Level 0's capacity ``k``: a one-level sketch compacts past it."""
+        return cls.key_state(epsilon, max_samples).k
+
+    @classmethod
+    def key_state_from_raw(
+        cls, raw: RawKeyState, epsilon: float, max_samples: int, seed: int = 0
+    ) -> KLLSummary:
+        """A one-level sketch holding the values, its RNG not yet drawn."""
+        state = cls.key_state(epsilon, max_samples, seed)
+        state._levels[0].append(raw.values)
+        state._sizes[0] = state._n = raw.values.size
+        state._min, state._max = raw.minimum, raw.maximum
+        return state

@@ -14,7 +14,9 @@ multi-tenant registry can treat OPAQ as one engine among several: the
 service layer imports from the portfolio, never the reverse.
 :class:`OpaqKeyState` replicates the registry's historical fold
 behaviour exactly (sorted pending → merge, as its exact delta →
-epsilon-gated compaction), byte for byte.
+epsilon-gated compaction), byte for byte.  A registry key reaches it
+from its raw state (:mod:`repro.portfolio.raw`) at the first fold past
+``max_samples`` elements, through :meth:`OPAQEngine.key_state_from_raw`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.core.quantile_phase import bounds_arrays, bounds_for, quantile_bounds
 from repro.core.protocols import DataSource
 from repro.core.summary import OPAQSummary
 from repro.obs import current_tracer
+from repro.portfolio.raw import RawKeyState
 from repro.storage import DiskDataset, RunReader
 
 __all__ = [
@@ -205,6 +208,31 @@ class OPAQEngine:
             compactions=compactions,
         )
 
+    @classmethod
+    def raw_limit(cls, epsilon: float, max_samples: int) -> int:
+        """A key state compacts past ``max_samples`` samples, and while it
+        is exact its samples are its elements."""
+        return max_samples
+
+    @classmethod
+    def key_state_from_raw(
+        cls, raw: RawKeyState, epsilon: float, max_samples: int, seed: int = 0
+    ) -> "OpaqKeyState":
+        """The exact summary a key state holds after the raw key's
+        absorbs: one run per absorb, unit gaps, floors equal to the
+        values, and the extremes as its merges kept them."""
+        values = raw.values
+        summary = OPAQSummary._trusted(
+            samples=values,
+            gaps=np.ones(values.size, dtype=np.int64),
+            floors=values,
+            num_runs=raw.absorbs,
+            count=values.size,
+            minimum=raw.minimum,
+            maximum=raw.maximum,
+        )
+        return OpaqKeyState(epsilon, max_samples, summary)
+
 
 class OpaqKeyState:
     """One registry key's OPAQ state: summary + epsilon-gated folding.
@@ -239,9 +267,9 @@ class OpaqKeyState:
     def memory_footprint(self) -> int:
         return 0 if self.summary is None else self.summary.memory_footprint
 
-    def absorb(self, data: np.ndarray) -> None:
+    def absorb(self, data: np.ndarray) -> "OpaqKeyState":
         """Merge one sorted chunk (its exact delta on the first fold),
-        then compact within the epsilon gate."""
+        then compact within the epsilon gate; returns this state."""
         merged = exact_delta(data) if self.summary is None else self.summary.merge(data)
         merged, compacted = compact_within_budget(
             merged, epsilon=self.epsilon, target=self.max_samples
@@ -249,6 +277,7 @@ class OpaqKeyState:
         if compacted:
             self.compactions += 1
         self.summary = merged
+        return self
 
     def guaranteed_rank_error(self) -> int:
         return self.summary.guaranteed_rank_error()

@@ -57,7 +57,7 @@ from repro.errors import (
     ReproError,
     ServiceError,
 )
-from repro.service.tenancy.keys import KEY_SEP
+from repro.service.tenancy.keys import KEY_SEP, _ENGINE_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.service.tenancy.registry import KeyAnswer
@@ -436,9 +436,8 @@ _ANSWER_COUNT = struct.Struct("!I")
 _SOURCE_NAMES = ("resident", "restored", "rollup:metric", "rollup:global")
 _SOURCE_CODES = {name: code for code, name in enumerate(_SOURCE_NAMES)}
 
-#: ``KeyAnswer.engine`` <-> its one-byte wire code.  Order is the code;
-#: append-only (codes are wire format, not an alphabetical roster).
-_ENGINE_NAMES = ("opaq", "kll", "gk", "as95")
+#: ``KeyAnswer.engine`` <-> its one-byte wire code: the table the spill
+#: store's records use too (``tenancy.keys``, append-only).
 _ENGINE_CODES = {name: code for code, name in enumerate(_ENGINE_NAMES)}
 
 

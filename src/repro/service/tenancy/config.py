@@ -8,11 +8,14 @@ cold summaries spill.
 
 The budget is counted in **slots** — one slot is one float64-sized cell
 of payload (8 bytes).  A resident key costs its pending (unfolded)
-elements one slot each, plus ``3 × num_samples`` once folded (samples,
-gaps and floors arrays), plus a fixed ``per_key_overhead`` that stands
-in for the entry bookkeeping.  The budget deliberately counts payload,
-not Python object overhead: it is the knob that bounds the data plane,
-and it is what the benchmark's resident-set numbers report against.
+elements one slot each, plus a fixed ``per_key_overhead`` that stands
+in for the entry bookkeeping, plus its folded state: one slot per
+element while the key is raw (its sorted values, below the point where
+its engine would compact), then its engine's footprint — ``3 ×
+num_samples`` for OPAQ (samples, gaps and floors arrays).  The budget
+deliberately counts payload, not Python object overhead: it is the
+knob that bounds the data plane, and it is what the benchmark's
+resident-set numbers report against.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ class RegistryConfig:
     max_key_samples:
         Compaction *target* for a folded key summary.  The error budget
         may retain more than this when the epsilon demands it (see
-        above); it never retains less.
+        above); it never retains less.  An ``opaq`` key stays raw, its
+        sorted values, up to this many elements.
     fold_threshold:
         Pending elements a key buffers before its ingest folds them into
         the summary eagerly.  Below the threshold folding is lazy

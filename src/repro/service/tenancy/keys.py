@@ -27,6 +27,11 @@ WILDCARD = "*"
 
 _MAX_COMPONENT_BYTES = 255
 
+#: A key's engine <-> its one-byte code, on the wire (protocol v3) and in
+#: spill records (segment version 4).  Order is the code; append-only
+#: (codes are a format, not an alphabetical roster).
+_ENGINE_NAMES = ("opaq", "kll", "gk", "as95")
+
 
 def validate_component(name: str, role: str) -> str:
     """Check one key component (tenant or metric); returns it unchanged."""

@@ -3,21 +3,30 @@
 One :class:`SummaryRegistry` holds a summary per ``(tenant, metric)``
 key.  Three ideas make millions of keys workable:
 
-**Append-first ingest.**  The ingest hot path never touches OPAQ
+**Append-first ingest.**  The ingest hot path never touches summary
 machinery per key: values append to the key's *pending* buffer (a list
-of small float64 chunks) and folding into an actual
-:class:`~repro.core.OPAQSummary` happens lazily — at the fold
+of small float64 chunks) and folding happens lazily — at the fold
 threshold, on query, on eviction, or at shutdown.  A fold sorts the
-pending data into an **exact** delta summary (unit gaps, rank error 0)
-and merges it in, so laziness costs no accuracy, only deferral.
+pending data and merges it into the key's state, so laziness costs no
+accuracy, only deferral.
+
+**Raw keys.**  A key's state starts raw
+(:class:`~repro.portfolio.RawKeyState`): its values, sorted, which
+answer exact bounds.  A fold is then one merge of two sorted arrays.
+At the first fold at which the key's engine would compact, the state
+becomes the engine's own (an ε-gated :class:`~repro.core.OPAQSummary`
+for the default ``opaq``), built from the values, and the fold merges
+into that instead.
 
 **Slot accounting + LRU spill.**  Every key is billed in float64 slots
-(pending elements + ``3 × num_samples`` folded + fixed overhead)
-against a per-shard slice of the global budget.  Crossing the budget
-folds and spills the *least-recently-used* keys to the
-:class:`~repro.service.tenancy.SpillStore` (byte-identical restore);
-without a spill directory the ingest fails with a retryable
-:class:`~repro.errors.ServiceError` **before** mutating anything.
+(pending elements + its state's footprint — one slot per element
+while raw, ``3 × num_samples`` for a folded OPAQ summary — + fixed
+overhead) against a per-shard slice of the global budget.  Crossing
+the budget folds and spills the *least-recently-used* keys to the
+:class:`~repro.service.tenancy.SpillStore` (byte-identical restore; a
+raw key spills as its values); without a spill directory the ingest
+fails with a retryable :class:`~repro.errors.ServiceError` **before**
+mutating anything.
 
 **Blind writes.**  Spilled keys keep accepting pending data without
 being restored.  When the budget needs the memory a spilled key's
@@ -55,10 +64,10 @@ keys.
 
 The summary behind each key is pluggable: any engine in the algorithm
 portfolio (:data:`repro.portfolio.ENGINES`) can serve a tenant's keys,
-selected by :class:`~repro.service.tenancy.RegistryConfig` — the fold
-paragraph above describes the default ``opaq`` engine; sketch engines
-absorb the same sorted pending chunks into their own state, and every
-answer records which engine served it.  Rollups always fold OPAQ deltas
+selected by :class:`~repro.service.tenancy.RegistryConfig`; every key
+starts raw whatever its engine, sketch engines absorb the same sorted
+pending chunks into their own state once promoted, and every answer
+records which engine served it.  Rollups always fold OPAQ deltas
 regardless of per-key engines (mergeability across millions of keys is
 exactly OPAQ's strength).
 """
@@ -168,9 +177,10 @@ class _KeyEntry:
 
     def __init__(self, spec: EngineSpec) -> None:
         self.spec = spec
-        # The engine's per-key fold state (None until first fold or
-        # restore).  For OPAQ it wraps an OPAQSummary with the
-        # epsilon-gated fold; for the sketch engines it IS the sketch.
+        # The key's fold state (None until first fold or restore): a
+        # RawKeyState until the engine would compact, then the engine's
+        # own — an OpaqKeyState wrapping an OPAQSummary with the
+        # epsilon-gated fold, or the sketch itself.
         self.state = None
         self.pending: list[tuple[_Block, int, int]] = []
         self.pending_count = 0
@@ -238,9 +248,9 @@ class SummaryRegistry:
     Each key is served by a portfolio engine (:data:`repro.portfolio.
     ENGINES`), selected per tenant via :class:`RegistryConfig` —
     ``opaq`` by default.  Pending-buffer accounting, folding, spilling
-    and the budget arithmetic are engine-uniform; only the per-key fold
-    state differs (an epsilon-gated OPAQ summary, a KLL/GK sketch, or
-    an AS95 interval histogram).
+    and the budget arithmetic are engine-uniform, and so is a key's
+    raw state; only the promoted fold state differs (an epsilon-gated
+    OPAQ summary, a KLL/GK sketch, or an AS95 interval histogram).
     """
 
     def __init__(self, config: RegistryConfig | None = None) -> None:
@@ -486,15 +496,28 @@ class SummaryRegistry:
     # Fold / spill / budget
     # ------------------------------------------------------------------
 
-    def _restored_state(
-        self, spec: EngineSpec, base: Any, record: SpillRecord
+    def _new_state(
+        self, spec: EngineSpec, key: str, base: Any = None,
+        record: SpillRecord | None = None,
     ) -> Any:
-        """A key's fold state rebuilt from its spilled base summary."""
-        return spec.restored_key_state(
-            base,
-            record.compactions,
-            epsilon=self._cfg.per_key_epsilon,
-            max_samples=self._cfg.max_key_samples,
+        """A key's state: raw and empty for a new key, else rebuilt from
+        its spilled base (raw values or the engine's summary)."""
+        cfg = self._cfg
+        if record is not None and not record.raw:
+            return spec.restored_key_state(
+                base,
+                record.compactions,
+                epsilon=cfg.per_key_epsilon,
+                max_samples=cfg.max_key_samples,
+            )
+        # Seed randomized engines from the key bytes: deterministic
+        # across restarts and replays, decorrelated across keys.
+        seed = zlib.crc32(key.encode("utf-8"))
+        if record is None:
+            return spec.raw_key_state(cfg.per_key_epsilon, cfg.max_key_samples, seed)
+        return spec.raw_key_state(
+            cfg.per_key_epsilon, cfg.max_key_samples, seed,
+            base, record.absorbs, record.minimum, record.maximum,
         )
 
     def _fold_entry_locked(
@@ -503,11 +526,10 @@ class SummaryRegistry:
         """Merge a key's pending data (and its spilled chain, which this
         brings back into memory) into its engine state, compacting under
         the key's own error budget."""
-        cfg = self._cfg
         chain = None
         if entry.state is None and self._store is not None and key in self._store:
             base, record, _ = self._store.restore(key)
-            entry.state = self._restored_state(entry.spec, base, record)
+            entry.state = self._new_state(entry.spec, key, base, record)
             footprint = entry.state.memory_footprint
             entry.charged += footprint
             shard.used += footprint
@@ -521,15 +543,11 @@ class SummaryRegistry:
         entry.pending = []
         entry.pending_count = 0
         if entry.state is None:
-            # Seed randomized engines from the key bytes: deterministic
-            # across restarts and replays, decorrelated across keys.
-            entry.state = entry.spec.key_state(
-                cfg.per_key_epsilon,
-                cfg.max_key_samples,
-                seed=zlib.crc32(key.encode("utf-8")),
-            )
+            entry.state = self._new_state(entry.spec, key)
         old_footprint = entry.state.memory_footprint
-        entry.state.absorb(data)
+        # A raw key past its engine's compaction point returns its
+        # promoted state; every other state returns itself.
+        entry.state = entry.state.absorb(data)
         delta_slots = entry.state.memory_footprint - old_footprint
         entry.charged += delta_slots
         shard.used += delta_slots
@@ -674,9 +692,9 @@ class SummaryRegistry:
                 self._enforce_budget_locked(shard)
         if record is not None:
             spec = ENGINES[record.engine]
-            state = self._restored_state(spec, base, record)
+            state = self._new_state(spec, key, base, record)
             if data is not None:
-                state.absorb(data)
+                state = state.absorb(data)
             compactions = int(state.compactions)
             engine = spec.name
         if state is None:

@@ -12,25 +12,34 @@ is sequential appends plus one file per :data:`_SEGMENT_BYTES`.
 
 **Record layout.**  A 17-byte header — ``<IBII`` body length, op code,
 meta length, CRC-32 of the body, then a CRC-32 of those 13 bytes — and
-a body of JSON meta followed by the payload.
+a body of meta followed by the payload.  Every segment opens with a
+head record whose meta is JSON naming the format (magic ``OPAQSPILL``,
+version 4), written alike by every version so an older directory is
+refused by name.  Every other record's meta is a fixed little-endian
+struct followed by the key's UTF-8 bytes:
 
-* A *spill* (a chain's base) has meta key, count, compactions, epsilon
-  and engine, and its payload is the engine's summary as one byte
+* A *spill* (a chain's base) has meta engine code (the wire's
+  append-only table), count, compactions, epsilon, a raw base's absorb
+  count and extremes, and the number of delta elements reclaim appended
+  to its payload.  Its payload is the engine's summary as one byte
   record (``to_bytes``: the same fields, magic and version as its
-  ``.npz`` archive, without the zip container).  A base that reclaim
-  consolidated also lists ``deltas``, the element counts of the delta
-  chunks appended to its payload.
-* A *delta* is input data, not a summary: meta key, count and ``base``
-  (the segment and offset of the base it extends); payload the key's
-  pending elements, sorted, as raw little-endian float64.  A reader
-  sorts the chain's deltas together and absorbs them into the base in
-  one call of the key state's own ``absorb``.
+  ``.npz`` archive, without the zip container).  A *raw* base, a key
+  still held as its sorted values
+  (:class:`~repro.portfolio.RawKeyState`), has the same meta and its
+  values as payload, in the delta format.
+* A *delta* is input data, not a summary: meta count and the segment
+  and offset of the base it extends; payload the key's pending
+  elements, sorted, as raw little-endian float64.  A reader sorts the
+  chain's deltas together and absorbs them into the base in one call
+  of the key state's own ``absorb``; for a raw base that is one merge
+  of sorted arrays.
+* A *tombstone*'s meta is the key alone, an *aux* record's its name;
+  an aux payload is an OPAQ summary's byte record.
 
-Every segment opens with a head record naming the format (magic
-``OPAQSPILL``, version 3).  Restores are **byte-identical**: arrays
-travel raw and scalars as ``repr``-exact JSON floats, so a restored key
-answers with the same bytes as one that never left memory (pinned by
-the determinism property tests).
+Restores are **byte-identical**: arrays and scalars travel as raw
+IEEE-754 and two's-complement bytes, so a restored key answers with the
+same bytes as one that never left memory (pinned by the determinism
+property tests).
 
 **Chains.**  A new spill or a tombstone of a key kills its whole chain.
 ``restore(key, keep=True)`` reads a chain without touching the log —
@@ -80,14 +89,15 @@ reclaimed segment's tombstones be dropped: every record they cancel is
 older, so it sits in the same segment or in one already gone.
 
 A directory in the pre-log layout (a ``SPILLS.jsonl`` manifest plus one
-``spill-*.npz`` archive per key), or with segments of an older version,
-is refused with a ``DataError``.
+``spill-*.npz`` archive per key), or with segments of an older version
+(2 had no deltas, 3 wrote JSON meta), is refused with a ``DataError``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import struct
 import threading
@@ -101,11 +111,14 @@ import numpy as np
 from repro.core.summary import OPAQSummary
 from repro.errors import DataError, ServiceError
 from repro.obs import current_tracer
+from repro.portfolio.raw import RawKeyState
+from repro.selection import is_sorted
+from repro.service.tenancy.keys import _ENGINE_NAMES
 
 __all__ = ["SpillStore", "SpillRecord"]
 
 _MAGIC = "OPAQSPILL"
-_VERSION = 3
+_VERSION = 4
 #: A segment is sealed once the next record would grow it past this size
 #: (a record larger than this gets a segment of its own).
 _SEGMENT_BYTES = 4 << 20
@@ -117,23 +130,32 @@ _RECLAIM_RATIO = 1
 _FIELDS = struct.Struct("<IBII")
 _CRC = struct.Struct("<I")
 _HEADER_BYTES = _FIELDS.size + _CRC.size
-_HEAD, _SPILL, _TOMBSTONE, _AUX, _DELTA = range(5)
+_HEAD, _SPILL, _TOMBSTONE, _AUX, _DELTA, _RAW = range(6)
+#: A base record's meta (a spill or a raw base): engine code, count,
+#: compactions, epsilon, absorbs, minimum, maximum (the last three a raw
+#: base's), and the delta elements reclaim appended to its payload.
+_BASE = struct.Struct("<Bqqdqddq")
+#: A delta's meta: its element count, then its base's segment and offset.
+_DELTA_META = struct.Struct("<qqq")
+_ENGINE_CODES = {name: code for code, name in enumerate(_ENGINE_NAMES)}
 _SEGMENT_PREFIX, _SEGMENT_SUFFIX = "segment-", ".log"
 _OLD_MANIFEST = "SPILLS.jsonl"
-#: A delta's payload: raw little-endian float64.
+#: A delta's payload, and a raw base's: raw little-endian float64.
 _VALUE = np.dtype("<f8")
 
 
-def _encode(op: int, meta: dict[str, object], payload: bytes = b"") -> bytes:
-    """One whole record: header, JSON meta, payload."""
-    body_meta = json.dumps(meta).encode()
+def _encode(op: int, meta: bytes | dict[str, object], payload: bytes = b"") -> bytes:
+    """One whole record: header, meta, payload.  A segment head's meta is
+    a JSON dict; every other record's is its op's struct and key."""
+    if isinstance(meta, dict):
+        meta = json.dumps(meta).encode()
     fields = _FIELDS.pack(
-        len(body_meta) + len(payload),
+        len(meta) + len(payload),
         op,
-        len(body_meta),
-        zlib.crc32(payload, zlib.crc32(body_meta)),
+        len(meta),
+        zlib.crc32(payload, zlib.crc32(meta)),
     )
-    return b"".join((fields, _CRC.pack(zlib.crc32(fields)), body_meta, payload))
+    return b"".join((fields, _CRC.pack(zlib.crc32(fields)), meta, payload))
 
 
 _HEAD_RECORD = _encode(_HEAD, {"magic": _MAGIC, "version": _VERSION})
@@ -144,14 +166,13 @@ class _Torn(Exception):
 
 
 def _decode(
-    buf: memoryview, pos: int, source: Path, parse_meta: bool = True
-) -> tuple[int, dict[str, Any], memoryview, int]:
+    buf: memoryview, pos: int, source: Path
+) -> tuple[int, memoryview, memoryview, int]:
     """``(op, meta, payload, end)`` of the record starting at ``pos``.
 
     Raises :class:`_Torn` when the buffer ends inside the record and
     :class:`~repro.errors.DataError` when a complete record fails a
-    check.  With ``parse_meta=False`` the meta is checked by the CRC
-    but not parsed (``meta`` is empty).
+    check.  The meta is checked by the CRC, not parsed.
     """
     if pos + _HEADER_BYTES > len(buf):
         raise _Torn
@@ -166,36 +187,28 @@ def _decode(
         raise _Torn
     if meta_len > body_len or zlib.crc32(buf[start:end]) != body_crc:
         raise DataError(f"corrupt spill record in {source} at byte {pos}")
-    if not parse_meta:
-        return op, {}, buf[start + meta_len : end], end
-    try:
-        meta = json.loads(bytes(buf[start : start + meta_len]))
-    except ValueError:
-        raise DataError(
-            f"unreadable spill record meta in {source} at byte {pos}"
-        ) from None
-    if not isinstance(meta, dict):
-        raise DataError(f"malformed spill record meta in {source} at byte {pos}")
-    return op, meta, buf[start + meta_len : end], end
+    return op, buf[start : start + meta_len], buf[start + meta_len : end], end
 
 
 #: Where one record sits: ``(segment, offset, length)``.
 _Where = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpillRecord:
     """One spilled key as the index describes it.
 
-    ``engine`` names the portfolio engine that encoded the summary (and
-    therefore the decoder that can read it back).  ``segment``,
+    ``engine`` names the portfolio engine that serves the key (and, for
+    a summary, the decoder that reads it back).  ``segment``,
     ``offset`` and ``length`` locate the whole base record in the log,
-    ``count`` is the number of elements its summary describes.
-    ``deltas`` locates the delta records appended since, oldest first,
-    and ``pending`` counts the elements they hold together with any
-    that reclaim consolidated into the base record.  ``values`` is set
-    only on the record :meth:`SpillStore.restore` returns: those
-    ``pending`` elements, in append order.
+    ``count`` is the number of elements its base describes.  ``raw``
+    marks a base of raw sorted values, with the raw key's ``absorbs``
+    and extremes.  ``deltas`` locates the delta records appended since,
+    oldest first, and ``pending`` counts the elements they hold together
+    with the ``folded`` ones that reclaim consolidated into the base
+    record.  ``values`` is set only on the record
+    :meth:`SpillStore.restore` returns: those ``pending`` elements, in
+    append order.
     """
 
     key: str
@@ -208,12 +221,32 @@ class SpillRecord:
     length: int = 0
     deltas: tuple[_Where, ...] = ()
     pending: int = 0
+    raw: bool = False
+    absorbs: int = 0
+    minimum: float = math.inf
+    maximum: float = -math.inf
+    folded: int = 0
     values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def chain(self) -> tuple[_Where, ...]:
         """The base record's location followed by the deltas'."""
         return ((self.segment, self.offset, self.length), *self.deltas)
+
+
+def _base_meta(record: SpillRecord, folded: int = 0) -> bytes:
+    """A base record's meta: its fields, ``folded`` appended delta
+    elements, and the key."""
+    return _BASE.pack(
+        _ENGINE_CODES[record.engine],
+        record.count,
+        record.compactions,
+        record.epsilon,
+        record.absorbs,
+        record.minimum,
+        record.maximum,
+        folded,
+    ) + record.key.encode()
 
 
 class _Segment:
@@ -319,14 +352,14 @@ class SpillStore:
                 break
             if pos == 0:
                 self._check_head(segment.path, op, meta)
-            elif op not in (_SPILL, _TOMBSTONE, _AUX, _DELTA):
+            elif op not in (_SPILL, _TOMBSTONE, _AUX, _DELTA, _RAW):
                 raise DataError(
                     f"unexpected spill record op {op} in {segment.path} at "
                     f"byte {pos}"
                 )
             try:
                 self._index(segment, op, meta, pos, end - pos)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (IndexError, ValueError, struct.error) as exc:
                 raise DataError(
                     f"malformed spill record in {segment.path} at byte "
                     f"{pos}: {exc!r}"
@@ -335,57 +368,57 @@ class SpillStore:
         self._account(segment, size=pos)
 
     @staticmethod
-    def _check_head(path: Path, op: int, meta: dict[str, Any]) -> None:
-        if op != _HEAD or meta.get("magic") != _MAGIC:
+    def _check_head(path: Path, op: int, meta: memoryview) -> None:
+        try:
+            head = json.loads(bytes(meta))
+        except ValueError:
+            head = None
+        if not isinstance(head, dict):
+            head = {}
+        if op != _HEAD or head.get("magic") != _MAGIC:
             raise DataError(
                 f"{path} is not an OPAQ spill segment "
-                f"(magic {meta.get('magic')!r})"
+                f"(magic {head.get('magic')!r})"
             )
-        if meta.get("version") != _VERSION:
+        if head.get("version") != _VERSION:
             raise DataError(
-                f"spill segment version {meta.get('version')!r} is not "
+                f"spill segment version {head.get('version')!r} is not "
                 f"{_VERSION}; upgrade or discard the spill dir"
             )
 
     def _index(
-        self, segment: _Segment, op: int, meta: dict[str, Any],
+        self, segment: _Segment, op: int, meta: memoryview,
         offset: int, length: int,
     ) -> None:
         """Apply one whole record to the index (caller holds the lock)."""
-        if op == _SPILL:
-            key = str(meta["key"])
+        if op in (_SPILL, _RAW):
+            (code, count, compactions, epsilon, absorbs, minimum, maximum,
+             folded) = _BASE.unpack_from(meta)
+            key = bytes(meta[_BASE.size :]).decode()
             self._kill(self._live.get(key))
             self._live[key] = SpillRecord(  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
-                key=key,
-                count=int(meta["count"]),
-                compactions=int(meta["compactions"]),
-                epsilon=float(meta["epsilon"]),
-                engine=str(meta.get("engine", "opaq")),
-                segment=segment.seq,
-                offset=offset,
-                length=length,
-                pending=sum(int(n) for n in meta.get("deltas", ())),
+                key, count, compactions, epsilon, _ENGINE_NAMES[code],
+                segment.seq, offset, length, pending=folded, raw=op == _RAW,
+                absorbs=absorbs, minimum=minimum, maximum=maximum,
+                folded=folded,
             )
         elif op == _DELTA:
-            key = str(meta["key"])
-            base = self._live.get(key)
-            if base is None or [base.segment, base.offset] != list(meta["base"]):
+            count, base_seq, base_offset = _DELTA_META.unpack_from(meta)
+            base = self._live.get(bytes(meta[_DELTA_META.size :]).decode())
+            if base is None or (base.segment, base.offset) != (base_seq, base_offset):
                 # Its base is gone (a vanished segment, or superseded):
                 # nothing live reads it.
                 self._account(segment, dead=length)
             else:
-                self._live[key] = replace(  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
-                    base,
-                    deltas=(*base.deltas, (segment.seq, offset, length)),
-                    pending=base.pending + int(meta["count"]),
-                )
+                base.deltas += ((segment.seq, offset, length),)
+                base.pending += count
         elif op == _AUX:
-            name = str(meta["name"])
+            name = bytes(meta).decode()
             self._kill(self._aux.get(name))
             self._aux[name] = (segment.seq, offset, length)  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
         else:  # a tombstone or the segment head: dead from birth
             if op == _TOMBSTONE:
-                self._kill(self._live.pop(str(meta["key"]), None))  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
+                self._kill(self._live.pop(bytes(meta).decode(), None))  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
             self._account(segment, dead=length)
 
     def _kill(self, where: SpillRecord | _Where | None) -> None:
@@ -477,24 +510,20 @@ class SpillStore:
         self._account(segment, size=len(record))
         return segment.seq, offset
 
-    def _append_record(self, op: int, meta: dict[str, Any], payload: bytes) -> int:
+    def _append_record(self, op: int, meta: bytes, payload: bytes) -> int:
         """Append one record and apply it to the index; returns its
         length."""
         record = _encode(op, meta, payload)
         seq, offset = self._append(record)
-        self._index(self._segments[seq], op, meta, offset, len(record))
+        self._index(self._segments[seq], op, memoryview(meta), offset, len(record))
         return len(record)
 
-    def _read(
-        self, where: tuple[_Where, ...]
-    ) -> tuple[dict[str, Any], list[memoryview]]:
-        """The first record's meta and every record's payload, for the
-        whole records at ``where``; each run of records in one segment
-        is read through one open."""
+    def _read(self, where: tuple[_Where, ...]) -> list[memoryview]:
+        """Every record's payload, for the whole records at ``where``;
+        each run of records in one segment is read through one open."""
         if self._closed:
             raise ServiceError("spill store is closed")
         payloads: list[memoryview] = []
-        meta: dict[str, Any] = {}
         for seq, run in itertools.groupby(where, key=lambda w: w[0]):
             path = self._segments[seq].path
             records = list(run)
@@ -505,22 +534,16 @@ class SpillStore:
                 raise ServiceError(
                     f"spill read from {path} failed ({exc}); retry"
                 ) from exc
-            for chunk, (_s, _at, n) in zip(data, records):
-                head, payload = self._whole(chunk, n, path, not payloads)
-                if not payloads:
-                    meta = head
-                payloads.append(payload)
-        return meta, payloads
+            payloads.extend(
+                self._whole(chunk, n, path) for chunk, (_s, _at, n) in zip(data, records)
+            )
+        return payloads
 
     @staticmethod
-    def _whole(
-        data: bytes, length: int, source: Path, parse_meta: bool = True
-    ) -> tuple[dict[str, Any], memoryview]:
-        """``(meta, payload)`` of the record the index says ``data`` is."""
+    def _whole(data: bytes, length: int, source: Path) -> memoryview:
+        """The payload of the record the index says ``data`` is."""
         try:
-            _op, meta, payload, end = _decode(
-                memoryview(data), 0, source, parse_meta
-            )
+            _op, _meta, payload, end = _decode(memoryview(data), 0, source)
         except _Torn:
             end = -1
         if end != length:
@@ -528,7 +551,7 @@ class SpillStore:
                 f"spill record of {length} bytes in {source} is not what "
                 "the index says; the segment changed under the store"
             )
-        return meta, payload
+        return payload
 
     def _maybe_reclaim(self) -> None:
         """Reclaim oldest sealed segments while dead bytes dominate.
@@ -552,9 +575,9 @@ class SpillStore:
         unlink it.
 
         A record without deltas is copied byte for byte.  A chain with
-        deltas is rewritten as one spill record: its base payload
-        followed by the deltas' values (copied, not decoded), with
-        their chunk sizes in the meta.
+        deltas is rewritten as one base record: its base payload
+        followed by the deltas' values (copied, not decoded), with the
+        count of those appended elements in the meta.
         """
         seq = segment.seq
         movers = sorted(
@@ -573,24 +596,21 @@ class SpillStore:
             for offset, name, aux in movers:
                 record = None if aux else self._live[name]
                 if record is not None and record.deltas:
-                    meta, payloads = self._read(record.chain)
-                    meta["deltas"] = [
-                        *meta.get("deltas", ()),
-                        *(len(p) // _VALUE.itemsize for p in payloads[1:]),
-                    ]
-                    self._append_record(_SPILL, meta, b"".join(payloads))
+                    self._append_record(
+                        _RAW if record.raw else _SPILL,
+                        _base_meta(record, folded=record.pending),
+                        b"".join(self._read(record.chain)),
+                    )
                     continue
                 length = self._aux[name][2] if record is None else record.length
                 data = os.pread(log.fileno(), length, offset)
-                self._whole(data, length, segment.path, parse_meta=False)
+                self._whole(data, length, segment.path)
                 new_seq, new_offset = self._append(data)
                 self._account(segment, dead=length)
                 if record is None:
                     self._aux[name] = (new_seq, new_offset, length)  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
                 else:
-                    self._live[name] = replace(  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
-                        record, segment=new_seq, offset=new_offset
-                    )
+                    record.segment, record.offset = new_seq, new_offset
         del self._segments[seq]
         current_tracer().count("service.tenancy.spill.reclaimed_bytes", segment.size)
         self._account(segment, size=-segment.size, dead=-segment.dead)
@@ -614,9 +634,11 @@ class SpillStore:
             return list(self._live)
 
     def record(self, key: str) -> SpillRecord | None:
-        """The index entry of a spilled key (``None`` if not spilled)."""
+        """A copy of a spilled key's index entry (``None`` if not
+        spilled)."""
         with self._lock:
-            return self._live.get(key)
+            record = self._live.get(key)
+            return None if record is None else replace(record)
 
     @property
     def bytes_live(self) -> int:
@@ -640,11 +662,14 @@ class SpillStore:
         engine: str = "opaq",
         delta: bool = False,
     ) -> int:
-        """Persist one key's summary; returns bytes written.
+        """Persist one key's state; returns bytes written.
 
         Re-spilling a key supersedes its previous chain.  ``engine``
-        names the portfolio engine whose ``to_bytes`` encoded the
-        summary; it selects the decoder at restore time.
+        names the portfolio engine serving the key; for a summary it
+        selects the decoder at restore time.  A
+        :class:`~repro.portfolio.RawKeyState` is written as a raw base:
+        its sorted values, absorb count and extremes.  Anything else is
+        written as its ``to_bytes`` record.
 
         With ``delta=True``, ``summary`` is instead the key's pending
         elements, sorted float64, and they are appended to the spilled
@@ -656,7 +681,6 @@ class SpillStore:
         """
         if delta:
             values = np.ascontiguousarray(summary, dtype=_VALUE)
-            payload = values.tobytes()
             with self._lock:
                 base = self._live.get(key)
                 if base is None:
@@ -664,24 +688,25 @@ class SpillStore:
                         f"key {key!r} is not spilled in {self.directory}; a "
                         "delta needs a base"
                     )
-                meta: dict[str, Any] = {
-                    "key": key,
-                    "count": int(values.size),
-                    "base": [base.segment, base.offset],
-                }
-                nbytes = self._append_record(_DELTA, meta, payload)
+                meta = _DELTA_META.pack(values.size, base.segment, base.offset)
+                nbytes = self._append_record(
+                    _DELTA, meta + key.encode(), values.tobytes()
+                )
                 self._maybe_reclaim()
         else:
-            meta = {
-                "key": key,
-                "count": summary.count,
-                "compactions": compactions,
-                "epsilon": epsilon,
-                "engine": engine,
-            }
-            payload = summary.to_bytes()
+            if engine not in _ENGINE_CODES:
+                raise DataError(f"cannot spill a key of unknown engine {engine!r}")
+            record = SpillRecord(key, summary.count, compactions, epsilon, engine)
+            if isinstance(summary, RawKeyState):
+                op = _RAW
+                record.raw = True
+                record.absorbs = summary.absorbs
+                record.minimum, record.maximum = summary.minimum, summary.maximum
+                payload = np.ascontiguousarray(summary.values, dtype=_VALUE).tobytes()
+            else:
+                op, payload = _SPILL, summary.to_bytes()
             with self._lock:
-                nbytes = self._append_record(_SPILL, meta, payload)
+                nbytes = self._append_record(op, _base_meta(record), payload)
                 self._maybe_reclaim()
         current_tracer().count("service.tenancy.spill.bytes", nbytes)
         return nbytes
@@ -689,46 +714,88 @@ class SpillStore:
     def restore(
         self, key: str, *, keep: bool = False
     ) -> tuple[Any, SpillRecord, int]:
-        """Load one key back; returns ``(summary, record, bytes_read)``.
+        """Load one key back; returns ``(base, record, bytes_read)``.
 
-        ``summary`` is the chain's base; ``record.values`` holds the
-        elements of its deltas in append order (empty without deltas),
-        for the caller to absorb into the base as one sorted chunk.
+        ``base`` is the chain's base: the decoded summary, or for a raw
+        record (``record.raw``) its sorted values as a read-only float64
+        array.  ``record.values`` holds the elements of its deltas in
+        append order (empty without deltas), for the caller to absorb
+        into the base as one sorted chunk.
 
         The tombstone is appended after the read, so a crash in between
         leaves the key spilled.  With ``keep=True`` the read is all:
-        the key stays spilled and nothing is appended.  The decoder is
-        selected by the record's engine; a record written by an engine
-        this store was not given a decoder for fails loudly instead of
-        mis-parsing the payload.
+        the key stays spilled and nothing is appended.  A summary's
+        decoder is selected by the record's engine; a record written by
+        an engine this store was not given a decoder for fails loudly
+        instead of mis-parsing the payload.  A raw base is checked where
+        it enters, as a decoded summary is (:meth:`_raw_values`), and a
+        chain whose value bytes do not add up to its ``pending`` count
+        is refused with a ``DataError``.
         """
         with self._lock:
             record = self._live.get(key)
             if record is None:
                 raise DataError(f"key {key!r} is not spilled in {self.directory}")
-            loader = self._loaders.get(record.engine)
-            if loader is None:
+            loader = None if record.raw else self._loaders.get(record.engine)
+            if loader is None and not record.raw:
                 raise DataError(
                     f"spilled key {key!r} was written by engine "
                     f"{record.engine!r}, but this store only loads "
                     f"{sorted(self._loaders)}"
                 )
             chain = record.chain
-            meta, payloads = self._read(chain)
+            payloads = self._read(chain)
             base = payloads[0]
             # Reclaim may have appended delta values to the base payload.
-            split = len(base) - _VALUE.itemsize * sum(
-                int(n) for n in meta.get("deltas", ())
-            )
-            summary = loader(bytes(base[:split]))
+            split = len(base) - _VALUE.itemsize * record.folded
+            if record.folded < 0 or split < 0:
+                raise DataError(
+                    f"spilled key {key!r} claims {record.folded} appended "
+                    f"values, but its base record holds {len(base)} bytes"
+                )
+            if loader is None:  # a raw base
+                summary: Any = self._raw_values(key, record, base[:split])
+            else:
+                summary = loader(bytes(base[:split]))
             payloads[0] = base[split:]
-            values = np.frombuffer(b"".join(payloads), dtype=_VALUE)
+            joined = b"".join(payloads)
+            if len(joined) != _VALUE.itemsize * record.pending:
+                raise DataError(
+                    f"spilled key {key!r} holds {len(joined)} bytes of "
+                    f"pending values, not {record.pending} values"
+                )
+            restored = replace(record, values=np.frombuffer(joined, dtype=_VALUE))
             if not keep:
-                self._append_record(_TOMBSTONE, {"key": key}, b"")
+                self._append_record(_TOMBSTONE, key.encode(), b"")
                 self._maybe_reclaim()
         nbytes = sum(length for _s, _o, length in chain)
         current_tracer().count("service.tenancy.restore.bytes", nbytes)
-        return summary, replace(record, values=values), nbytes
+        return summary, restored, nbytes
+
+    @staticmethod
+    def _raw_values(key: str, record: SpillRecord, payload: memoryview) -> np.ndarray:
+        """A raw base's values, refused with a ``DataError`` unless they
+        rebuild the raw key its record describes: ``count >= 1`` sorted
+        values, ``1 <= absorbs <= count`` (every absorb added at least
+        one), and extremes equal to the first and last value."""
+        values = None
+        if record.count >= 1 and len(payload) == _VALUE.itemsize * record.count:
+            values = np.frombuffer(bytes(payload), dtype=_VALUE)
+        if values is None:
+            problem = f"does not hold {record.count} values"
+        elif not is_sorted(values):
+            problem = "holds values out of order"
+        elif not 1 <= record.absorbs <= record.count:
+            problem = f"claims {record.absorbs} absorbs of {record.count} values"
+        elif not (record.minimum == values[0] and record.maximum == values[-1]):
+            problem = (
+                f"claims extremes {record.minimum!r} and {record.maximum!r}, "
+                f"not its first and last values {float(values[0])!r} and "
+                f"{float(values[-1])!r}"
+            )
+        else:
+            return values
+        raise DataError(f"spilled raw key {key!r} {problem}")
 
     # ------------------------------------------------------------------
     # Aux summaries (aggregation-tree rollups across restarts)
@@ -738,7 +805,7 @@ class SpillStore:
         """Persist a named non-key summary (e.g. a shard rollup)."""
         payload = summary.to_bytes()
         with self._lock:
-            self._append_record(_AUX, {"name": name}, payload)
+            self._append_record(_AUX, name.encode(), payload)
             self._maybe_reclaim()
 
     def load_aux(self, name: str) -> OPAQSummary | None:
@@ -747,7 +814,7 @@ class SpillStore:
             where = self._aux.get(name)
             if where is None:
                 return None
-            _meta, (payload,) = self._read((where,))
+            (payload,) = self._read((where,))
             return OPAQSummary.from_bytes(bytes(payload))
 
     def aux_names(self) -> list[str]:

@@ -120,34 +120,38 @@ class _Rollup:
 
     def absorb(self, part: OPAQSummary | np.ndarray) -> None:
         """Buffer a sorted slice that fits, or merge ``part`` now."""
-        is_slice = not isinstance(part, OPAQSummary)
-        if is_slice and part.size == 0:
-            raise EstimationError("a rollup slice must be non-empty")
-        # Deltas are built unchecked, so a slice that fits under the
-        # bound is checked here, on either path.  A larger one is not:
-        # the registry sorts it, and a pass would slow large frames.
-        if is_slice and part.size <= self._max and not is_sorted(part):
-            raise EstimationError("a rollup slice must be sorted")
+        size = 0  # a summary part
+        if not isinstance(part, OPAQSummary):
+            size = part.size
+            if size == 0:
+                raise EstimationError("a rollup slice must be non-empty")
+            # Deltas are built unchecked, so a slice that fits under the
+            # bound is checked here, on either path.  A larger one is
+            # not: the registry sorts it, and a pass would slow large
+            # frames.
+            if size <= self._max and not is_sorted(part):
+                raise EstimationError("a rollup slice must be sorted")
         with self._lock:
-            fill = self._ends[-1] if self._ends else 0
+            ends = self._ends
+            fill = ends[-1] if ends else 0
+            end = fill + size
             current = self._summary
-            if (
-                is_slice
-                and current is not None
-                and current.num_samples + fill + part.size <= self._max
-            ):
-                end = fill + part.size
-                if end > self._values.size:
-                    grown = np.empty(min(max(end, 2 * self._values.size), self._max))
-                    grown[:fill] = self._values[:fill]
-                    self._values = grown
-                self._values[fill:end] = part
-                self._ends.append(end)
+            if size and current is not None and current.samples.size + end <= self._max:
+                values = self._values
+                if end > values.size:
+                    grown = np.empty(min(max(end, 2 * values.size), self._max))
+                    grown[:fill] = values[:fill]
+                    self._values = values = grown
+                values[fill:end] = part
+                ends.append(end)
             else:
-                delta = _strided_delta(part, self._max) if is_slice else part
+                # ``merge`` takes a sorted slice as its exact summary, so
+                # only a first part or one past the bound needs a delta.
+                if size and (current is None or size > self._max):
+                    part = _strided_delta(part, self._max)
                 merged = (
-                    delta if current is None
-                    else current.merge(*self._slices(), delta)
+                    part if current is None
+                    else current.merge(*self._slices(), part)
                 )
                 self._summary = merged.compact_to(self._max)
                 self._values = _EMPTY
@@ -208,10 +212,13 @@ class AggregationTree:
     def absorb_metric(self, metric: str, delta: OPAQSummary | np.ndarray) -> None:
         """Fold one frame's per-metric slice (or a summary) into that
         metric's rollup."""
-        with self._metric_lock:
-            rollup = self._metrics.get(metric) or _Rollup(self._max_samples)
-            rollup.absorb(delta)
-            self._metrics[metric] = rollup
+        # A lookup needs no lock (rollups are never removed); creating
+        # one takes it, so two feeders agree on the rollup.
+        rollup = self._metrics.get(metric)
+        if rollup is None:
+            with self._metric_lock:
+                rollup = self._metrics.setdefault(metric, _Rollup(self._max_samples))
+        rollup.absorb(delta)
 
     # ------------------------------------------------------------------
     # Query side

@@ -276,6 +276,29 @@ class TestCompaction:
         assert np.all(c.floors[1:] <= c.samples[:-1] + 1e-12)
         assert c.floors.min() == -np.inf
 
+    @pytest.mark.parametrize("factor", [2, 3, 4, 5, 8, 9, 16, 17])
+    def test_compact_equals_the_group_reduction(self, rng, factor):
+        """Groups of at most 8 fold column by column, wider ones by
+        ``reduceat``; both equal one ``reduceat`` over the groups, bit
+        for bit, tied signed zeros and infinite floors included.  Groups
+        of 9 and 17 pin the column bound: there ``reduceat`` does not
+        keep the first of two tied zeros, so columns would change a
+        floor's sign."""
+        for n in (1, factor - 1, factor, 5 * factor + 3, 128 * factor - 1,
+                  128 * factor, 128 * factor + 3, 2_000):
+            pool = np.array([-np.inf, -1.0, -0.0, 0.0, 2.0])
+            samples = np.sort(rng.choice(pool[1:], size=n))
+            floors = np.minimum(samples, rng.choice(pool, size=n))
+            gaps = rng.integers(1, 4, size=n)
+            s = make_summary(samples, gaps, floors=floors)
+            survivors = np.arange(n - 1, -1, -factor)[::-1]
+            starts = np.concatenate([[0], survivors[:-1] + 1])
+            c = s.compact(factor)
+            assert c.samples.tobytes() == samples[survivors].tobytes()
+            assert c.gaps.tobytes() == np.add.reduceat(s.gaps, starts).tobytes()
+            assert c.floors.tobytes() == np.minimum.reduceat(floors, starts).tobytes()
+            assert c.count == s.count
+
     def test_compact_factor_one_identity(self, rng):
         config = OPAQConfig(run_size=100, sample_size=10)
         s = OPAQ(config).summarize(rng.uniform(size=1000))

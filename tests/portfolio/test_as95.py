@@ -57,3 +57,39 @@ def test_counts_conserved(rng):
     est.update(rng.uniform(size=5000))
     est.update(rng.uniform(size=5000))
     assert est._counts.sum() == pytest.approx(10_000)
+
+
+def _with_infinite_end(rng, end):
+    data = rng.normal(size=20_000)
+    return np.concatenate([data, [end]]) if end > 0 else np.concatenate([[end], data])
+
+
+@pytest.mark.parametrize("end", [-np.inf, np.inf], ids=["-inf", "+inf"])
+def test_infinite_end_answers_ordered_bounds_inside_the_range(rng, end):
+    """A cell with an infinite boundary has nothing to interpolate: it
+    answers its finite end, never ``-inf + x * inf``'s NaN."""
+    from repro.portfolio import AS95Engine
+
+    data = _with_infinite_end(rng, end)
+    summary = AS95Engine().summarize(data)
+    phis = [0.0001, 0.001, 0.5, 0.999, 0.9999, 1.0]
+    _, lower, upper, _, _, _ = summary.bounds_arrays(phis)
+    assert not np.isnan(lower).any() and not np.isnan(upper).any()
+    assert np.all(lower <= upper)
+    assert np.all(lower >= data.min()) and np.all(upper <= data.max())
+
+
+@pytest.mark.parametrize("end", [-np.inf, np.inf], ids=["-inf", "+inf"])
+def test_infinite_end_through_the_cli(rng, tmp_path, capsys, end):
+    from repro.cli import main
+    from repro.storage import DatasetWriter
+
+    path = tmp_path / "inf.opaq"
+    with DatasetWriter(path) as writer:
+        writer.append(_with_infinite_end(rng, end))
+    phi = "0.0001" if end < 0 else "0.9999"
+    # 100 samples buy fewer intervals than seed from 20,001 keys.
+    args = ["run", str(path), "--phi", phi, "--engine", "as95", "--sample-size", "100"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower()

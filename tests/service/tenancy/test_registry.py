@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, DataError, EstimationError, ServiceError
+from repro.portfolio import OpaqKeyState, RawKeyState
 from repro.service.tenancy import (
     RegistryConfig,
     SummaryRegistry,
@@ -515,3 +516,57 @@ class TestCompactWithinBudget:
         # A laxer epsilon admits a tighter compaction.
         laxer, _ = compact_within_budget(summary, epsilon=0.05, target=8)
         assert laxer.num_samples <= compacted.num_samples
+
+
+class TestRawKeys:
+    """Keys start raw: their sorted values, one slot per element, until
+    their engine would compact."""
+
+    def test_raw_keys_bill_one_slot_per_element(self, rng):
+        config = small_config(num_shards=1)
+        registry = SummaryRegistry(config)
+        sizes = {"a": 10, "b": 64, "c": 65}  # max_key_samples is 64
+        data = {m: rng.normal(size=n) for m, n in sizes.items()}
+        for metric, values in data.items():
+            registry.ingest("t", metric, values)
+            answer = registry.quantiles("t", metric, [0.25, 0.5, 1.0])
+            truth = np.sort(values)
+            if sizes[metric] <= 64:
+                np.testing.assert_array_equal(answer.lower, truth[answer.psi - 1])
+                np.testing.assert_array_equal(answer.upper, truth[answer.psi - 1])
+                assert answer.guarantee == 1
+        entries = registry._shards[0].entries
+        assert isinstance(entries["t\x1fa"].state, RawKeyState)
+        assert isinstance(entries["t\x1fb"].state, RawKeyState)
+        assert isinstance(entries["t\x1fc"].state, OpaqKeyState)  # promoted
+        overhead = config.per_key_overhead
+        assert registry.stats()["used_slots"] == (
+            (10 + overhead) + (64 + overhead)
+            + (entries["t\x1fc"].state.memory_footprint + overhead)
+        )
+        registry.close()
+
+    def test_spilled_raw_key_answers_without_a_summary(
+        self, rng, tmp_path, monkeypatch
+    ):
+        from repro.core.summary import OPAQSummary
+
+        registry = SummaryRegistry(small_config(tmp_path, num_shards=1))
+        values = rng.normal(size=40)
+        registry.ingest("t", "a", values)
+        registry.spill_all()
+        registry.ingest("t", "a", values[:5])  # pending, beside the raw base
+        assert registry._store.record("t\x1fa").raw
+        built = []
+        trusted = OPAQSummary._trusted.__func__
+        monkeypatch.setattr(
+            OPAQSummary, "_trusted",
+            classmethod(lambda cls, **kw: built.append(1) or trusted(cls, **kw)),
+        )
+        answer = registry.quantiles("t", "a", [0.1, 0.5, 1.0])
+        truth = np.sort(np.concatenate([values, values[:5]]))
+        assert answer.source == "restored" and answer.count == 45
+        np.testing.assert_array_equal(answer.upper, truth[answer.psi - 1])
+        assert built == []
+        assert registry.stats()["disk_reads"] == 1
+        registry.close()

@@ -2,6 +2,7 @@
 at the storage seam, and segment reclaim under a disk bound."""
 
 import errno
+import math
 import os
 import sys
 import threading
@@ -648,8 +649,222 @@ class TestDeltaChains:
             assert {key: chain_of(reopened, key) for key in expected} == expected
 
     def test_older_segment_version_refused(self, tmp_path):
-        (tmp_path / "segment-0000000001.log").write_bytes(
-            store_module._encode(store_module._HEAD, {"magic": "OPAQSPILL", "version": 2})
+        """Version 2 (no deltas) and 3 (JSON record meta): every version
+        writes its segment head alike, so the refusal names the version."""
+        path = tmp_path / "segment-0000000001.log"
+        for version in (2, 3):
+            path.write_bytes(
+                store_module._encode(
+                    store_module._HEAD, {"magic": "OPAQSPILL", "version": version}
+                )
+            )
+            with pytest.raises(DataError, match=f"version {version}"):
+                SpillStore(tmp_path)
+
+
+def make_raw(rng, n=300):
+    """A raw key state of ``n`` values over two absorbs."""
+    from repro.portfolio import ENGINES
+
+    state = ENGINES["opaq"].raw_key_state(0.01, 4_096)
+    for part in np.array_split(rng.normal(size=n), 2):
+        state = state.absorb(np.sort(part))
+    return state
+
+
+def raw_fingerprint(values, record) -> bytes:
+    return values.tobytes() + repr(
+        (record.count, record.absorbs, record.minimum, record.maximum)
+    ).encode()
+
+
+def raw_state_fingerprint(state) -> bytes:
+    return raw_fingerprint(state.values, state)
+
+
+def forge_base(path, record, *, swap_last=False, **fields):
+    """Rewrite one base record in place with valid CRCs: ``fields`` of
+    its meta replaced and, with ``swap_last``, its last two values
+    swapped — a record that only ``restore``'s own checks can refuse."""
+    data = bytearray(path.read_bytes())
+    meta_at = record.offset + store_module._HEADER_BYTES
+    names = (
+        "code", "count", "compactions", "epsilon", "absorbs", "minimum",
+        "maximum", "folded",
+    )
+    meta = dict(zip(names, store_module._BASE.unpack_from(data, meta_at)))
+    meta.update(fields)
+    store_module._BASE.pack_into(data, meta_at, *meta.values())
+    if swap_last:
+        at = record.offset + record.length - 16
+        data[at : at + 16] = data[at + 8 : at + 16] + data[at : at + 8]
+    body_len, op, meta_len, _crc = store_module._FIELDS.unpack_from(data, record.offset)
+    fields_bytes = store_module._FIELDS.pack(
+        body_len, op, meta_len,
+        store_module.zlib.crc32(data[meta_at : record.offset + record.length]),
+    )
+    data[record.offset : meta_at] = fields_bytes + store_module._CRC.pack(
+        store_module.zlib.crc32(fields_bytes)
+    )
+    path.write_bytes(bytes(data))
+
+
+def restore_raw(store, keys):
+    out = {}
+    for key in keys:
+        values, record, _ = store.restore(key, keep=True)
+        assert record.raw
+        out[key] = raw_fingerprint(values, record)
+    return out
+
+
+class TestRawBases:
+    """A raw key spills as its sorted values (segment version 4); the
+    crash-window and fault-injection guarantees hold for it as well."""
+
+    def test_raw_base_round_trip_and_deltas(self, rng, tmp_path):
+        state, first = make_raw(rng), sorted_chunk(rng)
+        with SpillStore(tmp_path) as store:
+            store.spill("k", state, epsilon=0.01, engine="gk")
+            store.spill("k", first, delta=True)
+            values, record, _ = store.restore("k", keep=True)
+            assert record.raw and record.engine == "gk" and record.pending == 20
+            assert raw_fingerprint(values, record) == raw_state_fingerprint(state)
+            assert record.values.tobytes() == first.tobytes()
+            assert not values.flags.writeable
+        with SpillStore(tmp_path) as reopened:
+            values, record, _ = reopened.restore("k")
+            assert raw_fingerprint(values, record) == raw_state_fingerprint(state)
+            assert record.values.tobytes() == first.tobytes()
+            assert "k" not in reopened
+
+    @pytest.mark.parametrize("cut", ["header", "meta", "payload"])
+    def test_torn_raw_tail_truncated(self, rng, tmp_path, cut):
+        kept = make_raw(rng)
+        with SpillStore(tmp_path) as store:
+            store.spill("a", kept, epsilon=0.01)
+            store.spill("b", make_raw(rng), epsilon=0.01)
+            torn = store._live["b"]
+        into = {"header": 9, "meta": 30, "payload": torn.length - 5}[cut]
+        (path,) = segments(tmp_path)
+        os.truncate(path, torn.offset + into)
+        with SpillStore(tmp_path) as reopened:
+            assert reopened.keys() == ["a"]
+            assert path.stat().st_size == torn.offset
+            assert restore_raw(reopened, ["a"]) == {"a": raw_state_fingerprint(kept)}
+
+    def test_short_write_then_enospc_over_raw_bases(self, rng, tmp_path, monkeypatch):
+        real_pwrite = os.pwrite
+        calls = []
+
+        def half_then_full_disk(fd, data, offset):
+            calls.append(len(data))
+            if len(calls) == 1:
+                return real_pwrite(fd, bytes(data[: len(data) // 2]), offset)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        kept = {f"k{i}": make_raw(rng) for i in range(3)}
+        with SpillStore(tmp_path) as store:
+            for key, state in kept.items():
+                store.spill(key, state, epsilon=0.01)
+            (path,) = segments(tmp_path)
+            size = path.stat().st_size
+            with monkeypatch.context() as patch:
+                patch.setattr(store_module.os, "pwrite", half_then_full_disk)
+                with pytest.raises(ServiceError, match="retry"):
+                    store.spill("k0", make_raw(rng), epsilon=0.01)
+            assert len(calls) == 2 and path.stat().st_size == size
+            assert store.keys() == list(kept)
+        with SpillStore(tmp_path) as reopened:
+            assert restore_raw(reopened, list(kept)) == {
+                key: raw_state_fingerprint(state) for key, state in kept.items()
+            }
+
+    def test_crash_between_consolidating_reclaim_and_unlink(
+        self, rng, tmp_path, monkeypatch, small_segments
+    ):
+        """Raw chains consolidate into one raw base carrying its deltas;
+        with both copies on disk each element is served once."""
+
+        class Crash(BaseException):
+            pass
+
+        def crash(path):
+            raise Crash(path)
+
+        expected = {}
+        store = SpillStore(tmp_path)
+        for i in range(6):
+            key = f"k{i}"
+            state = make_raw(rng, n=800)
+            store.spill(key, state, epsilon=0.01)
+            chunks = [sorted_chunk(rng), sorted_chunk(rng, 9)]
+            for chunk in chunks:
+                store.spill(key, chunk, delta=True)
+            expected[key] = (
+                raw_state_fingerprint(state), np.concatenate(chunks).tobytes(), 29
+            )
+        hot = make_raw(rng, n=800)
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module.os, "unlink", crash)
+            with pytest.raises(Crash):
+                for _ in range(100):
+                    store.spill("hot", hot, epsilon=0.01)
+        assert any(
+            store._live[key].pending and not store._live[key].deltas
+            for key in expected
         )
-        with pytest.raises(DataError, match="version 2"):
-            SpillStore(tmp_path)
+        store.close()
+
+        def chain(store, key):
+            values, record, _ = store.restore(key, keep=True)
+            return raw_fingerprint(values, record), record.values.tobytes(), record.pending
+
+        with SpillStore(tmp_path) as reopened:
+            assert sorted(reopened.keys()) == sorted([*expected, "hot"])
+            assert {key: chain(reopened, key) for key in expected} == expected
+
+    @pytest.mark.parametrize(
+        "forged, match",
+        [
+            ({"swap_last": True}, "out of order"),
+            ({"count": 0}, "does not hold 0 values"),
+            ({"count": 31}, "does not hold 31 values"),
+            ({"absorbs": 0}, "claims 0 absorbs"),
+            ({"absorbs": 31}, "claims 31 absorbs"),
+            ({"minimum": -math.inf}, "claims extremes"),
+            ({"maximum": -math.inf}, "claims extremes"),
+            ({"minimum": math.nan}, "claims extremes"),
+            ({"maximum": 1e300}, "claims extremes"),
+            ({"folded": -1}, "appended values"),
+            ({"folded": 10_000}, "appended values"),
+            ({"folded": 1}, "does not hold 30 values"),
+        ],
+    )
+    def test_malformed_raw_base_is_refused(self, rng, tmp_path, forged, match):
+        """A raw base is checked where it enters, like a decoded summary:
+        a record that passes its CRCs but could not have been written
+        for a raw key is refused with a ``DataError``."""
+        state = make_raw(rng, n=30)
+        with SpillStore(tmp_path) as store:
+            store.spill("k", state, epsilon=0.01)
+            record = store._live["k"]
+        (path,) = segments(tmp_path)
+        forge_base(path, record, **forged)
+        with SpillStore(tmp_path) as reopened:
+            with pytest.raises(DataError, match=match):
+                reopened.restore("k", keep=True)
+            with pytest.raises(DataError, match=match):
+                reopened.restore("k")
+            assert "k" in reopened
+
+    def test_chain_whose_values_miss_its_pending_count_is_refused(self, rng, tmp_path):
+        with SpillStore(tmp_path) as store:
+            store.spill("k", make_raw(rng, n=30), epsilon=0.01)
+            delta = store_module._DELTA_META.pack(21, *store._live["k"].chain[0][:2])
+            with store._lock:  # a delta whose meta claims one value too many
+                store._append_record(
+                    store_module._DELTA, delta + b"k", sorted_chunk(rng).tobytes()
+                )
+            with pytest.raises(DataError, match="not 21 values"):
+                store.restore("k", keep=True)

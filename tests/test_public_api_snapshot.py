@@ -97,6 +97,7 @@ PORTFOLIO = {
     "make_engine",
     "OPAQEngine",
     "OpaqKeyState",
+    "RawKeyState",
     "KLLEngine",
     "KLLSummary",
     "GKEngine",
