@@ -8,6 +8,10 @@ served bounds enclose the true quantiles and that the per-key error
 contract ``(g - 1) <= epsilon * count`` held even though the budget
 forced cold keys to spill to disk.  Rollup queries (``tenant="*"``)
 must answer from the aggregation tree with the exact global count.
+Two keys test the one ingest policy over the wire: one holds ``±inf``
+(ordered values, kept), one both signs of zero (stored as ``+0.0``, so
+no answer's bytes may hold a negative zero), and a frame holding NaN
+must get a ``DataError`` reply on a connection that keeps serving.
 Then SIGTERMs the server — it must exit 0 — and warm-restarts a second
 server on the same spill directory: every key must answer
 **byte-identically** from its restored summary without re-ingesting.
@@ -25,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 import repro
+from repro.errors import DataError
 from repro.service import ServiceClient
 
 TENANTS = 8
@@ -82,13 +87,29 @@ def check(label: str, ok: bool) -> None:
 
 def keyed_data() -> dict[tuple[str, str], np.ndarray]:
     rng = np.random.default_rng(1997)  # the paper is VLDB'97
-    return {
+    batches = {
         (f"tenant{t:02d}", f"metric{m}"): rng.lognormal(
             mean=0.1 * t, sigma=1.0 + 0.05 * m, size=PER_KEY
         )
         for t in range(TENANTS)
         for m in range(METRICS)
     }
+    # The ingest policy's edge values: both infinities, ordered and
+    # kept, and both signs of zero, stored as +0.0.
+    infinite = rng.normal(size=PER_KEY)
+    infinite[::40] = -np.inf
+    infinite[7::40] = np.inf
+    batches[("edge", "infinite")] = infinite
+    batches[("edge", "zeros")] = rng.choice([-0.0, 0.0, -1.0, 1.0], size=PER_KEY)
+    return batches
+
+
+def negative_zeros(answers) -> int:
+    return sum(
+        int(np.count_nonzero((bound == 0) & np.signbit(bound)))
+        for a in answers
+        for bound in (a.lower, a.upper)
+    )
 
 
 def fingerprints(client, pairs):
@@ -143,8 +164,11 @@ def main() -> None:
                     assert answer.lower[i] <= true_value <= answer.upper[i], pair
                 worst = max(worst, answer.epsilon_bound)
             check(
-                f"all {len(pairs)} keys enclose their true quantiles", True
+                f"all {len(pairs)} keys enclose their true quantiles, "
+                "the ±inf and ±0.0 keys included",
+                True,
             )
+            check("no answer holds a negative zero", negative_zeros(answers) == 0)
             check(
                 f"worst served per-key epsilon {worst:.4f} <= {EPSILON}",
                 worst <= EPSILON,
@@ -156,6 +180,19 @@ def main() -> None:
                 rollup.source == "rollup:global" and rollup.count == total,
             )
             first = fingerprints(client, pairs)
+
+            sock = client._transport._sock
+            try:
+                client.ingest_keyed({("edge", "nan"): np.array([1.0, np.nan])})
+                refused = False
+            except DataError as exc:
+                refused = "NaN" in str(exc)
+            check("a frame holding NaN gets a DataError reply", refused)
+            check(
+                "the same connection keeps serving",
+                fingerprints(client, pairs) == first
+                and client._transport._sock is sock,
+            )
             client.close()
         finally:
             stop_server(proc)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.values import ingest_values
 from repro.errors import ConfigError, EstimationError
 
 __all__ = ["EquiWidthHistogram"]
@@ -63,11 +64,11 @@ class EquiWidthHistogram:
 
     def update(self, chunk: np.ndarray) -> None:
         """Absorb one chunk of values."""
-        chunk = np.asarray(chunk, dtype=np.float64)
+        chunk = ingest_values(chunk, copy=False)
         if chunk.size == 0:
             return
-        idx = ((chunk - self.lo) / self._width).astype(np.int64)
-        np.clip(idx, 0, self.cells - 1, out=idx)
+        # Clamped before the cast: ±inf and huge values have no int64.
+        idx = np.clip((chunk - self.lo) / self._width, 0, self.cells - 1).astype(np.int64)
         self._counts += np.bincount(idx, minlength=self.cells)
         self._n += chunk.size
 

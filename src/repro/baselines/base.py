@@ -15,7 +15,8 @@ from typing import Iterable, TypeVar
 
 import numpy as np
 
-from repro.errors import ConfigError, EstimationError
+from repro.core.values import ingest_values
+from repro.errors import EstimationError
 from repro.storage import DiskDataset, RunReader
 
 __all__ = ["StreamingQuantileEstimator", "consume"]
@@ -43,13 +44,12 @@ class StreamingQuantileEstimator(ABC):
 
     @abstractmethod
     def _consume(self, chunk: np.ndarray) -> None:
-        """Absorb one chunk of keys."""
+        """Absorb one non-empty chunk of keys, an array of its own."""
 
     def update(self, chunk: np.ndarray) -> None:
-        """Absorb one chunk of keys (validating input)."""
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if chunk.ndim != 1:
-            raise ConfigError("chunks must be one-dimensional")
+        """Absorb one chunk of keys: ``_consume`` gets a canonical copy
+        (the ingest policy, :mod:`repro.core.values`)."""
+        chunk = ingest_values(chunk)
         if chunk.size == 0:
             return
         self._consume(chunk)

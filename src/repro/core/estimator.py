@@ -16,7 +16,7 @@ single-pass :class:`~repro.storage.RunReader`), an in-memory numpy array
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.core.protocols import DataSource
 from repro.core.quantile_phase import bounds_for, quantile_bounds, splitters
 from repro.core.sample_phase import build_summary
 from repro.core.summary import OPAQSummary
+from repro.core.values import ingest_values
 from repro.errors import ConfigError
 from repro.storage import DiskDataset, RunReader
 
@@ -52,37 +53,25 @@ class OPAQ:
             self.config.validate_for(source.dataset.count)
             return source
         if isinstance(source, np.ndarray):
-            if source.ndim != 1:
-                raise ConfigError("in-memory data must be one-dimensional")
+            source = ingest_values(source, copy=False, scan=False)
             self.config.validate_for(max(1, source.size))
             m = self.config.run_size
             return (source[i : i + m] for i in range(0, source.size, m))
         if isinstance(source, Iterable):
-            # An iterable of runs: the total size is unknowable up front, so
-            # the memory constraint is checked against the observed total
-            # once the single pass completes.
-            return self._validated_runs(source)
+            return source
         raise ConfigError(
             f"unsupported data source {type(source).__name__!r}; expected a "
             "DiskDataset, RunReader, numpy array, or iterable of runs"
         )
 
-    def _validated_runs(
-        self, runs: Iterable[np.ndarray]
-    ) -> Iterator[np.ndarray]:
-        """Pass runs through, validating the memory constraint on completion."""
-        total = 0
-        for run in runs:
-            run = np.asarray(run)
-            if run.ndim != 1:
-                raise ConfigError("each run must be a one-dimensional array")
-            total += run.size
-            yield run
-        self.config.validate_for(max(1, total))
-
     def summarize(self, source: DataSource) -> OPAQSummary:
         """The one pass: build the sorted sample list for ``source``."""
-        return build_summary(self._runs(source), self.config)
+        summary = build_summary(self._runs(source), self.config)
+        if not isinstance(source, (DiskDataset, RunReader, np.ndarray)):
+            # An iterable of runs: its total size was unknowable up front,
+            # so the memory constraint is checked once the pass is done.
+            self.config.validate_for(summary.count)
+        return summary
 
     def bounds(
         self, summary: OPAQSummary, phis: Sequence[float]

@@ -23,6 +23,7 @@ from repro.core.config import OPAQConfig
 from repro.core.quantile_phase import bounds_for
 from repro.core.sample_phase import build_summary
 from repro.core.summary import OPAQSummary
+from repro.core.values import ingest_values
 from repro.errors import EstimationError
 from repro.storage import DiskDataset, RunReader
 
@@ -58,7 +59,7 @@ def refine_exact(
     below = np.zeros(len(bounds), dtype=np.int64)
     total = 0
     for run in runs:
-        run = np.asarray(run)
+        run = ingest_values(run, copy=False)
         total += run.size
         for k in range(len(bounds)):
             below[k] += int(np.count_nonzero(run < lowers[k]))
@@ -74,7 +75,7 @@ def refine_exact(
             )
         local_rank = b.rank - int(below[k])  # 1-based rank inside the window
         window = (
-            np.sort(np.concatenate(kept[k]))
+            np.sort(ingest_values(np.concatenate(kept[k])))  # +0.0 kept
             if kept[k]
             else np.empty(0, dtype=np.float64)
         )

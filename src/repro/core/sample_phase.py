@@ -24,11 +24,11 @@ The sampler holds the paper's one run buffer of ``m`` float64 keys, so
 :class:`~repro.storage.RunReader` reads each run straight into it, any
 other run is copied in, and the selection sorts it in place
 (``overwrite_input=True``) — a caller's array is never reordered.
-Besides the read and the sort, a run costs one O(m) pass: ``min``, taken
-before the buffer is reordered so the minimum keeps its bytes.  The
-maximum is the last sample (rank ``m - 1`` is always selected), and the
-``numpy`` and ``sort`` strategies, which rank NaN last, reveal a NaN
-there too.
+Besides the read and the sort, a run costs one O(m) pass: ``min``.  The
+maximum is the last sample (rank ``m - 1`` is always selected).  Runs
+take the ingest policy (:mod:`repro.core.values`) at O(s): its ``s``
+samples and extremes keep every zero as ``+0.0``, and the ``numpy`` and
+``sort`` strategies, which rank NaN last, reveal a NaN in the samples.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import numpy as np
 
 from repro.core.config import OPAQConfig
 from repro.core.summary import OPAQSummary
-from repro.errors import DataError, EstimationError
+from repro.core.values import ingest_values
+from repro.errors import EstimationError
 from repro.obs import current_tracer
 from repro.selection import SelectionStrategy, kway_merge, regular_sample_ranks
 from repro.storage import RunReader
@@ -66,9 +67,6 @@ def scaled_sample_count(run_size: int, nominal_run: int, nominal_s: int) -> int:
     return max(1, min(run_size, scaled))
 
 
-_NAN_KEYS = "run contains NaN keys; quantiles are undefined"
-
-
 def sample_run(
     run: np.ndarray,
     sample_count: int,
@@ -86,18 +84,12 @@ def sample_run(
     ``overwrite_input=True`` lets the selection reorder ``run`` in place
     instead of a copy, as in ``numpy.median``.
     """
-    run = np.asarray(run)
-    if run.ndim != 1:
-        raise EstimationError("a run must be a one-dimensional array")
+    # A NaN-last strategy shows a NaN in the samples; others scan.
+    run = ingest_values(run, copy=False, scan=not strategy.nan_last)
     ranks = regular_sample_ranks(run.size, sample_count)
-    # NaNs have no rank; letting them through would silently corrupt
-    # every guarantee downstream.  A NaN-last strategy shows one at the
-    # top sample; any other must not see one at all.
-    if not strategy.nan_last and np.isnan(run.min()):
-        raise DataError(_NAN_KEYS)
-    samples = strategy.multiselect(run, ranks, overwrite_input=overwrite_input)
-    if np.isnan(samples[-1]):
-        raise DataError(_NAN_KEYS)
+    samples = ingest_values(
+        strategy.multiselect(run, ranks, overwrite_input=overwrite_input)
+    )
     gaps = np.diff(np.concatenate([[-1], ranks])).astype(np.int64)
     floors = np.concatenate([[-np.inf], samples[:-1]])
     return samples, gaps, floors
@@ -146,18 +138,16 @@ class RunSampler:
 
     def add(self, run: np.ndarray) -> None:
         """Sample one run and tally it; ``run`` itself is never reordered."""
-        run = np.asarray(run)
+        run = ingest_values(run, copy=False, scan=False)
         if run.size == 0:
             return
-        if run.ndim != 1:
-            raise EstimationError("a run must be a one-dimensional array")
         if run.base is not self._buffer:  # not read in place by read()
             held = self._room(run.size)[: run.size]
-            np.copyto(held, run, casting="unsafe")
+            np.copyto(held, run)
             run = held
-        # The one O(m) pass besides the read and the sort, taken before
-        # the buffer is reordered so the minimum keeps its bytes.
-        lowest = run.min()
+        # The one O(m) pass besides the read and the sort; ``sample_run``
+        # refuses a NaN, and the kept minimum stores a zero as +0.0.
+        lowest = run.min() + 0.0
         s_k = scaled_sample_count(run.size, self._run_size, self._sample_size)
         samples, gaps, floors = sample_run(
             run, s_k, self._strategy, overwrite_input=True

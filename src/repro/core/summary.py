@@ -58,7 +58,9 @@ __all__ = ["OPAQSummary", "pack_fields", "unpack_fields"]
 #: ``reduceat`` calls (a cost per group).  The columns take a group's
 #: least floor in order, as ``reduceat`` does for groups of up to 8 but
 #: not of 9, 17, 25, ... (numpy 2.4 keeps the other of two tied signed
-#: zeros there), so 8 is the widest they fold bit for bit.  Column time
+#: zeros there), so 8 is the widest they fold bit for bit.  Ingest stores
+#: zeros as ``+0.0``, but ``-0.0`` still reaches a summary through the
+#: public constructor and decodes of an earlier build's.  Column time
 #: over ``reduceat`` time, best of 7 on a 2-vCPU x86-64 host with numpy
 #: 2.4, 64 to 1M samples: with 128 groups or more, 0.09-0.34 at factor
 #: 2, 0.23-0.92 at 3, 0.20-0.60 at 4 and 0.44-0.96 at 8 (with fewer

@@ -46,7 +46,8 @@ class EstimationError(ReproError, RuntimeError):
 
 class DataError(ReproError, ValueError):
     """Input the library cannot take: malformed on-disk data (truncated
-    file, wrong dtype, bad header), or NaN keys, which have no rank."""
+    file, wrong dtype, bad header), or values the ingest policy refuses
+    (:mod:`repro.core.values`): non-numeric, not 1-D, or NaN (no rank)."""
 
 
 class ParallelError(ReproError, RuntimeError):

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.config import OPAQConfig
 from repro.core.sample_phase import RunSampler
+from repro.core.values import ingest_values
 from repro.errors import ConfigError
 from repro.parallel.backends.base import Comm
 from repro.selection import kway_merge
@@ -61,7 +62,7 @@ def _partition_runs(partition: Any, run_size: int) -> Iterable[np.ndarray]:
     data, plain slicing for in-memory (or shared-memory) arrays."""
     if isinstance(partition, DiskDataset):
         return RunReader(partition, run_size=run_size)
-    arr = np.asarray(partition, dtype=np.float64)
+    arr = ingest_values(partition, copy=False, scan=False)
     return (arr[i : i + run_size] for i in range(0, arr.size, run_size))
 
 

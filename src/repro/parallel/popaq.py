@@ -24,6 +24,7 @@ from repro.core.config import OPAQConfig
 from repro.core.quantile_phase import bounds_for
 from repro.core.sample_phase import RunSampler, assemble_summary
 from repro.core.summary import OPAQSummary
+from repro.core.values import ingest_values
 from repro.errors import ConfigError
 from repro.obs import current_tracer
 from repro.parallel.backends import (
@@ -199,7 +200,7 @@ class ParallelOPAQ:
         if isinstance(partition, DiskDataset):
             # RunReader emits the io.* trace events itself.
             return RunReader(partition, run_size=m)
-        arr = np.asarray(partition, dtype=np.float64)
+        arr = ingest_values(partition, copy=False, scan=False)
         return self._array_runs(arr, m)
 
     @staticmethod
@@ -239,7 +240,7 @@ class ParallelOPAQ:
         """Block-partition a dataset/array across the processors."""
         if isinstance(data, DiskDataset):
             data = data.read_all()
-        arr = np.asarray(data, dtype=np.float64)
+        arr = ingest_values(data, copy=False, scan=False)
         return [part for part in np.array_split(arr, self.p)]
 
     def run(self, partitions, phis=None) -> ParallelResult:

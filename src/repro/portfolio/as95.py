@@ -172,7 +172,7 @@ class IntervalSummary(SketchSummary):
     def _consume(self, chunk: np.ndarray) -> None:
         self._track_extremes(chunk)
         if self._bounds is None:
-            self._pending.append(chunk.copy())
+            self._pending.append(chunk)
             self._pending_size += chunk.size
             # Seed once we have enough to draw k meaningful boundaries.
             if self._pending_size >= 4 * self.intervals:

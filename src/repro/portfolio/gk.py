@@ -59,6 +59,7 @@ from repro.portfolio.base import (
     validate_phis,
 )
 from repro.portfolio.raw import RawKeyState
+from repro.selection import is_sorted
 
 __all__ = ["GKSummary", "GKEngine"]
 
@@ -96,7 +97,8 @@ class GKSummary(SketchSummary):
         return int(self._v.size)
 
     def _consume(self, chunk: np.ndarray) -> None:
-        chunk = np.sort(chunk)
+        if not is_sorted(chunk):  # registry folds arrive sorted
+            chunk.sort()
         n_after = self._n + chunk.size
         cap = max(1, int(2 * self.epsilon * n_after))
         # Batched insert: each new element becomes a tuple with g=1 and

@@ -120,7 +120,7 @@ class KLLSummary(SketchSummary):
 
     def _consume(self, chunk: np.ndarray) -> None:
         self._track_extremes(chunk)
-        self._levels[0].append(chunk.copy())
+        self._levels[0].append(chunk)
         self._sizes[0] += chunk.size
         self._compact_overflowing()
 

@@ -24,12 +24,10 @@ its key state built from a raw one that holds at least one value.
 
 Ties keep arrival order: a chunk merges in after the equal values
 already held, and the extremes are the first-arrived smallest and
-largest values, exactly as OPAQ's merge keeps them, so a raw OPAQ key
-and its promoted state equal the engine's own bit for bit.  GK, KLL and
-AS95 order tied values with numpy's default sort in places and answer
-the element of rank ``psi`` as both bounds; where ``-0.0`` and ``0.0``
-tie, their raw or promoted keys may carry the other sign of zero, and
-differ nowhere else (docs/guarantees.md).
+largest values, exactly as OPAQ's merge keeps them.  The registry takes
+its values in under the ingest policy (:mod:`repro.core.values`), so
+every zero a key holds is ``+0.0``, and a raw key and its promoted
+state equal the engine's own bit for bit, on every engine.
 """
 
 from __future__ import annotations

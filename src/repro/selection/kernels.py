@@ -19,12 +19,13 @@ first split, never at import; a forked child starts its own.  It only
 ever calls ``ndarray.sort``, so it emits no trace events.
 
 Order statistics depend only on the values, so every ``w`` and every
-strategy returns the same samples, with one exception: where ``-0.0`` and
-``0.0`` tie at a selected rank, the sample may carry either sign (the two
-compare equal).  ``tests/selection/test_kernels.py`` pins this against
-the ``sort`` strategy over ragged run sizes, duplicate-heavy data and
-mixed-sign zeros; ``tests/selection/test_split_sort.py`` does so with the
-split forced on small inputs.
+strategy returns the same samples.  Where ``-0.0`` and ``0.0`` tie at a
+selected rank, a sample may carry either sign (the two compare equal);
+the sample phase stores every zero it keeps as ``+0.0``, so no summary
+sees the difference.  ``tests/selection/test_kernels.py`` pins this
+against the ``sort`` strategy over ragged run sizes, duplicate-heavy
+data and mixed-sign zeros; ``tests/selection/test_split_sort.py`` does
+so with the split forced on small inputs.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.values import ingest_values
 from repro.errors import ConfigError, DataError, ServiceError
 from repro.service import proto
 from repro.service.proto import QuantileVector
@@ -73,13 +74,7 @@ def _as_batch(values: Any) -> np.ndarray:
             "scalar ingest(x) was removed; pass a batched np.ndarray "
             "(ingest(np.asarray([x])))"
         )
-    try:
-        arr = np.ascontiguousarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"ingest batch is not numeric: {exc}") from None
-    if arr.ndim != 1:
-        raise DataError("ingest batches must be one-dimensional")
-    return arr
+    return ingest_values(values, copy=False, scan=False)  # the server scans
 
 
 def _as_phis(phis: Any) -> np.ndarray:

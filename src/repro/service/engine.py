@@ -124,25 +124,17 @@ class QuantileService:
     ) -> dict[str, int]:
         """Route one batch across the shards (blocking backpressure).
 
-        The primary signature is array-in: pass a 1-D ``np.ndarray`` (or
-        any numeric sequence).  Scalar ingest is deprecated — wrap the
-        value in an array; per-element calls are exactly the per-request
+        Pass a 1-D ``np.ndarray`` (or any numeric sequence): a scalar
+        is refused, as per-element calls are exactly the per-request
         overhead the batched API exists to amortise.
 
         Returns ``{"accepted": n, "epoch": current}``; raises
         :class:`~repro.errors.ServiceError` when a shard queue stays full
         past the backpressure timeout and
-        :class:`~repro.errors.DataError` for NaN or non-1-D input.
+        :class:`~repro.errors.DataError` for what the ingest policy
+        refuses (:mod:`repro.core.values`).
         """
         self._check_open()
-        if isinstance(values, (int, float)):
-            warnings.warn(
-                "scalar ingest(x) is deprecated; pass a batched "
-                "np.ndarray (ingest(np.asarray([x])))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            values = np.asarray([values], dtype=np.float64)
         parts = self._router.split(values)
         accepted = 0
         for worker, part in zip(self._workers, parts):

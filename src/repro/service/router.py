@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, DataError
+from repro.core.values import ingest_values
+from repro.errors import ConfigError
 
 __all__ = ["ShardRouter"]
 
@@ -36,18 +37,10 @@ class ShardRouter:
         """Partition ``values`` into ``num_shards`` contiguous views.
 
         Order is preserved (the concatenated views are the batch), and
-        the view sizes differ by at most one.  NaNs are rejected up front
-        — they are unorderable, so no quantile statement about them is
-        possible.
+        the view sizes differ by at most one.  The ingest policy
+        (:mod:`repro.core.values`) refuses a bad batch up front.
         """
-        try:
-            arr = np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"ingest batch is not numeric: {exc}") from None
-        if arr.ndim != 1:
-            raise DataError("ingest batches must be one-dimensional")
-        if np.isnan(arr).any():
-            raise DataError("ingest batch contains NaN; NaNs have no rank")
+        arr = ingest_values(values, copy=False)
         if self.num_shards == 1:
             return [arr]
         return np.array_split(arr, self.num_shards)

@@ -83,6 +83,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.values import ingest_values
 from repro.errors import DataError, EstimationError, ServiceError
 from repro.obs import current_tracer
 from repro.portfolio import ENGINES, EngineSpec
@@ -301,7 +302,7 @@ class SummaryRegistry:
         self, tenant: str, metric: str, values: Sequence[float] | np.ndarray
     ) -> int:
         """Ingest one key's batch; returns elements absorbed."""
-        data = np.ascontiguousarray(values, dtype=np.float64)
+        data = ingest_values(values, copy=False)
         result = self.ingest_frame(
             [compose_key(tenant, metric)],
             np.array([data.size], dtype=np.int64),
@@ -318,20 +319,18 @@ class SummaryRegistry:
         """Ingest one wire frame: ``counts[i]`` elements for ``keys[i]``.
 
         ``values`` is the concatenation of every key's elements in key
-        order.  Frames are not transactional: a malformed key fails the
-        frame partway (already-appended keys keep their data), which the
-        wire layer surfaces as a non-retryable data error.
+        order; the ingest policy (:mod:`repro.core.values`) takes them
+        into the one copy the registry regroups.  Frames are not
+        transactional: a malformed key fails the frame partway
+        (already-appended keys keep their data), which the wire layer
+        surfaces as a non-retryable data error.
         """
         if self._closed:
             raise ServiceError("registry is closed")
         counts = np.ascontiguousarray(counts, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if counts.ndim != 1 or values.ndim != 1:
-            raise DataError("counts and values must be one-dimensional")
-        if len(keys) != counts.size:
-            raise DataError(
-                f"{len(keys)} keys but {counts.size} counts in keyed frame"
-            )
+        values = ingest_values(values)
+        if counts.shape != (len(keys),):
+            raise DataError(f"{len(keys)} keys but counts of shape {counts.shape}")
         if counts.size == 0:
             return {"elements": 0, "keys": 0}
         if int(counts.min()) < 0:
@@ -341,8 +340,6 @@ class SummaryRegistry:
             raise DataError(
                 f"counts sum to {total} but frame carries {values.size} values"
             )
-        if total and not bool(np.all(np.isfinite(values))):
-            raise DataError("keyed ingest requires finite values")
         num_shards = self._cfg.num_shards
         crc = zlib.crc32
         sep = KEY_SEP

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import EquiWidthHistogram
-from repro.errors import ConfigError, EstimationError
+from repro.errors import ConfigError, DataError, EstimationError
 
 
 class TestEquiWidthHistogram:
@@ -26,6 +26,15 @@ class TestEquiWidthHistogram:
         h.update(np.array([-1.0, 0.5, 2.0]))
         assert h.counts.sum() == 3
         assert h.counts[0] >= 1 and h.counts[-1] >= 1
+        # Infinities and values past int64 clamp into the end cells too.
+        h.update(np.array([np.inf, 1e300, -np.inf, -1e300]))
+        np.testing.assert_array_equal(h.counts, [3, 0, 1, 3])
+
+    def test_nan_refused(self):
+        h = EquiWidthHistogram(0.0, 1.0, 4)
+        with pytest.raises(DataError, match="NaN"):
+            h.update(np.array([0.5, np.nan]))
+        assert h.n == 0
 
     def test_uniform_selectivity_accurate(self, rng):
         data = rng.uniform(size=100_000)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import RandomSamplingEstimator, consume
-from repro.errors import ConfigError, EstimationError
+from repro.errors import DataError, EstimationError
 
 
 class TestStreamingInterface:
@@ -21,7 +21,7 @@ class TestStreamingInterface:
 
     def test_2d_chunk_rejected(self, rng):
         est = RandomSamplingEstimator(capacity=10, seed=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="one-dimensional"):
             est.update(rng.uniform(size=(2, 2)))
 
     def test_query_before_data(self):

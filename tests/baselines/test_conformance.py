@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from repro.baselines import RandomSamplingEstimator
-from repro.errors import ConfigError, EstimationError
+from repro.errors import DataError, EstimationError
+
+#: Chunks the ingest policy refuses.
+BAD_CHUNKS = (
+    np.random.default_rng(0).uniform(size=(4, 4)),
+    np.array([1.0, np.nan, 2.0]),
+    ["a", "b"],
+)
 
 ESTIMATORS = {cls.name: cls for cls in (RandomSamplingEstimator,)}
 NAMES = sorted(ESTIMATORS)
@@ -56,6 +63,10 @@ class TestStreamingConformance:
         assert est.n == 0
 
     def test_2d_chunk_rejected(self, name, rng):
+        """2-D, NaN-holding and non-numeric chunks: the ingest policy's
+        refusals, every one a ``DataError`` that leaves ``n`` at 0."""
         est = ESTIMATORS[name]()
-        with pytest.raises(ConfigError):
-            est.update(rng.uniform(size=(4, 4)))
+        for chunk in BAD_CHUNKS:
+            with pytest.raises(DataError):
+                est.update(chunk)
+        assert est.n == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import OPAQ, OPAQConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DataError
 from repro.storage import RunReader
 
 
@@ -42,7 +42,7 @@ class TestSources:
 
     def test_2d_array_rejected(self, rng):
         config = OPAQConfig(run_size=10, sample_size=2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="one-dimensional"):
             OPAQ(config).summarize(rng.uniform(size=(5, 5)))
 
     def test_memory_budget_enforced_on_source(self, rng):
@@ -60,8 +60,14 @@ class TestSources:
 
     def test_2d_run_in_iterable_rejected(self, rng):
         config = OPAQConfig(run_size=10, sample_size=2)
-        with pytest.raises(ConfigError, match="one-dimensional"):
+        with pytest.raises(DataError, match="one-dimensional"):
             OPAQ(config).summarize(iter([rng.uniform(size=(5, 5))]))
+
+    def test_non_numeric_input_rejected(self):
+        config = OPAQConfig(run_size=10, sample_size=2)
+        for source in (np.array(["a", "b"]), iter([["a", "b"]])):
+            with pytest.raises(DataError, match="not numeric"):
+                OPAQ(config).summarize(source)
 
     def test_unsupported_source_rejected(self):
         config = OPAQConfig(run_size=10, sample_size=2)

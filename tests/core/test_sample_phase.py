@@ -69,7 +69,7 @@ class TestSampleRun:
         assert samples[-1] == run.max()
 
     def test_two_dimensional_rejected(self, rng):
-        with pytest.raises(EstimationError):
+        with pytest.raises(DataError, match="one-dimensional"):
             sample_run(rng.uniform(size=(10, 10)), 2, get_strategy("numpy"))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import QuantileBounds, QuantileEstimator
-from repro.errors import ConfigError, EstimationError
+from repro.errors import ConfigError, DataError, EstimationError
 from repro.portfolio import (
     ENGINES,
     ENGINE_POLICIES,
@@ -163,9 +163,13 @@ def test_empty_chunk_is_a_noop(name):
 
 @each_sketch
 def test_two_dimensional_chunk_is_rejected(name):
+    """2-D, NaN-holding and non-numeric chunks are refused with a
+    ``DataError`` (the ingest policy), and leave the summary empty."""
     summary = ENGINES[name].summary_cls()
-    with pytest.raises(ConfigError):
-        summary.update(np.zeros((4, 4)))
+    for chunk in (np.zeros((4, 4)), np.array([1.0, np.nan, 2.0]), ["a", "b"]):
+        with pytest.raises(DataError):
+            summary.update(chunk)
+    assert summary.count == 0
 
 
 @each_sketch

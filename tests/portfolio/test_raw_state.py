@@ -5,12 +5,9 @@ its sorted values, billed one slot per element, until the first absorb
 at which its engine's state would compact.  The engine's own key state
 (``EngineSpec.key_state``), fed the same chunks, is the oracle: after
 every absorb the two must answer alike, and once the raw key is promoted
-they must be the same state, byte for byte.
-
-Equality is exact, tied ``-0.0``/``0.0`` signs included, for OPAQ, and
-for every engine on data without ``-0.0``.  Where ``-0.0`` and ``0.0``
-tie, KLL, GK and AS95 may order or pick them differently from a raw
-key (docs/guarantees.md), so there values are compared with ``==``.
+they must be the same state, byte for byte.  The chunks are what the
+registry folds: sorted, and taken in under the ingest policy, so a
+``-0.0`` in the input arrives as ``+0.0`` and ``±inf`` as itself.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.summary import unpack_fields
+from repro.core.values import ingest_values
 from repro.portfolio import ENGINES, RawKeyState
 from repro.service.tenancy import SpillStore
 
@@ -39,30 +36,21 @@ LIMITS = {"opaq": 16, "gk": 3, "kll": 35, "as95": 63}
 
 def _chunks(pool):
     chunk = st.lists(st.sampled_from(pool), min_size=1, max_size=24)
-    return st.lists(chunk.map(lambda c: np.sort(np.array(c))), min_size=1, max_size=10)
+    return st.lists(
+        chunk.map(lambda c: np.sort(ingest_values(c))), min_size=1, max_size=10
+    )
 
 
-#: Heavy duplicates, with signed zeros and without ``-0.0``.
-SIGNED = _chunks([-1.5, -0.0, 0.0, 0.0, 2.0, 3.25, 3.25])
+#: Heavy duplicates: with both signs of zero and both infinities, and
+#: finite data that never held ``-0.0``.
+INGESTED = _chunks([-np.inf, -1.5, -0.0, 0.0, 0.0, 2.0, 3.25, 3.25, np.inf])
 UNSIGNED = _chunks([-1.5, 0.0, 2.0, 2.0, 3.25, 7.0])
 
 
-def _same_arrays(a, b, exact):
+def _same_arrays(a, b):
     for x, y in zip(a, b):
         assert x.dtype == y.dtype
-        if exact:
-            assert x.tobytes() == y.tobytes()
-        else:
-            np.testing.assert_array_equal(x, y)
-
-
-def _same_record(a: bytes, b: bytes, exact: bool) -> None:
-    if exact:
-        assert a == b
-        return
-    (arrays_a, meta_a), (arrays_b, meta_b) = unpack_fields(a), unpack_fields(b)
-    assert meta_a == meta_b and arrays_a.keys() == arrays_b.keys()
-    _same_arrays(arrays_a.values(), arrays_b.values(), exact=False)
+        assert x.tobytes() == y.tobytes()
 
 
 def _round_trip(store, name, state):
@@ -80,33 +68,30 @@ def _round_trip(store, name, state):
     )
 
 
-def _check_against_oracle(name, chunks, exact_always):
+def _check_against_oracle(name, chunks):
     spec = ENGINES[name]
     state = spec.raw_key_state(EPSILON, MAX_SAMPLES, SEED)
     oracle = spec.key_state(EPSILON, MAX_SAMPLES, seed=SEED)
-    signed = False
     with tempfile.TemporaryDirectory() as spill_dir, SpillStore(
         spill_dir, loaders={n: s.from_bytes for n, s in ENGINES.items()}
     ) as store:
         for chunk in chunks:
             state = state.absorb(chunk.copy())
             oracle.absorb(chunk.copy())
-            signed |= bool((np.signbit(chunk) & (chunk == 0)).any())
-            exact = exact_always or not signed
             assert state.count == oracle.count
             assert state.compactions == oracle.compactions
             assert state.guaranteed_rank_error() == oracle.guaranteed_rank_error()
-            _same_arrays(state.bounds_arrays(PHIS), oracle.bounds_arrays(PHIS), exact)
+            _same_arrays(state.bounds_arrays(PHIS), oracle.bounds_arrays(PHIS))
             if isinstance(state, RawKeyState):
                 assert state.count <= LIMITS[name]
                 assert state.memory_footprint == state.count
                 assert state.guaranteed_rank_error() == 1
             else:
                 assert state.count > LIMITS[name]
-                _same_record(state.to_bytes(), oracle.to_bytes(), exact)
+                assert state.to_bytes() == oracle.to_bytes()
             restored = _round_trip(store, name, state)
             assert type(restored) is type(state)
-            _same_arrays(restored.bounds_arrays(PHIS), state.bounds_arrays(PHIS), True)
+            _same_arrays(restored.bounds_arrays(PHIS), state.bounds_arrays(PHIS))
             if isinstance(state, RawKeyState):
                 assert restored.values.tobytes() == state.values.tobytes()
                 assert (restored.absorbs, repr(restored.minimum), repr(restored.maximum)) == (
@@ -119,16 +104,16 @@ def _check_against_oracle(name, chunks, exact_always):
 
 @pytest.mark.parametrize("name", NAMES)
 @settings(max_examples=60, deadline=None)
-@given(chunks=SIGNED)
+@given(chunks=INGESTED)
 def test_raw_then_promoted_matches_the_engine_state(name, chunks):
-    _check_against_oracle(name, chunks, exact_always=name == "opaq")
+    _check_against_oracle(name, chunks)
 
 
 @pytest.mark.parametrize("name", NAMES)
 @settings(max_examples=60, deadline=None)
 @given(chunks=UNSIGNED)
 def test_without_negative_zero_every_engine_matches_byte_for_byte(name, chunks):
-    _check_against_oracle(name, chunks, exact_always=True)
+    _check_against_oracle(name, chunks)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -94,10 +94,12 @@ class TestIngestAndQuery:
             registry.ingest_frame(["a\x1fm"], np.array([2, 3]), np.zeros(5))
         with pytest.raises(DataError, match="sum"):
             registry.ingest_frame(["a\x1fm"], np.array([3]), np.zeros(5))
-        with pytest.raises(DataError, match="finite"):
+        with pytest.raises(DataError, match="NaN"):
             registry.ingest_frame(
                 ["a\x1fm"], np.array([1]), np.array([np.nan])
             )
+        with pytest.raises(DataError, match="not numeric"):
+            registry.ingest_frame(["a\x1fm"], np.array([1]), np.array(["x"]))
         with pytest.raises(DataError):
             registry.ingest("*", "latency", [1.0])  # wildcard ingest
 

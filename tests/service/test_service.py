@@ -71,11 +71,13 @@ class TestIngestAndQuery:
             assert len(result.bounds) == 1
             assert result.bounds[0].phi == 0.5
 
-    def test_scalar_ingest_deprecated_but_accepted(self, rng):
+    def test_scalar_ingest_refused(self):
+        """A scalar is not a batch: refused like ``ServiceClient.ingest``
+        refuses it, with nothing accepted."""
         with QuantileService(small_config()) as service:
-            with pytest.deprecated_call():
-                receipt = service.ingest(1.5)
-            assert receipt["accepted"] == 1
+            with pytest.raises(DataError, match="one-dimensional"):
+                service.ingest(1.5)
+            assert service.stats()["accepted"] == 0
 
     def test_staleness_counts_unsnapshotted_elements(self, rng):
         with QuantileService(small_config()) as service:

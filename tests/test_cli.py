@@ -346,6 +346,28 @@ class TestRunCommand:
         assert rc == 2
         assert "unknown engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["opaq", "kll", "gk", "as95"])
+    def test_run_refuses_nan_on_every_engine(self, tmp_path, engine, capsys):
+        """NaN has no rank: one among 20,000 normal values is a data
+        error on every engine, never bounds printed over it."""
+        from repro.storage import DatasetWriter
+
+        data = np.random.default_rng(5).normal(size=20_001)
+        data[12_345] = np.nan
+        path = tmp_path / "nan.opaq"
+        with DatasetWriter(path) as writer:
+            writer.append(data)
+        rc = main(
+            [
+                "run", str(path), "--phi", "0.01", "--phi", "0.5",
+                "--sample-size", "100", "--engine", engine,
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "NaN" in captured.err
+        assert "0.500" not in captured.out
+
 
 class TestServeEngineFlags:
     """Engine selection fails fast — before any socket is bound."""
