@@ -1,7 +1,8 @@
 """The one ingest policy, which every entry point applies through
 :func:`ingest_values`: a rank needs a total order, so NaN is refused,
 ``±inf`` are ordered values and kept, and as ``-0.0 == 0.0`` every zero
-the program keeps (never a caller's array) is stored as ``+0.0``.
+the program keeps (never a caller's array) is stored as ``+0.0``; keyed
+counts go through :func:`ingest_counts`: whole numbers, never truncated.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import numpy as np
 
 from repro.errors import DataError
 
-__all__ = ["ingest_values"]
+__all__ = ["ingest_counts", "ingest_values"]
 
 
 def ingest_values(values: object, *, copy: bool = True, scan: bool = True) -> np.ndarray:
@@ -32,3 +33,17 @@ def ingest_values(values: object, *, copy: bool = True, scan: bool = True) -> np
     if scan and arr.size and np.isnan(arr.min()):
         raise DataError("values contain NaN, which has no rank; quantiles are undefined")
     return np.add(arr, 0.0) if copy else np.ascontiguousarray(arr)
+
+
+def ingest_counts(counts: object) -> np.ndarray:
+    """Per-key element counts as int64; :class:`~repro.errors.DataError`
+    unless each is a whole number (never truncated)."""
+    try:
+        arr = np.asarray(counts, dtype=np.float64)  # None becomes NaN
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"per-key counts are not numeric: {exc}") from None
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
+        whole = arr.astype(np.int64)
+    if not np.array_equal(whole, arr):
+        raise DataError("per-key counts must be whole numbers")
+    return whole

@@ -9,7 +9,7 @@ uses (sample budget = ``slots / 3``, enforced by
 :meth:`~repro.core.OPAQSummary.compact_to` whatever the source shape).
 
 This module is also where the *canonical* per-key fold logic lives —
-:func:`exact_delta` and :func:`compact_within_budget` — so the
+:func:`compact_within_budget`, with core's :func:`exact_delta` — so the
 multi-tenant registry can treat OPAQ as one engine among several: the
 service layer imports from the portfolio, never the reverse.
 :class:`OpaqKeyState` replicates the registry's historical fold
@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.bounds import QuantileBounds
 from repro.core.config import OPAQConfig
 from repro.core.estimator import OPAQ
+from repro.core.incremental import exact_delta
 from repro.core.quantile_phase import bounds_arrays, bounds_for, quantile_bounds
 from repro.core.protocols import DataSource
 from repro.core.summary import OPAQSummary
@@ -43,28 +44,6 @@ __all__ = [
     "exact_delta",
     "compact_within_budget",
 ]
-
-
-def exact_delta(data: np.ndarray) -> OPAQSummary:
-    """Sorted data -> exact summary (unit gaps, rank guarantee 1).
-
-    ``data`` must already be a sorted, non-empty float64 array owned by
-    the caller; it is trusted, not checked.  Each element is its own
-    group, so its floor IS the element — without explicit floors they
-    default to the conservative ``-inf``, which is harmless while gaps
-    are 1 but makes every group a straddler for every value after
-    compaction, blowing the guarantee up to ``~s*(k-1)`` instead of
-    ``~k`` and defeating :func:`compact_within_budget`.
-    """
-    return OPAQSummary._trusted(
-        samples=data,
-        gaps=np.ones(data.size, dtype=np.int64),
-        num_runs=1,
-        count=data.size,
-        minimum=float(data[0]),
-        maximum=float(data[-1]),
-        floors=data,
-    )
 
 
 def compact_within_budget(

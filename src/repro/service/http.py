@@ -139,10 +139,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(200, self.service.stats())
 
     def _ep_ingest(self, query: dict[str, list[str]]) -> None:
-        payload = self._read_json()
-        values = payload.get("values")
-        if not isinstance(values, list) or not values:
-            raise DataError('body must be {"values": [number, ...]}')
+        values = self._read_json().get("values")
         self._reply(200, dict(self.service.ingest(values)))
 
     def _ep_quantile_get(self, query: dict[str, list[str]]) -> None:
@@ -185,13 +182,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _ep_ingest_keyed(self, query: dict[str, list[str]]) -> None:
         payload = self._read_json()
         keys = self._composite_keys(payload.get("keys"))
-        counts = payload.get("counts")
-        values = payload.get("values")
-        if not isinstance(counts, list) or not isinstance(values, list):
-            raise DataError(
-                'body must be {"keys": [[tenant, metric], ...], '
-                '"counts": [n, ...], "values": [number, ...]}'
-            )
+        counts, values = payload.get("counts"), payload.get("values")
         self._reply(200, dict(self.service.ingest_keyed(keys, counts, values)))
 
     def _ep_quantile_keyed(self, query: dict[str, list[str]]) -> None:

@@ -17,16 +17,14 @@ in :attr:`ShardWorker.summary` — the consistency point the epoch
 snapshotter builds on.
 
 A fold samples the buffer into one run and hands it to the estimator,
-which keeps it pending: the shard's new runs merge into its summary only
-at a barrier (an epoch is about to read every shard, so the worker
-merges them there, once, on its own thread) or at the compaction point
-(``max_shard_samples``), in one k-way merge either way.  After each
+whose :class:`~repro.core.incremental.LazySummary` lets it wait until
+the compaction point (``max_shard_samples``) or a barrier, where the
+worker merges the waiting runs once, on its own thread.  After each
 fold and each barrier the worker publishes the estimator's parts — the
-summary, then the pending runs in arrival order — as one immutable
-tuple, with a single reference assignment.  Summaries are immutable
-(:class:`~repro.core.OPAQSummary` is frozen), so readers grab the
-current tuple and merge it themselves; there is nothing to lock, and no
-reader ever changes the worker's estimator.
+summary, then the waiting runs — as one immutable tuple, with a single
+reference assignment.  Summaries are frozen, so readers
+:func:`~repro.core.incremental.fold` the current tuple themselves;
+there is nothing to lock, and no reader changes the worker's estimator.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.incremental import IncrementalOPAQ
+from repro.core.incremental import IncrementalOPAQ, Part, fold
 from repro.core.summary import OPAQSummary
 from repro.errors import ServiceError
 from repro.obs import current_tracer
@@ -74,7 +72,7 @@ class ShardWorker:
         )
         self._buffer: list[np.ndarray] = []
         self._buffered = 0
-        self._latest: tuple[OPAQSummary, ...] = ()
+        self._latest: tuple[Part, ...] = ()
         self._error: BaseException | None = None
         self._ingested = 0
         self._folds = 0
@@ -180,7 +178,7 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     @property
-    def parts(self) -> tuple[OPAQSummary, ...]:
+    def parts(self) -> tuple[Part, ...]:
         """The shard's published state: its summary, then the runs folded
         since its last merge, in arrival order (empty before data)."""
         return self._latest
@@ -189,10 +187,7 @@ class ShardWorker:
     def summary(self) -> OPAQSummary | None:
         """The shard's current summary (None before data): its published
         parts, merged."""
-        parts = self._latest
-        if not parts:
-            return None
-        return parts[0].merge(*parts[1:])
+        return fold(self._latest)
 
     @property
     def ingested(self) -> int:

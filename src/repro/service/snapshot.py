@@ -7,11 +7,11 @@ The :class:`Snapshotter` advances epochs: it barriers every shard (fold
 everything submitted so far, and merge the shard's waiting runs),
 merges the restored base and every shard's published parts — its
 summary, then any runs it has not merged yet — **in shard-id order**,
-in one k-way merge (deterministic; the merge algebra is
-order-insensitive for the served bounds, but fixing the order makes
-snapshots byte-stable too, and byte-identical to merging the shard
-summaries one after another), optionally compacts to a memory bound,
-and swaps the new epoch in under the swap lock (lint rule OPQ602).
+in one :func:`~repro.core.incremental.fold` (deterministic, and
+byte-identical to merging the shard summaries one after another; see
+:class:`~repro.core.incremental.LazySummary`), optionally compacts to a
+memory bound, and swaps the new epoch in under the swap lock (lint rule
+OPQ602).
 Readers never take that lock — they read the current epoch reference,
 which CPython swaps atomically.
 
@@ -33,6 +33,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.incremental import Part, fold
 from repro.core.summary import OPAQSummary
 from repro.errors import DataError, EstimationError
 from repro.obs import current_tracer
@@ -257,17 +258,15 @@ class Snapshotter:
                     worker.finish_flush(control)
             # Shard-id order, each shard's parts in arrival order:
             # deterministic.
-            parts: list[OPAQSummary] = [] if self._base is None else [self._base]
+            parts: list[Part] = [] if self._base is None else [self._base]
             for worker in self._workers:
                 parts.extend(worker.parts)
             with tracer.span("service.snapshot.merge", shards=len(self._workers)):
-                if not parts:
+                merged = fold(parts, self._max_merged_samples)
+                if merged is None:
                     raise EstimationError(
                         "cannot snapshot an empty service: no data ingested yet"
                     )
-                merged = parts[0].merge(*parts[1:])
-                if self._max_merged_samples is not None:
-                    merged = merged.compact_to(self._max_merged_samples)
             previous = self._snapshot
             snapshot = EpochSnapshot(
                 epoch=(previous.epoch if previous else 0) + 1, summary=merged

@@ -83,7 +83,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.values import ingest_values
+from repro.core.values import ingest_counts, ingest_values
 from repro.errors import DataError, EstimationError, ServiceError
 from repro.obs import current_tracer
 from repro.portfolio import ENGINES, EngineSpec
@@ -327,7 +327,7 @@ class SummaryRegistry:
         """
         if self._closed:
             raise ServiceError("registry is closed")
-        counts = np.ascontiguousarray(counts, dtype=np.int64)
+        counts = ingest_counts(counts)
         values = ingest_values(values)
         if counts.shape != (len(keys),):
             raise DataError(f"{len(keys)} keys but counts of shape {counts.shape}")

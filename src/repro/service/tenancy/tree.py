@@ -19,19 +19,15 @@ epsilon contract: a rollup summarises unbounded cross-key mass in
 bounded space, which is exactly the trade the Cormode–Veselý lower
 bound says must cost either memory or guarantee.
 
-**Lazy feed.**  A rollup holds its folded summary plus a buffer of the
-exact slices absorbed since.  A slice that fits — the rollup's samples,
-its buffered elements and the slice stay within ``max_samples`` — is
-copied into the buffer as raw float64 and nothing is merged: merging it
-would not have compacted, and the paper's incremental merge (section 4)
-gives the same list when the waiting pieces merge later, in arrival
-order.  Any other part (a slice that would cross the bound, a larger
-slice, or a whole summary) folds the buffer and merges the part in one
-stable sort, then compacts.  A reader folds first.  Every rollup a
-reader sees, and every record :meth:`AggregationTree.save_to` writes,
-is therefore byte-identical to merging and compacting each part on
-arrival, and a buffered element costs one slot where a folded sample
-costs three (sample, gap, floor).
+**Lazy feed.**  Each rollup is a
+:class:`~repro.core.incremental.LazySummary` bounded by
+``max_samples``: a frame's sorted slice (or a restored summary) waits,
+copied, while it fits, and merges with everything waiting at the
+rollup's compaction point or when something reads the rollup.  That
+type's docstring argues why every rollup a reader sees, and every
+record :meth:`AggregationTree.save_to` writes, is byte-identical to
+merging and compacting each part on arrival.  A slice larger than the
+bound enters as its strided delta (:func:`_strided_delta`).
 
 Alongside the shard level the tree keeps one rollup per *metric*
 (``tenant=*, metric=m``).  Metric cardinality is assumed small (it is a
@@ -47,9 +43,9 @@ import threading
 
 import numpy as np
 
+from repro.core.incremental import LazySummary, Part, fold
 from repro.core.summary import OPAQSummary
 from repro.errors import ConfigError, EstimationError
-from repro.portfolio.opaq import exact_delta
 from repro.selection import is_sorted
 from repro.service.tenancy.store import SpillStore
 
@@ -57,24 +53,28 @@ __all__ = ["AggregationTree"]
 
 _SHARD_AUX = "rollup-shard-"
 _METRIC_AUX = "rollup-metric-"
-_EMPTY = np.empty(0)
+
+
+def _checked(part: Part) -> Part:
+    """``part``, once an array slice is non-empty and sorted."""
+    if isinstance(part, np.ndarray) and (part.size == 0 or not is_sorted(part)):
+        raise EstimationError("a rollup slice must be non-empty and sorted")
+    return part
 
 
 def _strided_delta(data: np.ndarray, max_samples: int) -> OPAQSummary:
-    """Sorted data -> pre-compacted delta of at most ``max_samples + 1``
-    groups, built directly with strided slicing.
+    """Sorted data of more than ``max_samples`` elements -> a
+    pre-compacted delta of at most ``max_samples`` groups, built directly
+    with strided slicing.
 
     Each group of ``k`` consecutive sorted elements is represented by its
     maximum (the sample) with the group minimum as floor — the same
     bookkeeping a full construction + :meth:`~OPAQSummary.compact` would
     produce, without materialising the frame-sized intermediate summary.
-    The tree's eager path: its guarantee (``~k``) is the rollup's own and
-    never enters any per-key budget.
+    Its guarantee (``~k``) is the rollup's own and never enters any
+    per-key budget.
     """
     n = data.size
-    if n <= max_samples:
-        # Small path copies so the summary never pins a caller buffer.
-        return exact_delta(data.copy())
     k = -(-n // max_samples)
     q, r = divmod(n, k)
     last = np.arange(1, q + 1, dtype=np.int64) * k - 1
@@ -97,80 +97,20 @@ def _strided_delta(data: np.ndarray, max_samples: int) -> OPAQSummary:
 
 
 class _Rollup:
-    """One rollup: its folded summary plus the slices absorbed since.
+    """One rollup: a :class:`LazySummary` under its own lock.  ``version``
+    counts absorbs, so the tree's caches can tell when the rollup moved."""
 
-    ``_values[:_ends[-1]]`` holds the buffered slices back to back, each
-    sorted, in arrival order; ``_ends`` marks where each one stops.  The
-    buffer grows geometrically (never past twice what it holds, nor past
-    ``max_samples``) and is released by the fold.  The first part an
-    empty rollup absorbs becomes its summary, so buffered slices always
-    follow one.  ``version`` counts absorbs, so the tree's caches can
-    tell when the rollup moved.
-    """
-
-    __slots__ = ("_lock", "_max", "_summary", "_values", "_ends", "version")
+    __slots__ = ("lock", "lazy", "version")
 
     def __init__(self, max_samples: int) -> None:
-        self._lock = threading.Lock()
-        self._max = max_samples
-        self._summary: OPAQSummary | None = None
-        self._values = _EMPTY
-        self._ends: list[int] = []
+        self.lock = threading.Lock()
+        self.lazy = LazySummary(max_samples)
         self.version = 0
 
-    def absorb(self, part: OPAQSummary | np.ndarray) -> None:
-        """Buffer a sorted slice that fits, or merge ``part`` now."""
-        size = 0  # a summary part
-        if not isinstance(part, OPAQSummary):
-            size = part.size
-            if size == 0:
-                raise EstimationError("a rollup slice must be non-empty")
-            # Deltas are built unchecked, so a slice that fits under the
-            # bound is checked here, on either path.  A larger one is
-            # not: the registry sorts it, and a pass would slow large
-            # frames.
-            if size <= self._max and not is_sorted(part):
-                raise EstimationError("a rollup slice must be sorted")
-        with self._lock:
-            ends = self._ends
-            fill = ends[-1] if ends else 0
-            end = fill + size
-            current = self._summary
-            if size and current is not None and current.samples.size + end <= self._max:
-                values = self._values
-                if end > values.size:
-                    grown = np.empty(min(max(end, 2 * values.size), self._max))
-                    grown[:fill] = values[:fill]
-                    self._values = values = grown
-                values[fill:end] = part
-                ends.append(end)
-            else:
-                # ``merge`` takes a sorted slice as its exact summary, so
-                # only a first part or one past the bound needs a delta.
-                if size and (current is None or size > self._max):
-                    part = _strided_delta(part, self._max)
-                merged = (
-                    part if current is None
-                    else current.merge(*self._slices(), part)
-                )
-                self._summary = merged.compact_to(self._max)
-                self._values = _EMPTY
-                self._ends = []
-            self.version += 1
-
     def folded(self) -> tuple[int, OPAQSummary | None]:
-        """``(version, summary)`` with the buffer folded in."""
-        with self._lock:
-            if self._summary is not None and self._ends:
-                self._summary = self._summary.merge(*self._slices())
-                self._values = _EMPTY
-                self._ends = []
-            return self.version, self._summary
-
-    def _slices(self) -> list[np.ndarray]:
-        """The buffered slices, oldest first."""
-        starts = [0, *self._ends[:-1]]
-        return [self._values[a:b] for a, b in zip(starts, self._ends)]
+        """``(version, summary)`` with the waiting parts merged in."""
+        with self.lock:
+            return self.version, self.lazy.folded()
 
 
 class AggregationTree:
@@ -204,21 +144,29 @@ class AggregationTree:
     # Ingest side
     # ------------------------------------------------------------------
 
-    def absorb(self, shard: int, delta: OPAQSummary | np.ndarray) -> None:
+    def absorb(self, shard: int, delta: Part) -> None:
         """Fold one shard's frame delta (a summary, or the frame's sorted
         slice for that shard) into its level-0 rollup."""
-        self._shards[shard].absorb(delta)
+        self._feed(self._shards[shard], _checked(delta))
 
-    def absorb_metric(self, metric: str, delta: OPAQSummary | np.ndarray) -> None:
+    def absorb_metric(self, metric: str, delta: Part) -> None:
         """Fold one frame's per-metric slice (or a summary) into that
         metric's rollup."""
+        delta = _checked(delta)
         # A lookup needs no lock (rollups are never removed); creating
         # one takes it, so two feeders agree on the rollup.
         rollup = self._metrics.get(metric)
         if rollup is None:
             with self._metric_lock:
                 rollup = self._metrics.setdefault(metric, _Rollup(self._max_samples))
-        rollup.absorb(delta)
+        self._feed(rollup, delta)
+
+    def _feed(self, rollup: _Rollup, part: Part) -> None:
+        if isinstance(part, np.ndarray) and part.size > self._max_samples:
+            part = _strided_delta(part, self._max_samples)
+        with rollup.lock:
+            rollup.lazy.absorb(part)
+            rollup.version += 1
 
     # ------------------------------------------------------------------
     # Query side
@@ -248,14 +196,6 @@ class AggregationTree:
                 summaries.append(summary)
         return tuple(versions), summaries
 
-    @staticmethod
-    def _merge_all(
-        parts: list[OPAQSummary], max_samples: int
-    ) -> OPAQSummary | None:
-        if not parts:
-            return None
-        return parts[0].merge(*parts[1:]).compact_to(max_samples)
-
     def global_summary(self) -> OPAQSummary | None:
         """The root rollup: everything ever ingested, in bounded space.
 
@@ -273,13 +213,13 @@ class AggregationTree:
                 all_versions.extend(versions)
                 cached = self._nodes[node]
                 if cached is None or cached[0] != versions:
-                    cached = (versions, self._merge_all(summaries, self._max_samples))
+                    cached = (versions, fold(summaries, self._max_samples))
                     self._nodes[node] = cached
                 if cached[1] is not None:
                     node_parts.append(cached[1])
             key = tuple(all_versions)
             if self._root is None or self._root[0] != key:
-                self._root = (key, self._merge_all(node_parts, self._max_samples))
+                self._root = (key, fold(node_parts, self._max_samples))
             return self._root[1]
 
     # ------------------------------------------------------------------

@@ -8,25 +8,31 @@ enforces them mechanically from here on.
 
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis import lint_paths, render_text
 
 SRC = Path(repro.__file__).parent
 
 
-def test_repro_package_is_lint_clean():
-    result = lint_paths([SRC])
-    assert result.findings == [], "\n" + render_text(result)
+@pytest.fixture(scope="module")
+def shallow():
+    """One shallow lint of the package, shared by the tests below."""
+    return lint_paths([SRC])
 
 
-def test_self_lint_covers_the_whole_package():
-    result = lint_paths([SRC])
+def test_repro_package_is_lint_clean(shallow):
+    assert shallow.findings == [], "\n" + render_text(shallow)
+
+
+def test_self_lint_covers_the_whole_package(shallow):
     # The package has dozens of modules; a collapse of this number means
     # the walker broke, not that the code shrank.
-    assert result.files_checked >= 60
+    assert shallow.files_checked >= 60
 
 
-def test_suppressions_are_rare_and_justified():
+def test_suppressions_are_rare_and_justified(shallow):
     # Every suppression in the tree is a reviewed escape hatch: bounded
     # base-case sorts in the selection routines, the sanctioned
     # broad-except guards (wire-layer 500 guard, shard worker loop), the
@@ -45,8 +51,7 @@ def test_suppressions_are_rare_and_justified():
     # measured-faster alternative to multi-pivot introselect), never the
     # dataset.  This ceiling forces a conversation before anyone
     # sprinkles new ones.
-    result = lint_paths([SRC])
-    assert result.suppressed <= 19
+    assert shallow.suppressed <= 19
 
 
 def test_repro_package_is_deep_lint_clean():

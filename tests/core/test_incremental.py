@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from repro.core import OPAQ, IncrementalOPAQ, OPAQConfig
+from repro.core.incremental import LazySummary
 from repro.errors import EstimationError
 
 
@@ -18,6 +18,7 @@ class TestIncrementalOPAQ:
         inc = IncrementalOPAQ(config)
         assert inc.count == 0
         assert inc.batches == 0
+        assert inc.parts == ()
         with pytest.raises(EstimationError):
             inc.summary
         with pytest.raises(EstimationError):
@@ -96,7 +97,8 @@ class TestBoundedIncremental:
 
 
 # ----------------------------------------------------------------------
-# Lazy folds: every read equals the eager merge-then-compact chain
+# Lazy folds: the runs wait in a LazySummary (tests/core/test_lazy_summary.py
+# holds it to the eager merge-then-compact chain)
 # ----------------------------------------------------------------------
 
 RUN = 64
@@ -104,92 +106,19 @@ SAMPLES = 8
 LAZY_CONFIG = OPAQConfig(run_size=RUN, sample_size=SAMPLES)
 
 
-class EagerIncremental:
-    """The eager chain: merge each new run on arrival, then compact."""
-
-    def __init__(self, config, max_samples):
-        self._estimator = OPAQ(config)
-        self.max_samples = max_samples
-        self.summary = None
-
-    def update(self, batch):
-        new = self._estimator.summarize(batch)
-        self.summary = new if self.summary is None else self.summary.merge(new)
-        if self.max_samples is not None:
-            self.summary = self.summary.compact_to(self.max_samples)
-
-
-#: Heavy duplicates and both zeros, beside arbitrary finite values.
-_values = st.one_of(
-    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
-    st.floats(-1e3, 1e3, allow_nan=False),
-)
-_batch = st.lists(_values, min_size=1, max_size=3 * RUN)
-_op = st.one_of(
-    st.tuples(st.just("update"), _batch),
-    st.tuples(
-        st.sampled_from(["summary", "count", "guarantee", "parts"]),
-        st.none(),
-    ),
-)
-
-
 class TestLazyFolds:
-    # None: nothing compacts; 5: below one run's samples, so every merge
-    # compacts; 40: the first few runs append, later ones cross it.
-    @settings(max_examples=150, deadline=None)
-    @given(
-        max_samples=st.sampled_from([None, SAMPLES - 3, 5 * SAMPLES]),
-        ops=st.lists(_op, min_size=1, max_size=30),
-    )
-    # Twenty runs whose equal samples carry different floors, read in one
-    # merge: only a stable merge keeps their order.
-    @example(
-        max_samples=None,
-        ops=[("update", [1.0] * RUN), ("update", [-1.0] * 32 + [1.0] * 32)] * 10
-        + [("summary", None)],
-    )
-    def test_every_read_equals_the_eager_chain(self, max_samples, ops):
-        inc = IncrementalOPAQ(LAZY_CONFIG, max_samples=max_samples)
-        oracle = EagerIncremental(LAZY_CONFIG, max_samples)
-        for op, arg in ops:
-            if op == "update":
-                batch = np.array(arg, dtype=np.float64)
-                inc.update(batch)
-                oracle.update(batch)
-            elif oracle.summary is None:
-                assert inc.count == 0
-                assert inc.parts == ()
-                with pytest.raises(EstimationError):
-                    inc.summary
-            elif op == "summary":
-                assert inc.summary.to_bytes() == oracle.summary.to_bytes()
-            elif op == "count":
-                assert inc.count == oracle.summary.count
-            elif op == "guarantee":
-                assert (
-                    inc.guaranteed_rank_error()
-                    == oracle.summary.guaranteed_rank_error()
-                )
-            else:
-                parts = inc.parts
-                merged = parts[0].merge(*parts[1:])
-                merged.validate()
-                assert merged.to_bytes() == oracle.summary.to_bytes()
-                # Reading the parts merges nothing.
-                assert len(inc.parts) == len(parts)
-                assert all(a is b for a, b in zip(inc.parts, parts))
-            if oracle.summary is not None:
-                # Merges and compactions are built unchecked.
-                oracle.summary.validate()
-                for part in inc.parts:
-                    part.validate()
-            if max_samples is not None and oracle.summary is not None:
-                assert sum(p.num_samples for p in inc.parts) <= max_samples
-        if oracle.summary is not None:
-            inc.summary.validate()
-            assert inc.summary.to_bytes() == oracle.summary.to_bytes()
-            assert len(inc.parts) == 1
+    def test_update_feeds_each_run_summary_to_a_lazy_summary(self, rng):
+        inc = IncrementalOPAQ(LAZY_CONFIG, max_samples=3 * SAMPLES)
+        lazy = LazySummary(3 * SAMPLES)
+        for size in (RUN, 1, 3 * RUN, RUN, 2 * RUN):
+            batch = rng.integers(-4, 4, size=size) / 2.0  # heavy ties
+            inc.update(batch)
+            lazy.absorb(OPAQ(LAZY_CONFIG).summarize(batch))
+            assert [p.to_bytes() for p in inc.parts] == [
+                p.to_bytes() for p in lazy.parts
+            ]
+            assert inc.count == lazy.count
+        assert inc.summary.to_bytes() == lazy.folded().to_bytes()
 
     def test_runs_wait_until_the_compaction_point(self, rng):
         inc = IncrementalOPAQ(LAZY_CONFIG, max_samples=3 * SAMPLES)

@@ -348,6 +348,7 @@ class TestValidateOnce:
         checked there, once per decoded record; the merges, compactions
         and deltas the registry and its rollups build are never checked.
         """
+        from repro.core import incremental
         from repro.core.summary import OPAQSummary
         from repro.portfolio import opaq
         from repro.service.tenancy import tree
@@ -383,7 +384,7 @@ class TestValidateOnce:
             (OPAQSummary, "merge"),
             (OPAQSummary, "compact"),
             (opaq, "exact_delta"),
-            (tree, "exact_delta"),
+            (incremental, "exact_delta"),  # a rollup's first slice
             (tree, "_strided_delta"),
         ]:
             monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))

@@ -1,16 +1,13 @@
 """The aggregation tree: rollup correctness, caching, persistence, and
 the lazy feed's byte-identity with merging every part on arrival."""
 
-import math
 import sys
-import tempfile
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from repro.core.incremental import LazySummary, fold
 from repro.core.quantile_phase import bounds_arrays
 from repro.core.summary import OPAQSummary
 from repro.errors import EstimationError
@@ -115,64 +112,12 @@ class TestPersistence:
 
 
 # ----------------------------------------------------------------------
-# The lazy feed: buffered slices read back byte-identical to the eager
-# merge-then-compact chain.
+# The lazy feed: each rollup is a LazySummary of its slices
+# (tests/core/test_lazy_summary.py holds that type to the eager
+# merge-then-compact chain).
 # ----------------------------------------------------------------------
 
 MAX = 16
-SHARDS = 3
-
-
-def eager_merge(a: OPAQSummary, b: OPAQSummary) -> OPAQSummary:
-    """The two-way merge every rollup absorb ran before the lazy feed:
-    one stable argsort, ``a``'s ties before ``b``'s."""
-    samples = np.concatenate([a.samples, b.samples])
-    order = samples.argsort(kind="stable")
-    return OPAQSummary(
-        samples=samples[order],
-        gaps=np.concatenate([a.gaps, b.gaps])[order],
-        floors=np.concatenate([a.floors, b.floors])[order],
-        num_runs=a.num_runs + b.num_runs,
-        count=a.count + b.count,
-        minimum=min(a.minimum, b.minimum),
-        maximum=max(a.maximum, b.maximum),
-    )
-
-
-def chain(parts: list[OPAQSummary]) -> OPAQSummary | None:
-    merged = None
-    for part in parts:
-        merged = part if merged is None else eager_merge(merged, part)
-    return None if merged is None else merged.compact_to(MAX)
-
-
-class EagerTree:
-    """The oracle: merge and compact every part on arrival."""
-
-    def __init__(self) -> None:
-        self.shards: list[OPAQSummary | None] = [None] * SHARDS
-        self.metrics: dict[str, OPAQSummary] = {}
-
-    @staticmethod
-    def _fed(current: OPAQSummary | None, values: np.ndarray) -> OPAQSummary:
-        delta = _strided_delta(values, MAX)
-        merged = delta if current is None else eager_merge(current, delta)
-        return merged.compact_to(MAX)
-
-    def absorb(self, shard: int, values: np.ndarray) -> None:
-        self.shards[shard] = self._fed(self.shards[shard], values)
-
-    def absorb_metric(self, metric: str, values: np.ndarray) -> None:
-        self.metrics[metric] = self._fed(self.metrics.get(metric), values)
-
-    def global_summary(self) -> OPAQSummary | None:
-        fanout = max(2, math.isqrt(SHARDS - 1) + 1)
-        nodes = []
-        for lo in range(0, SHARDS, fanout):
-            node = chain([s for s in self.shards[lo:lo + fanout] if s is not None])
-            if node is not None:
-                nodes.append(node)
-        return chain(nodes)
 
 
 def as_bytes(summary: OPAQSummary | None) -> bytes | None:
@@ -184,82 +129,50 @@ def as_bytes(summary: OPAQSummary | None) -> bytes | None:
     return summary.to_bytes()
 
 
-# Heavy duplicates, both signed zeros, and slices from 1 to 2 x MAX.
-_values = st.lists(
-    st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-4, 4),
-    min_size=1,
-    max_size=2 * MAX,
-)
-_ops = st.one_of(
-    st.tuples(st.just("absorb"), st.integers(0, SHARDS - 1), _values),
-    st.tuples(st.just("absorb_metric"), st.sampled_from(["a", "b"]), _values),
-    st.tuples(
-        st.just("read"),
-        st.sampled_from(["shard", "metric", "global", "stats", "save_load"]),
-        st.integers(0, SHARDS - 1),
-    ),
-)
-
-
-def check_save_load(tree: AggregationTree, oracle: EagerTree) -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        with SpillStore(Path(tmp)) as store:
-            tree.save_to(store)
-            for i, summary in enumerate(oracle.shards):
-                saved = store.load_aux(f"rollup-shard-{i}")
-                assert as_bytes(saved) == as_bytes(summary)
-            for metric, summary in oracle.metrics.items():
-                saved = store.load_aux(f"rollup-metric-{metric}")
-                assert as_bytes(saved) == as_bytes(summary)
-        with SpillStore(Path(tmp)) as store:
-            fresh = AggregationTree(num_shards=SHARDS, max_samples=MAX)
-            fresh.load_from(store)
-    for i, summary in enumerate(oracle.shards):
-        assert as_bytes(fresh.shard_summary(i)) == as_bytes(summary)
-    for metric, summary in oracle.metrics.items():
-        assert as_bytes(fresh.metric_summary(metric)) == as_bytes(summary)
-    assert as_bytes(fresh.global_summary()) == as_bytes(oracle.global_summary())
-
-
 class TestLazyFeed:
-    @settings(max_examples=150, deadline=None)
-    @given(ops=st.lists(_ops, min_size=1, max_size=40))
-    def test_every_read_equals_the_eager_chain(self, ops):
-        tree = AggregationTree(num_shards=SHARDS, max_samples=MAX)
-        oracle = EagerTree()
-        for op, where, arg in ops:
-            if op == "absorb":
-                values = np.sort(np.array(arg, dtype=np.float64))
-                tree.absorb(where, values)
-                oracle.absorb(where, values)
-            elif op == "absorb_metric":
-                values = np.sort(np.array(arg, dtype=np.float64))
-                tree.absorb_metric(where, values)
-                oracle.absorb_metric(where, values)
-            elif where == "shard":
-                assert as_bytes(tree.shard_summary(arg)) == as_bytes(oracle.shards[arg])
-            elif where == "metric":
-                for metric in ("a", "b"):
-                    assert as_bytes(tree.metric_summary(metric)) == as_bytes(
-                        oracle.metrics.get(metric)
-                    )
-            elif where == "global":
-                assert as_bytes(tree.global_summary()) == as_bytes(
-                    oracle.global_summary()
-                )
-            elif where == "stats":
-                root = oracle.global_summary()
-                stats = tree.stats()
-                assert stats["global_count"] == (0 if root is None else root.count)
-                assert stats["global_samples"] == (
-                    0 if root is None else root.num_samples
-                )
-                assert stats["global_guarantee"] == (
-                    0 if root is None else root.guaranteed_rank_error()
-                )
-            else:
-                check_save_load(tree, oracle)
-        check_save_load(tree, oracle)
+    def test_rollups_are_lazy_summaries_of_their_slices(self, rng, tmp_path):
+        """Rollups are LazySummaries of their slices (those past the bound
+        as strided deltas), the root folds them through the node level,
+        and saving and reloading, into fewer shards too, keeps the bytes."""
+        tree = AggregationTree(num_shards=4, max_samples=MAX)  # shard 3 stays empty
+        shards = [LazySummary(MAX) for _ in range(3)]
+        metric = LazySummary(MAX)
+        for i, size in enumerate([1, 5, MAX, MAX + 1, 3, 2 * MAX + 3, 7] * 3):
+            values = np.sort(rng.integers(-3, 4, size=size) / 2.0)  # heavy ties
+            tree.absorb(i % 3, values)
+            tree.absorb_metric("m", values)
+            part = values if size <= MAX else _strided_delta(values, MAX)
+            shards[i % 3].absorb(part)
+            metric.absorb(part)
+            if i % 4 == 0:  # reads in between fold the waiting slices
+                tree.global_summary()
+        expected = [lazy.folded() for lazy in shards] + [None]
+        for i in range(4):
+            assert as_bytes(tree.shard_summary(i)) == as_bytes(expected[i])
+        assert as_bytes(tree.metric_summary("m")) == as_bytes(metric.folded())
+        # Four shards, fanout 2: nodes {0, 1} and {2, 3}, shard 3 empty.
+        nodes = [fold(expected[:2], MAX), fold(expected[2:3], MAX)]
+        root = tree.global_summary()
+        assert as_bytes(root) == as_bytes(fold(nodes, MAX))
+        stats = tree.stats()
+        assert (stats["global_count"], stats["global_samples"]) == (
+            root.count, root.num_samples
+        )
+        assert stats["global_guarantee"] == root.guaranteed_rank_error()
+        with SpillStore(tmp_path) as store:
+            tree.save_to(store)
+            for i in range(3):
+                saved = store.load_aux(f"rollup-shard-{i}")
+                assert as_bytes(saved) == as_bytes(expected[i])
+        with SpillStore(tmp_path) as store:
+            narrower = AggregationTree(num_shards=2, max_samples=MAX)
+            narrower.load_from(store)
+        restored = LazySummary(MAX)
+        for summary in expected[:3:2]:  # saved shards 0 and 2 fold into 0
+            restored.absorb(summary)
+        assert as_bytes(narrower.shard_summary(0)) == as_bytes(restored.folded())
+        assert as_bytes(narrower.shard_summary(1)) == as_bytes(expected[1])
+        assert as_bytes(narrower.metric_summary("m")) == as_bytes(metric.folded())
 
     def test_buffered_slice_is_a_copy(self):
         tree = AggregationTree(num_shards=1, max_samples=64)
@@ -270,6 +183,17 @@ class TestLazyFeed:
         np.testing.assert_array_equal(
             tree.metric_summary("m").samples, [1.0, 2.0, 3.0, 4.0]
         )
+
+    def test_a_slice_past_the_bound_is_checked_too(self):
+        """An unsorted slice larger than ``max_samples`` used to become a
+        rollup whose minimum exceeded its maximum."""
+        tree = AggregationTree(num_shards=1, max_samples=16)
+        unsorted = np.arange(100, 0, -1.0)
+        with pytest.raises(EstimationError, match="sorted"):
+            tree.absorb(0, unsorted)
+        with pytest.raises(EstimationError, match="sorted"):
+            tree.absorb_metric("m", unsorted)
+        assert tree.shard_summary(0) is None and tree.metrics() == []
 
     @pytest.mark.parametrize("bad", [np.array([]), np.array([2.0, 1.0])])
     def test_unsorted_or_empty_slice_is_refused(self, bad):

@@ -466,7 +466,9 @@ class TestBitIdentityGate:
                 else:
                     server = make_server(service, port=0)
                     thread = threading.Thread(
-                        target=server.serve_forever, daemon=True
+                        target=server.serve_forever,
+                        kwargs={"poll_interval": 0.05},
+                        daemon=True,
                     )
                     thread.start()
 
@@ -558,7 +560,11 @@ class TestKeyedEndToEnd:
         binary = client.quantiles_keyed([("acme", "lat")], PHI_GRID)
 
         http_server = make_server(service, port=0)
-        thread = threading.Thread(target=http_server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=http_server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
         thread.start()
         try:
             with ServiceClient(http_server.url, timeout=10.0) as http_client:

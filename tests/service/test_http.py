@@ -18,7 +18,10 @@ def served(rng):
     config = ServiceConfig(num_shards=2, run_size=1_000, sample_size=50)
     service = QuantileService(config)
     server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll: shutdown() waits up to one interval (0.5 s by default).
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield service, server, ServiceClient(server.url, timeout=10.0)
@@ -114,6 +117,14 @@ class TestErrorMapping:
         )
         assert status == 400
 
+    def test_empty_values_are_an_empty_batch(self, served):
+        service, server, _ = served
+        status, body = raw_request(
+            f"{server.url}/ingest", method="POST",
+            body=json.dumps({"values": []}).encode(),
+        )
+        assert (status, body) == (200, dict(service.ingest([])))
+
     def test_nan_ingest_400(self, served):
         _, server, _ = served
         status, body = raw_request(
@@ -175,6 +186,18 @@ class TestKeyedEndpoints:
             body=json.dumps({"keys": [["a", "b"]]}).encode(),
         )
         assert status == 400
+
+    def test_keyed_non_numeric_counts_400(self, served):
+        _, server, _ = served
+        status, body = raw_request(
+            f"{server.url}/ingest_keyed",
+            method="POST",
+            body=json.dumps(
+                {"keys": [["a", "b"]], "counts": ["a"], "values": [1.0]}
+            ).encode(),
+        )
+        assert status == 400
+        assert "counts" in body["error"]
 
     def test_keyed_malformed_key_shape_400(self, served):
         _, server, _ = served

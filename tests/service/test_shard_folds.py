@@ -1,5 +1,7 @@
-"""Lazy shard folds: epochs and shard summaries equal the eager merge
-chain byte for byte, and readers racing the workers lose nothing."""
+"""Lazy shard folds: epochs and shard summaries equal an IncrementalOPAQ
+fed the same coalesced runs (tests/core/test_lazy_summary.py holds its
+lazy fold to the eager chain) byte for byte, and readers racing the
+workers lose nothing."""
 
 import sys
 import threading
@@ -8,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import OPAQ
+from repro.core import OPAQ, IncrementalOPAQ
+from repro.core.incremental import fold
 from repro.service import (
     EpochSnapshot,
     QuantileService,
@@ -22,42 +25,37 @@ from repro.service import (
 SHARDS = 3
 
 
-class EagerShard:
-    """One shard the eager way: coalesce like the worker, then merge
-    every run on arrival and compact."""
+class ShardOracle:
+    """One shard without its thread: coalesce like the worker, then
+    update an estimator."""
 
     def __init__(self, config):
-        self._estimator = OPAQ(config.opaq_config())
+        self.estimator = IncrementalOPAQ(
+            config.opaq_config(), max_samples=config.max_shard_samples
+        )
         self._threshold = config.effective_flush_threshold
-        self._max = config.max_shard_samples
         self._buffer = []
-        self.summary = None
-        self.folds = 0
 
     def submit(self, batch):
-        if batch.size == 0:
-            return
-        self._buffer.append(batch)
+        if batch.size:
+            self._buffer.append(batch)
         if sum(b.size for b in self._buffer) >= self._threshold:
             self.flush()
 
     def flush(self):
-        if not self._buffer:
-            return
-        new = self._estimator.summarize(np.concatenate(self._buffer))
-        self._buffer = []
-        self.folds += 1
-        self.summary = new if self.summary is None else self.summary.merge(new)
-        if self._max is not None:
-            self.summary = self.summary.compact_to(self._max)
+        if self._buffer:
+            self.estimator.update(np.concatenate(self._buffer))
+            self._buffer = []
+
+    @property
+    def summary(self):
+        return fold(self.estimator.parts)
 
 
-def eager_epoch(base, shards, max_merged):
-    merged = base
-    for shard in shards:
-        if shard.summary is not None:
-            merged = shard.summary if merged is None else merged.merge(shard.summary)
-    return merged if max_merged is None else merged.compact_to(max_merged)
+def oracle_epoch(base, shards, max_merged):
+    parts = [] if base is None else [base]
+    parts += [s.summary for s in shards if s.summary is not None]
+    return fold(parts, max_merged)
 
 
 def batches(rng, count, largest):
@@ -106,7 +104,7 @@ def test_epochs_equal_the_eager_chain(tmp_path, rng, max_shard, max_merged, flus
         )
         restored = snapshotter.restore()
         assert restored.epoch == 3
-        oracle = [EagerShard(config) for _ in range(SHARDS)]
+        oracle = [ShardOracle(config) for _ in range(SHARDS)]
         router = ShardRouter(SHARDS)
         # The first round's one-element batches reach shard 0 only.
         rounds = [batches(rng, 4, 1)] + [batches(rng, 12, 600) for _ in range(4)]
@@ -119,7 +117,7 @@ def test_epochs_equal_the_eager_chain(tmp_path, rng, max_shard, max_merged, flus
             for shard in oracle:
                 shard.flush()
             assert snapshot.epoch == epoch
-            expected = eager_epoch(restored.summary, oracle, max_merged)
+            expected = oracle_epoch(restored.summary, oracle, max_merged)
             assert as_bytes(snapshot.summary) == as_bytes(expected)
             assert as_bytes(store.load_latest().summary) == as_bytes(expected)
             for worker, shard in zip(workers, oracle):
@@ -133,7 +131,7 @@ def test_epochs_equal_the_eager_chain(tmp_path, rng, max_shard, max_merged, flus
 
 def wait_for_folds(workers, oracle, timeout=30.0):
     deadline = time.monotonic() + timeout
-    while any(w.folds != s.folds for w, s in zip(workers, oracle)):
+    while any(w.folds != s.estimator.batches for w, s in zip(workers, oracle)):
         assert time.monotonic() < deadline, "workers did not fold in time"
         time.sleep(0.001)
 
@@ -149,7 +147,7 @@ def test_unflushed_epochs_merge_the_pending_runs(rng):
         worker.start()
     try:
         snapshotter = Snapshotter(workers)
-        oracle = [EagerShard(config) for _ in range(2)]
+        oracle = [ShardOracle(config) for _ in range(2)]
         router = ShardRouter(2)
         pending = []
         for _ in range(6):
@@ -160,7 +158,7 @@ def test_unflushed_epochs_merge_the_pending_runs(rng):
             wait_for_folds(workers, oracle)
             pending += [len(w.parts) - 1 for w in workers]
             snapshot = snapshotter.run_epoch(flush=False)
-            expected = eager_epoch(None, oracle, None)
+            expected = oracle_epoch(None, oracle, None)
             assert as_bytes(snapshot.summary) == as_bytes(expected)
         assert max(pending) > 1
     finally:
@@ -201,7 +199,7 @@ def test_snapshots_and_stats_race_the_folds():
     )
     local = np.random.default_rng(17)
     feed = batches(local, 300, 200)
-    oracle = [EagerShard(config) for _ in range(2)]
+    oracle = [ShardOracle(config) for _ in range(2)]
     router = ShardRouter(2)
     for batch in feed:
         for shard, part in zip(oracle, router.split(batch)):
@@ -249,4 +247,4 @@ def test_snapshots_and_stats_race_the_folds():
         assert final.count == sum(b.size for b in feed)
         for shard in oracle:
             shard.flush()
-        assert as_bytes(final.summary) == as_bytes(eager_epoch(None, oracle, None))
+        assert as_bytes(final.summary) == as_bytes(oracle_epoch(None, oracle, None))

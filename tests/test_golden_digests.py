@@ -24,7 +24,6 @@ import struct
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.core import IncrementalOPAQ, OPAQConfig
 from repro.service import QuantileService, ServiceConfig

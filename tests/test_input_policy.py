@@ -85,6 +85,21 @@ class TestPolicy:
         with pytest.raises(DataError, match=match):
             ingest_values(bad)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [[2.9], ["a"], None, [None], [np.inf]],
+        ids=["fraction", "string", "missing", "none", "inf"],
+    )
+    def test_keyed_counts_are_whole_numbers(self, counts):
+        """A frame's counts are refused, not truncated or crashed on."""
+        key = compose_key("t", "m")
+        with SummaryRegistry(RegistryConfig(num_shards=1)) as registry:
+            with pytest.raises(DataError, match="counts"):
+                registry.ingest_frame([key], counts, [1.0, 2.0])
+            assert registry.ingest_frame([key], [2.0], [1.0, 2.0]) == {
+                "elements": 2, "keys": 1
+            }
+
 
 def test_infinities_through_the_keyed_registry(tmp_path):
     """±inf-laced keys on every engine, under a budget that spills,
