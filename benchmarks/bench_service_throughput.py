@@ -1,26 +1,23 @@
-"""Serving throughput at the wire: binary protocol v3 vs the HTTP shim.
+"""Serving throughput at the wire: binary protocol v3.
 
 Not a paper experiment — release engineering for :mod:`repro.service`.
-Unlike the pre-redesign version of this bench (which timed in-process
-calls), every number here crosses a real socket through
-:class:`~repro.service.client.ServiceClient`, so the comparison captures
-what the API redesign actually bought: framed numpy payloads versus
-JSON-encoded float lists, and a pipelined φ-vector query versus one HTTP
-round-trip per call.
+Every number here crosses a real socket through
+:class:`~repro.service.client.ServiceClient` to a live
+:class:`~repro.service.ThreadedBinaryServer`, so it prices framed numpy
+payloads and pipelined φ-vector queries, not in-process calls.
 
-Measured at 1/4/8 shards over the same 1M-element dataset, per protocol:
+Measured at 1/4/8 shards over the same 1M-element dataset:
 
 * **ingest throughput** — elements/second for batched ``ingest`` calls
   (4 × 250k batches) plus the epoch snapshot: the full cost of making
   the data queryable through the wire;
-* **query throughput** — 9-φ dectile vectors answered per second.  The
-  binary client pipelines ``quantiles_many`` at depth ``_PIPELINE`` (all
+* **query throughput** — 9-φ dectile vectors answered per second, with
+  the client pipelining ``quantiles_many`` at depth ``_PIPELINE`` (all
   request frames written before replies are read — the server answers in
-  order); HTTP has no pipelining, so it pays a full round-trip per
-  vector.  Both counts are per *vector*, not per φ.  A repeated
-  φ-vector against an unchanged epoch hits the binary server's
-  encoded-reply cache — deliberately part of the measured path, since a
-  dashboard polling fixed fractions is the canonical query workload.
+  order).  Counts are per *vector*, not per φ.  A repeated φ-vector
+  against an unchanged epoch hits the server's encoded-reply cache —
+  deliberately part of the measured path, since a dashboard polling
+  fixed fractions is the canonical query workload.
 
 Both guarantee levels are recorded per row (``guarantee_merged`` for the
 served epoch, ``guarantee_per_shard`` for the worst shard) because they
@@ -38,7 +35,6 @@ other benches for ``--benchmark-json`` output.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from pathlib import Path
 
@@ -50,7 +46,6 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ThreadedBinaryServer,
-    make_server,
 )
 
 try:  # pytest-benchmark path; absent when run as a plain script
@@ -63,7 +58,7 @@ except ImportError:  # pragma: no cover - script mode
 _N = 1_000_000
 _BATCH = 250_000
 _SHARD_COUNTS = (1, 4, 8)
-_PIPELINE = 32  # quantiles_many depth on the binary path
+_PIPELINE = 32  # quantiles_many depth
 _QUERY_SECONDS = 1.0  # measure queries for about this long per row
 _REPEATS = 5  # best-of, to shave scheduler noise off the record
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -88,25 +83,7 @@ def _config(shards: int) -> ServiceConfig:
     )
 
 
-def _serve(protocol: str, service: QuantileService):
-    """Start a live server for ``protocol``; return (url, stop)."""
-    if protocol == "binary":
-        server = ThreadedBinaryServer(service, port=0)
-        server.start()
-        return server.url, server.stop
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-
-    def stop() -> None:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10.0)
-
-    return server.url, stop
-
-
-def _measure(protocol: str, shards: int, data: np.ndarray) -> dict[str, float]:
+def _measure(shards: int, data: np.ndarray) -> dict[str, float]:
     """Best-of-``_REPEATS`` on each axis independently (the axes do not
     interact: ingest finishes before querying starts)."""
     phis = dectile_fractions()
@@ -115,49 +92,35 @@ def _measure(protocol: str, shards: int, data: np.ndarray) -> dict[str, float]:
     row: dict[str, float] = {}
     for _ in range(_REPEATS):
         with QuantileService(_config(shards)) as service:
-            url, stop = _serve(protocol, service)
-            try:
-                with ServiceClient(url, timeout=60.0) as client:
-                    payloads = [
-                        data[begin : begin + _BATCH]
-                        for begin in range(0, data.size, _BATCH)
-                    ]
-                    if protocol == "http":
-                        # The v1 wire: JSON float lists, like old callers.
-                        payloads = [p.tolist() for p in payloads]
+            with ThreadedBinaryServer(service, port=0) as server:
+                with ServiceClient(server.url, timeout=60.0) as client:
                     start = time.perf_counter()
-                    for payload in payloads:
-                        client.ingest(payload)
+                    for begin in range(0, data.size, _BATCH):
+                        client.ingest(data[begin : begin + _BATCH])
                     client.snapshot()
                     ingest_seconds = time.perf_counter() - start
 
                     vectors = 0
                     start = time.perf_counter()
                     while time.perf_counter() - start < _QUERY_SECONDS:
-                        if protocol == "binary":
-                            replies = client.quantiles_many([phis] * _PIPELINE)
-                        else:
-                            replies = [client.quantiles(phis)]
+                        replies = client.quantiles_many([phis] * _PIPELINE)
                         vectors += len(replies)
                     query_seconds = (time.perf_counter() - start) / vectors
 
                     vec = replies[-1]
                     assert vec.count == data.size
                     stats = client.stats()
-            finally:
-                stop()
             service.close(final_snapshot=False)
         best_ingest = max(best_ingest, data.size / ingest_seconds)
         best_qps = max(best_qps, 1.0 / query_seconds)
         row = {
-            "protocol": protocol,
             "shards": shards,
             "elements": int(data.size),
             "ingest_seconds": data.size / best_ingest,
             "ingest_elements_per_second": best_ingest,
             "query_seconds_per_vector": 1.0 / best_qps,
             "queries_per_second": best_qps,
-            "pipeline_depth": _PIPELINE if protocol == "binary" else 1,
+            "pipeline_depth": _PIPELINE,
             "guarantee_merged": vec.guarantee,
             "guarantee_per_shard": max(
                 s["guarantee"] for s in stats["per_shard"]
@@ -168,40 +131,22 @@ def _measure(protocol: str, shards: int, data: np.ndarray) -> dict[str, float]:
 
 def main() -> dict[str, object]:
     data = np.random.default_rng(7).uniform(size=_N)
-    before = [_measure("http", shards, data) for shards in _SHARD_COUNTS]
-    after = [_measure("binary", shards, data) for shards in _SHARD_COUNTS]
-    speedups = [
-        {
-            "shards": b["shards"],
-            "ingest": a["ingest_elements_per_second"]
-            / b["ingest_elements_per_second"],
-            "query": a["queries_per_second"] / b["queries_per_second"],
-        }
-        for b, a in zip(before, after)
-    ]
+    rows = [_measure(shards, data) for shards in _SHARD_COUNTS]
     report = {
         "benchmark": "service_throughput",
         "machine": machine(),
         "elements": _N,
         "query_phis": len(dectile_fractions()),
-        "before_http": before,
-        "after_binary": after,
-        "speedup_binary_over_http": speedups,
+        "rows": rows,
     }
     _OUT.write_text(json.dumps(report, indent=2) + "\n")
-    for rows, label in ((before, "http  "), (after, "binary")):
-        for row in rows:
-            print(
-                f"{label} shards={row['shards']}: "
-                f"{row['ingest_elements_per_second']:,.0f} elements/s ingest, "
-                f"{row['queries_per_second']:,.0f} vectors/s query "
-                f"(merged guarantee {row['guarantee_merged']}, "
-                f"per-shard {row['guarantee_per_shard']})"
-            )
-    for s in speedups:
+    for row in rows:
         print(
-            f"speedup shards={s['shards']}: "
-            f"ingest {s['ingest']:.1f}x, query {s['query']:.1f}x"
+            f"shards={row['shards']}: "
+            f"{row['ingest_elements_per_second']:,.0f} elements/s ingest, "
+            f"{row['queries_per_second']:,.0f} vectors/s query "
+            f"(merged guarantee {row['guarantee_merged']}, "
+            f"per-shard {row['guarantee_per_shard']})"
         )
     print(f"wrote {_OUT}")
     return report
@@ -210,18 +155,15 @@ def main() -> dict[str, object]:
 def bench_service_ingest_and_query(benchmark):
     """One full sweep under pytest-benchmark (headline numbers in extra_info)."""
     report = run_once(benchmark, main)
-    for row in report["after_binary"]:
-        key = f"binary_shards_{row['shards']}"
+    for row in report["rows"]:
+        key = f"shards_{row['shards']}"
         benchmark.extra_info[f"{key}_ingest_eps"] = row[
             "ingest_elements_per_second"
         ]
         benchmark.extra_info[f"{key}_query_qps"] = row["queries_per_second"]
-        # Even the single-shard binary path must sustain a meaningful
-        # rate; the floor is far below any observed run to avoid CI flake.
+        # Even the single-shard path must sustain a meaningful rate; the
+        # floor is far below any observed run to avoid CI flake.
         assert row["ingest_elements_per_second"] > 1e5
-    for s in report["speedup_binary_over_http"]:
-        benchmark.extra_info[f"speedup_ingest_shards_{s['shards']}"] = s["ingest"]
-        benchmark.extra_info[f"speedup_query_shards_{s['shards']}"] = s["query"]
 
 
 if __name__ == "__main__":

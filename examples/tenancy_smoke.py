@@ -48,7 +48,6 @@ def start_server(spill_dir: str) -> tuple[subprocess.Popen, str]:
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--proto", "binary",
             "--port", "0",
             "--shards", "2",
             "--run-size", "20000",

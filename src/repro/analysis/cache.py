@@ -18,9 +18,9 @@ of output**, which is the invariant everything here serves:
   (``deep_dependencies = "project"``: summaries flow through arbitrary
   call edges), or only the rule's scoped files when the rule declares
   ``deep_dependencies = "scope"`` and its resolution provably never
-  leaves that scope (the OPQ70x thread family).  Editing one service
-  file therefore re-runs the service-scoped families and every
-  project-wide family, but nothing else.
+  leaves that scope (OPQ772 and OPQ773).  Editing one service file
+  therefore re-runs the service-scoped families and every project-wide
+  family, but nothing else.
 
 The cache **never** stores post-suppression results, never caches files
 that failed to parse, and invalidates wholesale when the rule universe,
@@ -59,8 +59,9 @@ __all__ = [
 #: rule starts judging code it did not judge before: the fingerprint
 #: names rules only by code, so a cache from before would replay the
 #: old findings for every unchanged file.  2: OPQ771/OPQ774 judge
-#: asyncio protocol callbacks.
-CACHE_VERSION = 2
+#: asyncio protocol callbacks.  3: OPQ701/OPQ702 take the binary
+#: server's event-loop and executor roles.
+CACHE_VERSION = 3
 
 
 def hash_bytes(data: bytes) -> str:

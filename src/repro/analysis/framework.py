@@ -274,7 +274,7 @@ class Rule:
     #: the sound default, since summaries flow through arbitrary call
     #: edges) or ``"scope"`` (only files under ``scope_prefixes``; valid
     #: ONLY for rules whose resolution provably never leaves their
-    #: scope, like the thread-model family).
+    #: scope, like OPQ772's per-function lock facts).
     deep_dependencies: str = "project"
 
     def in_scope(self, ctx: ModuleContext) -> bool:

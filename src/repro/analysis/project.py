@@ -2,8 +2,8 @@
 
 Module rules judge one AST at a time; the flow- and thread-aware families
 need to answer questions that span files — "which methods does a
-``ThreadingHTTPServer`` handler reach?", "does the function this stream
-is passed to consume its parameter?".  :func:`build_project` walks every
+callable offloaded to the executor reach?", "does the function this
+stream is passed to consume its parameter?".  :func:`build_project` walks every
 parsed module once, before any rule executes, and indexes:
 
 - the **import graph** (module → imported module names, plus per-module
@@ -124,10 +124,6 @@ class ClassInfo:
     #: and how call resolution pins ``self.service.stats`` to the class
     #: the constructor signature names.
     field_types: dict[str, str] = field(default_factory=dict)
-
-    def base_names(self) -> set[str]:
-        """Last segments of the base-class names (``BaseHTTPRequestHandler``)."""
-        return {base.rsplit(".", 1)[-1] for base in self.bases}
 
 
 class ProjectContext:

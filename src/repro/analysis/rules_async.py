@@ -64,7 +64,8 @@ from repro.analysis.project import (
 from repro.analysis.registry import register
 from repro.analysis.rules_threads import (
     _CONSTRUCTION_METHODS,
-    _HANDLER_BASES,
+    ROLE_EVENT_LOOP,
+    ROLE_THREAD,
     ClassThreadModel,
     FieldAccess,
     _accesses_of_op,
@@ -76,6 +77,7 @@ __all__ = [
     "AsyncModel",
     "build_async_model",
     "protocol_callbacks",
+    "serving_roles",
     "BlockingCallInCoroutineRule",
     "LockAcrossAwaitRule",
     "UnawaitedCoroutineRule",
@@ -83,11 +85,6 @@ __all__ = [
     "ROLE_EVENT_LOOP",
     "ROLE_THREAD",
 ]
-
-#: Code reached from a coroutine without crossing an offload boundary.
-ROLE_EVENT_LOOP = "event-loop"
-#: Code reached from a thread target or an offloaded callable.
-ROLE_THREAD = "thread"
 
 #: Dotted names that block the calling thread outright.
 _SLEEP_CALLS = {"time.sleep"}
@@ -255,10 +252,13 @@ class _AsyncRoleInference:
         project: ProjectContext,
         classes: list[ClassInfo],
         resolver: _Resolver,
+        thread_targets: bool = True,
     ) -> None:
         self.project = project
         self.classes = classes
         self.resolver = resolver
+        #: Whether ``Thread(target=...)`` targets seed the thread role.
+        self.thread_targets = thread_targets
         self.roles: dict[FunctionInfo, set[str]] = {}
         scoped_modules = {id(c.module) for c in classes}
         self.scoped_fns: list[FunctionInfo] = [
@@ -282,7 +282,7 @@ class _AsyncRoleInference:
             if _is_coroutine_fn(fn):
                 seed(fn, ROLE_EVENT_LOOP)
             for site in fn.calls:
-                target = _thread_target(site.node)
+                target = _thread_target(site.node) if self.thread_targets else None
                 if target is not None:
                     self._seed_callable(fn, target, seed)
                 for expr in self._offloaded_args(fn, site, summaries):
@@ -340,6 +340,27 @@ class _AsyncRoleInference:
                 seed(target, ROLE_THREAD)
 
 
+def serving_roles(
+    project: ProjectContext, classes: list[ClassInfo]
+) -> tuple[dict[FunctionInfo, set[str]], set[FunctionInfo]]:
+    """The asyncio server's roles, as the thread family (OPQ70x) sees them.
+
+    The same inference as this family's, without ``Thread(target=...)``
+    seeds: the thread family gives each thread target a worker role of
+    its own, so only the event loop's code and what it offloads to the
+    executor come from here.  Returns the roles and the loop's entry
+    points (coroutines and protocol callbacks), which the loop calls,
+    not the embedding application.
+    """
+    inference = _AsyncRoleInference(
+        project, classes, _Resolver(project, classes), thread_targets=False
+    )
+    inference.infer()
+    entries = set(protocol_callbacks(project, classes))
+    entries.update(fn for fn in inference.scoped_fns if _is_coroutine_fn(fn))
+    return inference.roles, entries
+
+
 def build_async_model(
     project: ProjectContext, classes: list[ClassInfo] | None = None
 ) -> AsyncModel:
@@ -355,9 +376,6 @@ def build_async_model(
             model.coroutines.append(fn)
     for cls in chosen:
         cls_model = ClassThreadModel(info=cls)
-        cls_model.per_thread_instances = bool(
-            cls.base_names() & _HANDLER_BASES
-        )
         for name, method in cls.methods.items():
             roles = model.roles.get(method, frozenset())
             cls_model.roles[name] = roles
@@ -641,8 +659,6 @@ class CrossRoleWriteRule(ProjectRule):
         classes = [c for c in project.classes if self.in_scope(c.module)]
         model = build_async_model(project, classes)
         for cls_model in model.classes.values():
-            if cls_model.per_thread_instances:
-                continue
             yield from self._check_class(cls_model)
 
     def _check_class(self, cls_model: ClassThreadModel) -> Iterator[Finding]:

@@ -214,7 +214,6 @@ class UnboundedBlockingRule(Rule):
     scope_prefixes = (
         "parallel/backends/",
         "service/aio.py",
-        "service/http.py",
         "service/tenancy/",
     )
 

@@ -10,10 +10,16 @@ could only pattern-match "assignment to an attribute literally named
 
 1. **Thread roles.**  ``threading.Thread(target=self._loop)`` makes
    ``_loop`` (and everything it reaches through the project call graph) a
-   worker role; every method of a ``BaseHTTPRequestHandler`` subclass
-   (and everything *it* reaches — ``self.service.ingest`` crosses modules)
-   runs in the concurrent ``http-handler`` role; public methods carry the
-   ambient ``main`` role of whatever thread embeds the library.
+   worker role.  The binary server's roles come from the asyncio
+   family's inference (:func:`~repro.analysis.rules_async.serving_roles`):
+   coroutines, protocol callbacks and the code they call inline run in
+   the ``event-loop`` role, and callables handed to
+   ``run_in_executor``/``to_thread`` — directly or through an offloading
+   callee like ``AsyncServiceServer._blocking`` — run in the ``thread``
+   role, which races with itself: the executor runs many requests at
+   once (``self.service.ingest`` crosses modules to get it).  Public
+   methods carry the ambient ``main`` role of whatever thread embeds the
+   library, except the loop's own entry points.
 2. **Guard inference.**  A must-dataflow over each function's CFG tracks
    which lock names are held at every op, so the family learns which
    ``with self._lock:`` blocks dominate which ``self._*`` accesses — no
@@ -51,23 +57,20 @@ __all__ = [
     "UnguardedSharedWriteRule",
     "ConcurrentReadModifyWriteRule",
     "ROLE_MAIN",
-    "ROLE_HTTP_HANDLER",
+    "ROLE_EVENT_LOOP",
+    "ROLE_THREAD",
 ]
 
 #: The ambient role: whatever thread the embedding application calls
 #: public methods from.
 ROLE_MAIN = "main"
-#: The thread-per-request role of ``ThreadingHTTPServer`` handlers —
-#: concurrent with itself by construction.
-ROLE_HTTP_HANDLER = "http-handler"
-
-#: Base-class name suffixes that mark a class as an HTTP handler.
-_HANDLER_BASES = {
-    "BaseHTTPRequestHandler",
-    "SimpleHTTPRequestHandler",
-    "StreamRequestHandler",
-    "BaseRequestHandler",
-}
+#: Code an asyncio event loop runs: coroutines, protocol callbacks and
+#: the sync code they call inline.
+ROLE_EVENT_LOOP = "event-loop"
+#: Code a worker thread runs for the loop: callables offloaded through
+#: ``run_in_executor``/``to_thread`` (and, in the asyncio family,
+#: ``Thread`` targets) — concurrent with itself in the thread family.
+ROLE_THREAD = "thread"
 
 #: Constructors whose instances synchronise internally; method calls on
 #: such fields are not races.
@@ -143,11 +146,6 @@ class ClassThreadModel:
     concurrent_roles: set[str] = field(default_factory=set)
     #: field -> accesses outside construction methods.
     accesses: dict[str, list[FieldAccess]] = field(default_factory=dict)
-    #: True for classes instantiated once per thread (request handlers):
-    #: their ``self`` state is thread-confined, so intra-instance field
-    #: accesses cannot race — only what their methods reach on *shared*
-    #: objects (the service, the snapshotter) is judged.
-    per_thread_instances: bool = False
 
     def writes(self, field_name: str) -> list[FieldAccess]:
         return [a for a in self.accesses.get(field_name, []) if a.is_write]
@@ -226,6 +224,9 @@ class _RoleInference:
         self.concurrent: set[str] = set()
 
     def infer(self) -> None:
+        # Imported here: the asyncio family builds on this module's model.
+        from repro.analysis.rules_async import serving_roles
+
         worklist: list[tuple[FunctionInfo, str]] = []
 
         def seed(fn: FunctionInfo, role: str) -> None:
@@ -258,18 +259,21 @@ class _RoleInference:
                         # instances of the same role at once.
                         self.concurrent.add(role)
 
-        # HTTP handler roles: thread-per-request, concurrent with itself.
-        self.concurrent.add(ROLE_HTTP_HANDLER)
-        for cls in self.classes:
-            if cls.base_names() & _HANDLER_BASES:
-                for method in cls.methods.values():
-                    if method.name not in _CONSTRUCTION_METHODS:
-                        seed(method, ROLE_HTTP_HANDLER)
+        # The binary server's roles: its event loop, and the executor
+        # threads its requests offload to, many at once.  They arrive
+        # closed under the asyncio family's call edges, which resolve
+        # typed receivers precisely; spreading them again by bare name
+        # would charge the loop for every ``close`` in scope.
+        self.concurrent.add(ROLE_THREAD)
+        serving, loop_entries = serving_roles(self.project, self.classes)
+        for fn, roles in serving.items():
+            self.roles.setdefault(fn, set()).update(roles)
 
-        # Ambient role: public entry points run on the embedder's thread.
+        # Ambient role: public entry points run on the embedder's thread,
+        # except the loop's own (coroutines, protocol callbacks).
         for cls in self.classes:
             for method in cls.methods.values():
-                if method.name in _CONSTRUCTION_METHODS:
+                if method.name in _CONSTRUCTION_METHODS or method in loop_entries:
                     continue
                 if not method.name.startswith("_") or (
                     method.name.startswith("__") and method.name.endswith("__")
@@ -277,15 +281,18 @@ class _RoleInference:
                     seed(method, ROLE_MAIN)
         for fns in self.scoped_functions.values():
             for fn in fns:
-                if not fn.name.startswith("_"):
+                if not fn.name.startswith("_") and fn not in loop_entries:
                     seed(fn, ROLE_MAIN)
 
-        # Propagate every role along call edges to a fixpoint.
+        # Propagate every role along call edges to a fixpoint.  Calling
+        # a coroutine function runs none of its body: the loop runs it.
         while worklist:
             fn, role = worklist.pop()
             for site in fn.calls:
                 for callee in self._resolve(fn, site.callee):
-                    if callee.name in _CONSTRUCTION_METHODS:
+                    if callee.name in _CONSTRUCTION_METHODS or isinstance(
+                        callee.node, ast.AsyncFunctionDef
+                    ):
                         continue
                     seed(callee, role)
 
@@ -412,9 +419,6 @@ def build_thread_model(
     model = ThreadModel()
     for cls in chosen:
         cls_model = ClassThreadModel(info=cls)
-        cls_model.per_thread_instances = bool(
-            cls.base_names() & _HANDLER_BASES
-        )
         cls_model.concurrent_roles = set(inference.concurrent)
         for name, method in cls.methods.items():
             roles = frozenset(inference.roles.get(method, {ROLE_MAIN}))
@@ -439,9 +443,9 @@ class UnguardedSharedWriteRule(ProjectRule):
     )
     paper_ref = "docs/service.md (locked writers, lock-free readers)"
     scope_prefixes = ("service/",)
-    # Sound: _RoleInference restricts method/function resolution to the
-    # scoped modules, so no out-of-scope file can change these findings.
-    deep_dependencies = "scope"
+    # The executor role's seeds flow through offload summaries, which
+    # are project-wide (as for OPQ774).
+    deep_dependencies = "project"
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         classes = [c for c in project.classes if self.in_scope(c.module)]
@@ -450,8 +454,6 @@ class UnguardedSharedWriteRule(ProjectRule):
             yield from self._check_class(cls_model)
 
     def _check_class(self, cls_model: ClassThreadModel) -> Iterator[Finding]:
-        if cls_model.per_thread_instances:
-            return  # self-state is thread-confined; see ClassThreadModel
         cls = cls_model.info
         for field_name in sorted(cls_model.accesses):
             if cls_model.field_is_thread_safe(field_name):
@@ -491,21 +493,18 @@ class ConcurrentReadModifyWriteRule(ProjectRule):
     code = "OPQ702"
     description = (
         "an augmented assignment to a shared field from a concurrent "
-        "role (thread-per-request handlers, per-iteration workers) "
-        "without a lock; the role races with itself even as sole writer"
+        "role (executor threads, per-iteration workers) without a lock; "
+        "the role races with itself even as sole writer"
     )
     paper_ref = "docs/service.md (ingest counters under the state lock)"
     scope_prefixes = ("service/",)
-    # Sound for the same reason as OPQ701: role inference never resolves
-    # outside the scoped modules.
-    deep_dependencies = "scope"
+    # Project-wide for the same reason as OPQ701.
+    deep_dependencies = "project"
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         classes = [c for c in project.classes if self.in_scope(c.module)]
         model = build_thread_model(project, classes)
         for cls_model in model.classes.values():
-            if cls_model.per_thread_instances:
-                continue  # self-state is thread-confined
             cls = cls_model.info
             for field_name in sorted(cls_model.accesses):
                 if cls_model.field_is_thread_safe(field_name):

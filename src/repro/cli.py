@@ -20,9 +20,7 @@
     opaq lint src/repro    # enforce the paper's disciplines statically
     opaq serve --shards 4 --snapshot-dir snaps/   # binary protocol v3 server
     opaq serve --tenant-engine acme=mergeable-sketch   # per-tenant engines
-    opaq serve --proto http                       # JSON compatibility layer
     opaq query --server opaq://127.0.0.1:8629 --dectiles
-    opaq query --server http://127.0.0.1:8629 --dectiles
 
 Every subcommand is also reachable as ``python -m repro.cli ...``.
 """
@@ -246,7 +244,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         QuantileService,
         ServiceConfig,
         ThreadedBinaryServer,
-        make_server,
     )
     from repro.service.tenancy import RegistryConfig
 
@@ -289,37 +286,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(0)
 
     signal.signal(signal.SIGTERM, _terminate)
-    if args.proto == "binary":
-        server = ThreadedBinaryServer(service, host=args.host, port=args.port)
-        server.start()
-        print(
-            f"serving on {server.url} (binary protocol v3, "
-            f"shards={config.num_shards}, s={config.sample_size})",
-            flush=True,
-        )
-        try:
-            signal.pause()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
-            service.close(final_snapshot=True)
-            print("shut down cleanly (final snapshot flushed)", flush=True)
-        return 0
-    http_server = make_server(
-        service, host=args.host, port=args.port, verbose=args.verbose
-    )
+    server = ThreadedBinaryServer(service, host=args.host, port=args.port)
+    server.start()
     print(
-        f"serving on {http_server.url} (HTTP compatibility protocol, "
+        f"serving on {server.url} (binary protocol v3, "
         f"shards={config.num_shards}, s={config.sample_size})",
         flush=True,
     )
     try:
-        http_server.serve_forever()
+        signal.pause()
     except KeyboardInterrupt:
         pass
     finally:
-        http_server.server_close()
+        server.stop()
         service.close(final_snapshot=True)
         print("shut down cleanly (final snapshot flushed)", flush=True)
     return 0
@@ -605,33 +584,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--server",
         default=None,
         metavar="URL",
-        help="query a running `opaq serve` instance instead of a file",
+        help="query a running `opaq serve` at opaq://host:port instead "
+        "of a file",
     )
     p.set_defaults(fn=_cmd_query)
 
     p = sub.add_parser(
         "serve",
-        help="run the sharded quantile-serving subsystem (binary or HTTP)",
+        help="run the sharded quantile-serving subsystem (binary wire v3)",
         description=(
             "Start a QuantileService: routed ingest across N shard "
             "workers (bounded queues, backpressure), epoch-based snapshot "
-            "merging, and a wire layer — the framed binary protocol v3 "
-            "(default; opaq://host:port) or the JSON/HTTP compatibility "
-            "protocol (/ingest, /quantile, /stats, /snapshot).  With "
-            "--snapshot-dir the server persists every epoch and "
-            "warm-restarts from the newest one; SIGTERM/Ctrl-C flushes a "
-            "final snapshot.  See docs/service.md."
+            "merging, and the framed binary protocol v3 on "
+            "opaq://host:port.  With --snapshot-dir the server persists "
+            "every epoch and warm-restarts from the newest one; "
+            "SIGTERM/Ctrl-C flushes a final snapshot.  See docs/service.md."
         ),
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
         "--port", type=int, default=8629,
         help="TCP port (0 picks a free one and prints it)",
-    )
-    p.add_argument(
-        "--proto", choices=("binary", "http"), default="binary",
-        help="wire protocol: binary (framed protocol v3, default) or "
-        "http (JSON compatibility layer)",
     )
     p.add_argument("--shards", type=int, default=4, help="ingest shards")
     p.add_argument(
@@ -691,9 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TENANT=ENGINE",
         help="pin one tenant's keys to a specific engine (repeatable); "
         "tenants not listed use --tenancy-engine",
-    )
-    p.add_argument(
-        "--verbose", action="store_true", help="log every HTTP request"
     )
     p.set_defaults(fn=_cmd_serve)
 

@@ -67,6 +67,6 @@ class ServiceError(ReproError, RuntimeError):
 
     Raised by :mod:`repro.service` when an ingest queue stays full past the
     backpressure timeout, when a shard worker has died, or when a request
-    reaches a service that is already shut down.  Transport layers map it to
-    a retryable status (the HTTP wire layer answers 503).
+    reaches a service that is already shut down.  The binary wire marks its
+    error frame retryable (:func:`repro.service.proto.encode_error`).
     """

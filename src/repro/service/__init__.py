@@ -16,12 +16,10 @@ production serving system needs.  This package turns them into one:
 - :class:`QuantileService` — the assembled engine: batched ``ingest`` /
   ``quantiles`` / ``stats`` / ``snapshot`` / ``close``;
 - :mod:`repro.service.proto` + :mod:`repro.service.aio` — wire protocol
-  v2: compact binary frames served by an asyncio loop
+  v3, the one wire: compact binary frames served by an asyncio loop
   (:class:`ThreadedBinaryServer`, ``opaq serve``);
-- :mod:`repro.service.http` — the JSON/HTTP compatibility layer
-  (protocol v1), byte-identical answers to the binary path;
-- :class:`ServiceClient` — one batched client for both transports,
-  selected by address scheme (``opaq://`` or ``http://``);
+- :class:`ServiceClient` — the batched client of that wire, addressed
+  as ``opaq://host:port``;
 - :mod:`repro.service.tenancy` — the multi-tenant registry behind the
   keyed opcodes: millions of ``(tenant, metric)`` summaries under one
   memory budget, with LRU spill to disk, per-key error budgets and an
@@ -40,7 +38,6 @@ from repro.service.aio import AsyncServiceServer, ThreadedBinaryServer
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.engine import QuantileService, QueryResult
-from repro.service.http import ServiceHTTPServer, make_server
 from repro.service.proto import QuantileVector
 from repro.service.router import ShardRouter
 from repro.service.shard import ShardWorker
@@ -58,10 +55,8 @@ __all__ = [
     "SnapshotStore",
     "Snapshotter",
     "ServiceClient",
-    "ServiceHTTPServer",
     "AsyncServiceServer",
     "ThreadedBinaryServer",
-    "make_server",
     "RegistryConfig",
     "SummaryRegistry",
     "KeyAnswer",

@@ -42,9 +42,8 @@ never wedge the event loop (lint rule OPQ404 covers this module);
 queries are lock-free reads and run inline.  The reader's protocol
 callbacks run on the loop too, and only move bytes.
 
-:class:`ThreadedBinaryServer` hosts the loop on a daemon thread with the
-same start/stop surface as the HTTP server — what ``opaq serve`` and the
-tests use.
+:class:`ThreadedBinaryServer` hosts the loop on a daemon thread behind a
+synchronous start/stop surface — what ``opaq serve`` and the tests use.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ class AsyncServiceServer:
         # _server is only ever touched from the event loop's own thread
         # (start/serve_forever/close are coroutines on that loop).
         loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(  # opaq: ignore[thread-unguarded-write] event-loop-confined state
+        self._server = await loop.create_server(
             lambda: _FrameReader(self), self.host, self.port
         )
         sock = self._server.sockets[0]
@@ -133,7 +132,7 @@ class AsyncServiceServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-            self._server = None  # opaq: ignore[thread-unguarded-write] event-loop-confined state
+            self._server = None
 
     # -- requests ------------------------------------------------------
 
@@ -455,10 +454,8 @@ class _FrameReader(asyncio.BufferedProtocol):
 class ThreadedBinaryServer:
     """Hosts :class:`AsyncServiceServer` on a daemon thread.
 
-    The synchronous face of the binary wire layer — same start/stop
-    shape as :class:`~repro.service.http.ServiceHTTPServer`, used by
-    ``opaq serve --proto binary`` and anything else that is not itself
-    an asyncio application.
+    The synchronous face of the binary wire layer, used by ``opaq serve``
+    and anything else that is not itself an asyncio application.
     """
 
     def __init__(

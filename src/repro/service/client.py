@@ -1,14 +1,9 @@
-"""The service client: batched, transport-agnostic, dependency-free.
+"""The service client: batched, dependency-free, over wire protocol v3.
 
-One :class:`ServiceClient` speaks both wire generations, chosen by the
-address scheme:
-
-* ``opaq://host:port`` — protocol v3, the framed binary transport of
-  :mod:`repro.service.proto` over one persistent TCP socket.  Arrays
-  travel as raw bytes; per-request cost is a 12-byte header.
-* ``http://host:port`` — the JSON/HTTP compatibility transport
-  (:mod:`repro.service.http`), kept for curl-ability and for peers that
-  have not upgraded.
+:class:`ServiceClient` speaks the framed binary transport of
+:mod:`repro.service.proto` over one persistent TCP socket, addressed as
+``opaq://host:port``.  Arrays travel as raw bytes; per-request cost is a
+12-byte header.
 
 The API is array-in/array-out::
 
@@ -24,7 +19,7 @@ after one release of :class:`DeprecationWarning` — pass an array to
 ``ingest`` and call ``quantiles`` (``.to_dict()`` recovers the old
 shape).  See ``docs/api.md``.
 
-Keyed (multi-tenant) calls ride the same transports:
+Keyed (multi-tenant) calls ride the same socket:
 ``ingest_keyed({(tenant, metric): values, ...})`` and
 ``quantiles_keyed([(tenant, metric), ...], phis)``, with ``"*"``
 selecting server-side rollups — see ``docs/service.md``.
@@ -33,16 +28,13 @@ Server-side failures arrive as their typed repro exceptions
 (:class:`~repro.errors.DataError` and friends, re-raised by
 :func:`~repro.service.proto.raise_remote_error`); transport failures are
 :class:`~repro.errors.ServiceError`.  After a transport failure the
-binary socket is dropped and the next call reconnects.
+socket is dropped and the next call reconnects.
 """
 
 from __future__ import annotations
 
-import json
 import socket
-import urllib.error
 import urllib.parse
-import urllib.request
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -51,7 +43,7 @@ from repro.core.values import ingest_values
 from repro.errors import ConfigError, DataError, ServiceError
 from repro.service import proto
 from repro.service.proto import QuantileVector
-from repro.service.tenancy.keys import compose_key, split_key
+from repro.service.tenancy.keys import compose_key
 from repro.service.tenancy.registry import KeyAnswer
 
 __all__ = ["ServiceClient"]
@@ -130,7 +122,7 @@ class _BinaryTransport:
             try:
                 # A client (and its socket) belongs to one caller at a
                 # time; share work across threads with one client each.
-                self._sock = socket.create_connection(  # opaq: ignore[thread-unguarded-write] single-owner client
+                self._sock = socket.create_connection(
                     (self.host, self.port), timeout=self.timeout
                 )
                 self._sock.setsockopt(
@@ -147,8 +139,8 @@ class _BinaryTransport:
             try:
                 self._sock.close()
             finally:
-                self._sock = None  # opaq: ignore[thread-unguarded-write] single-owner client
-        self._buf.clear()  # opaq: ignore[thread-unguarded-write] single-owner client
+                self._sock = None
+        self._buf.clear()
 
     def _recv_exactly(self, sock: socket.socket, n: int) -> bytes:
         # Buffered: each recv pulls as much as the kernel has ready, and
@@ -168,7 +160,7 @@ class _BinaryTransport:
                     "server closed the connection mid-frame "
                     f"({len(self._buf)} of {n} bytes)"
                 )
-            self._buf.extend(chunk)  # opaq: ignore[thread-unguarded-write] single-owner client
+            self._buf.extend(chunk)
         out = bytes(self._buf[:n])
         del self._buf[:n]
         return out
@@ -272,158 +264,26 @@ class _BinaryTransport:
 
 
 # ----------------------------------------------------------------------
-# HTTP transport (protocol v1 compatibility)
-# ----------------------------------------------------------------------
-
-
-class _HttpTransport:
-    """urllib against the JSON/HTTP layer; answers re-shaped to arrays."""
-
-    def __init__(self, base_url: str, timeout: float) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
-    def close(self) -> None:
-        pass  # urllib opens one connection per request
-
-    def _request(
-        self, method: str, path: str, payload: dict[str, Any] | None = None
-    ) -> dict[str, Any]:
-        request = urllib.request.Request(
-            self.base_url + path,
-            method=method,
-            data=None if payload is None else json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return dict(json.loads(resp.read()))
-        except urllib.error.HTTPError as exc:
-            try:
-                message = json.loads(exc.read()).get("error", str(exc))
-            except ValueError:
-                message = str(exc)
-            raise ServiceError(
-                f"{method} {path} failed with HTTP {exc.code}: {message}"
-            ) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach {self.base_url}: {exc.reason}"
-            ) from None
-
-    def ping(self) -> bool:
-        return bool(self._request("GET", "/healthz").get("ok"))
-
-    def ingest(self, values: np.ndarray) -> dict[str, int]:
-        reply = self._request("POST", "/ingest", {"values": values.tolist()})
-        return {"accepted": int(reply["accepted"]), "epoch": int(reply["epoch"])}
-
-    def quantiles(self, phis: np.ndarray) -> QuantileVector:
-        reply = self._request("POST", "/quantile", {"phis": phis.tolist()})
-        rows = reply.get("results", [])
-        # JSON round-trips float64 exactly (repr-based), so rebuilding
-        # the arrays here is bit-identical to the binary transport.
-        return QuantileVector(
-            epoch=int(reply["epoch"]),
-            count=int(reply["count"]),
-            guarantee=int(reply["guarantee"]),
-            staleness=int(reply["staleness"]),
-            phis=np.array([r["phi"] for r in rows], dtype=np.float64),
-            ranks=np.array([r["rank"] for r in rows], dtype=np.int64),
-            lower=np.array([r["lower"] for r in rows], dtype=np.float64),
-            upper=np.array([r["upper"] for r in rows], dtype=np.float64),
-            max_below=np.array([r["max_below"] for r in rows], dtype=np.int64),
-            max_above=np.array([r["max_above"] for r in rows], dtype=np.int64),
-        )
-
-    def quantiles_many(
-        self, phi_vectors: list[np.ndarray]
-    ) -> list[QuantileVector]:
-        # HTTP/1.1 request/response cannot pipeline here: sequential.
-        return [self.quantiles(phis) for phis in phi_vectors]
-
-    def ingest_keyed(
-        self, keys: list[str], counts: np.ndarray, values: np.ndarray
-    ) -> dict[str, int]:
-        reply = self._request(
-            "POST",
-            "/ingest_keyed",
-            {
-                "keys": [list(split_key(key)) for key in keys],
-                "counts": np.asarray(counts).tolist(),
-                "values": np.asarray(values).tolist(),
-            },
-        )
-        return {"elements": int(reply["elements"]), "keys": int(reply["keys"])}
-
-    def quantiles_keyed(
-        self, keys: list[str], phis: np.ndarray
-    ) -> list[KeyAnswer]:
-        reply = self._request(
-            "POST",
-            "/quantile_keyed",
-            {
-                "keys": [list(split_key(key)) for key in keys],
-                "phis": phis.tolist(),
-            },
-        )
-        answers = reply.get("answers", [])
-        # JSON round-trips float64 exactly, so these answers are
-        # bit-identical to the binary transport's.
-        return [
-            KeyAnswer(
-                tenant=str(a["tenant"]),
-                metric=str(a["metric"]),
-                source=str(a["source"]),
-                count=int(a["count"]),
-                guarantee=int(a["guarantee"]),
-                epsilon_bound=float(a["epsilon_bound"]),
-                compactions=int(a["compactions"]),
-                phis=np.array(a["phis"], dtype=np.float64),
-                psi=np.array(a["psi"], dtype=np.int64),
-                lower=np.array(a["lower"], dtype=np.float64),
-                upper=np.array(a["upper"], dtype=np.float64),
-                max_below=np.array(a["max_below"], dtype=np.int64),
-                max_above=np.array(a["max_above"], dtype=np.int64),
-            )
-            for a in answers
-        ]
-
-    def snapshot(self) -> dict[str, int]:
-        reply = self._request("POST", "/snapshot")
-        return {key: int(reply[key]) for key in ("epoch", "count", "guarantee", "samples")}
-
-    def stats(self) -> dict[str, Any]:
-        return self._request("GET", "/stats")
-
-
-# ----------------------------------------------------------------------
 # The public client
 # ----------------------------------------------------------------------
 
 
 class ServiceClient:
-    """Batched client for the quantile service (binary or HTTP wire)."""
+    """Batched client for the quantile service (binary wire v3)."""
 
     def __init__(self, address: str, timeout: float = 30.0) -> None:
         parsed = urllib.parse.urlparse(address)
-        if parsed.scheme == "opaq":
-            if parsed.hostname is None or parsed.port is None:
-                raise ConfigError(
-                    f"binary addresses need host and port: {address!r} "
-                    "(expected opaq://host:port)"
-                )
-            self._transport: _BinaryTransport | _HttpTransport = (
-                _BinaryTransport(parsed.hostname, parsed.port, timeout)
-            )
-        elif parsed.scheme in ("http", "https"):
-            self._transport = _HttpTransport(address, timeout)
-        else:
+        if parsed.scheme != "opaq":
             raise ConfigError(
                 f"unknown service address scheme {parsed.scheme!r} in "
-                f"{address!r}: use opaq://host:port (binary protocol v3) "
-                "or http://host:port (compatibility)"
+                f"{address!r}: use opaq://host:port (binary protocol v3)"
             )
+        if parsed.hostname is None or parsed.port is None:
+            raise ConfigError(
+                f"binary addresses need host and port: {address!r} "
+                "(expected opaq://host:port)"
+            )
+        self._transport = _BinaryTransport(parsed.hostname, parsed.port, timeout)
         self.address = address
         self.timeout = timeout
 
@@ -485,7 +345,7 @@ class ServiceClient:
     def quantiles_many(
         self, phi_vectors: Sequence[Sequence[float] | np.ndarray]
     ) -> list[QuantileVector]:
-        """Many φ-vectors, pipelined on the binary transport."""
+        """Many φ-vectors, pipelined: all request frames, then all replies."""
         return self._transport.quantiles_many(
             [_as_phis(phis) for phis in phi_vectors]
         )
@@ -499,7 +359,7 @@ class ServiceClient:
         return self._transport.stats()
 
     def health(self) -> bool:
-        """Liveness: one PING (binary) or ``GET /healthz`` (HTTP)."""
+        """Liveness: one PING round-trip."""
         return self._transport.ping()
 
     def close(self) -> None:

@@ -1,7 +1,7 @@
 """The quantile service: router + shard workers + snapshotter + queries.
 
-:class:`QuantileService` is the in-process subsystem the wire layer
-(:mod:`repro.service.http`) wraps.  Data flow::
+:class:`QuantileService` is the in-process subsystem the binary wire
+layer (:mod:`repro.service.aio`) wraps.  Data flow::
 
     ingest(batch) --route--> [shard queue]* --worker--> IncrementalOPAQ*
                                                              |
@@ -55,7 +55,7 @@ class QueryResult:
     bounds: list[QuantileBounds]
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable form (the wire layer's response body)."""
+        """JSON-serialisable form, one row per φ."""
         return {
             "epoch": self.epoch,
             "count": self.count,
@@ -104,8 +104,9 @@ class QuantileService:
         # before the first keyed ingest.
         self._registry = SummaryRegistry(self.config.tenancy or RegistryConfig())
         #: Guards the operational counters below: ingest() and query() run
-        #: on whatever thread calls them — under the HTTP layer that is a
-        #: thread per request — so the += updates race without it.
+        #: on whatever thread calls them — under the binary server, ingest
+        #: on the executor's threads and queries on the event loop — so
+        #: the += updates race without it.
         self._state_lock = threading.Lock()
         #: Elements accepted into shard queues this process lifetime.
         self._accepted = 0
@@ -418,7 +419,7 @@ class QuantileService:
         self._registry.close()
         # A monotonic bool latch: racing readers see either open or
         # closed, both of which are coherent states.
-        self._closed = True  # opaq: ignore[thread-unguarded-write] monotonic latch
+        self._closed = True
         current_tracer().count("service.closed", 1)
 
     def _check_open(self) -> None:

@@ -1,8 +1,8 @@
 """Wire protocol v3: compact binary framing for the quantile service.
 
-The JSON/HTTP layer (:mod:`repro.service.http`, protocol v1) spends its
-time encoding numbers as text; at one million elements per ingest call
-that dominates the wire cost by an order of magnitude.  Protocol v2+
+The service's one wire.  Encoding numbers as text (the JSON/HTTP
+protocol v1, since removed) dominated the wire cost by an order of
+magnitude at one million elements per ingest call, so protocol v2+
 frames numpy payloads directly, with the same dtype discipline as the
 process backend's shared-memory transport
 (:mod:`repro.parallel.backends.process`): every array travels as its
@@ -106,9 +106,8 @@ WIRE_VERSION = 3
 #: magic, version, opcode, flags (reserved), payload length.
 HEADER = struct.Struct("!4sBBHI")
 
-#: Refuse frames beyond this payload size (64 MiB, matching the HTTP
-#: layer's body cap): a bounded wire buffer is the binary-side sibling
-#: of the bounded ingest queues.
+#: Refuse frames beyond this payload size (64 MiB): a bounded wire
+#: buffer is the wire-side sibling of the bounded ingest queues.
 MAX_PAYLOAD = 64 * 1024 * 1024
 
 #: A reply to opcode ``op`` carries opcode ``op | REPLY_BIT``.
@@ -168,8 +167,7 @@ def parse_header(
     if version != WIRE_VERSION:
         raise DataError(
             f"wire protocol version skew: peer speaks v{version}, this "
-            f"build speaks v{WIRE_VERSION}; upgrade one side (the HTTP "
-            "layer remains available as a compatibility transport)"
+            f"build speaks v{WIRE_VERSION}; upgrade one side"
         )
     if flags != 0:
         raise DataError(
@@ -525,15 +523,11 @@ def decode_ingest_keyed_request(
         raise DataError(
             f"{len(payload) - offset} trailing bytes after the keyed frame"
         )
-    if counts.dtype.kind not in "iu" or counts.ndim != 1:
-        raise DataError("keyed counts must be a 1-D integer array")
     if values.dtype.kind not in "fiu" or values.ndim != 1:
         raise DataError("keyed values must be a 1-D numeric array")
-    return (
-        keys,
-        np.ascontiguousarray(counts, dtype=np.int64),
-        np.ascontiguousarray(values, dtype=np.float64),
-    )
+    # The counts keep their wire dtype: the registry's ingest policy
+    # (repro.core.values.ingest_counts) decides what a count may be.
+    return keys, counts, np.ascontiguousarray(values, dtype=np.float64)
 
 
 def encode_ingest_keyed_reply(accepted: int, keys: int) -> bytes:

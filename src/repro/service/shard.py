@@ -89,7 +89,7 @@ class ShardWorker:
         self._thread.start()
         # Written once by the constructing thread before the worker is
         # shared; a monotonic bool latch thereafter.
-        self._started = True  # opaq: ignore[thread-unguarded-write] monotonic latch
+        self._started = True
 
     def submit(self, batch: np.ndarray, timeout: float | None = None) -> None:
         """Enqueue one routed sub-batch; blocks when the queue is full.

@@ -130,29 +130,6 @@ class KeyAnswer:
     max_above: np.ndarray
     engine: str = "opaq"
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable form (the HTTP compatibility shim's body).
-
-        JSON round-trips float64 exactly (repr-based), so an answer
-        rebuilt from this dict is bit-identical to the wire-native one.
-        """
-        return {
-            "tenant": self.tenant,
-            "metric": self.metric,
-            "source": self.source,
-            "engine": self.engine,
-            "count": self.count,
-            "guarantee": self.guarantee,
-            "epsilon_bound": self.epsilon_bound,
-            "compactions": self.compactions,
-            "phis": self.phis.tolist(),
-            "psi": self.psi.tolist(),
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
-            "max_below": self.max_below.tolist(),
-            "max_above": self.max_above.tolist(),
-        }
-
 
 class _Block:
     """One frame's worth of a shard's elements, shared by its keys.
@@ -859,7 +836,7 @@ class SummaryRegistry:
         if self._store is not None:
             self.spill_all()
             self._store.close()
-        self._closed = True  # opaq: ignore[thread-unguarded-write] monotonic latch
+        self._closed = True
 
     def __enter__(self) -> "SummaryRegistry":
         return self

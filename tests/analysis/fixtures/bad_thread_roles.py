@@ -1,15 +1,16 @@
-"""Known-bad: shared fields written from the HTTP-handler role unguarded.
+"""Known-bad: shared fields written from the executor-thread role unguarded.
 
 ``Snapshotter.run_epoch`` teaches the analyzer that ``self._lock`` guards
 ``_snapshot``; ``adopt`` then writes the same field without it, and the
-role inference proves ``adopt`` is reachable from a thread-per-request
-handler (``do_POST`` -> ``Service.ingest`` -> ``adopt``).  The counter
+role inference proves ``adopt`` runs on the server's executor threads
+(``Server._handle`` offloads ``Service.ingest`` through ``_blocking`` to
+``run_in_executor``, and ``ingest`` calls ``adopt``).  The counter
 ``Service._accepted`` is a read-modify-write from that concurrent role
 with no lock at all.
 """
 
+import asyncio
 import threading
-from http.server import BaseHTTPRequestHandler
 
 
 class Snapshotter:
@@ -37,15 +38,20 @@ class Service:
         self._accepted = 0
 
     def ingest(self, batch):
-        self._accepted += len(batch)  # unlocked RMW from a handler thread
+        self._accepted += len(batch)  # unlocked RMW from an executor thread
         self._snapshotter.adopt(batch)
 
     def snapshot(self, summary):
         self._snapshotter.run_epoch(summary)
 
 
-class Handler(BaseHTTPRequestHandler):
-    service = Service()
+class Server:
+    def __init__(self, service: Service):
+        self.service = service
 
-    def do_POST(self):
-        self.service.ingest([1.0, 2.0])
+    async def _handle(self, batch):
+        return await self._blocking(lambda: self.service.ingest(batch))
+
+    async def _blocking(self, fn):
+        loop = asyncio.get_running_loop()
+        return await asyncio.wait_for(loop.run_in_executor(None, fn), 10.0)

@@ -3,11 +3,12 @@
 Every write to the snapshotter's published reference happens under the
 swap lock, the service counters take a state lock around their
 read-modify-writes, and reads stay lock-free — the invariants the thread
-family must *derive*, not just pattern-match.
+family must *derive*, not just pattern-match, while ``Service.ingest``
+runs on the server's executor threads.
 """
 
+import asyncio
 import threading
-from http.server import BaseHTTPRequestHandler
 
 
 class Snapshotter:
@@ -53,8 +54,13 @@ class Service:
         self._snapshotter.run_epoch(summary)
 
 
-class Handler(BaseHTTPRequestHandler):
-    service = Service()
+class Server:
+    def __init__(self, service: Service):
+        self.service = service
 
-    def do_POST(self):
-        self.service.ingest([1.0, 2.0])
+    async def _handle(self, batch):
+        return await self._blocking(lambda: self.service.ingest(batch))
+
+    async def _blocking(self, fn):
+        loop = asyncio.get_running_loop()
+        return await asyncio.wait_for(loop.run_in_executor(None, fn), 10.0)

@@ -35,7 +35,7 @@ def test_self_lint_covers_the_whole_package(shallow):
 def test_suppressions_are_rare_and_justified(shallow):
     # Every suppression in the tree is a reviewed escape hatch: bounded
     # base-case sorts in the selection routines, the sanctioned
-    # broad-except guards (wire-layer 500 guard, shard worker loop), the
+    # broad-except guard of the shard worker loop, the
     # execution backends' worker isolation boundaries — the one place a
     # catch MUST be total, because every worker failure has to become a
     # typed ParallelError rather than a hang or a bare traceback — the
@@ -54,9 +54,8 @@ def test_suppressions_are_rare_and_justified(shallow):
     assert shallow.suppressed <= 19
 
 
-def test_repro_package_is_deep_lint_clean():
+def test_repro_package_is_deep_lint_clean(deep_lint):
     """The flow/thread families hold project-wide: no unguarded
     cross-role writes, no double-consumed streams, no stale suppressions
     anywhere in ``src/repro``."""
-    result = lint_paths([SRC], deep=True)
-    assert result.findings == [], "\n" + render_text(result)
+    assert deep_lint.findings == [], "\n" + render_text(deep_lint)

@@ -12,10 +12,10 @@ import textwrap
 from pathlib import Path
 
 import repro
-from repro.analysis import build_project, build_thread_model, lint_paths
+from repro.analysis import build_project, build_thread_model
 from repro.analysis.framework import ModuleContext
 from repro.analysis.runner import iter_python_files, parse_module
-from repro.analysis.rules_threads import ROLE_HTTP_HANDLER, ROLE_MAIN
+from repro.analysis.rules_threads import ROLE_EVENT_LOOP, ROLE_MAIN, ROLE_THREAD
 
 SERVICE = Path(repro.__file__).parent / "service"
 
@@ -34,25 +34,34 @@ class TestDerivedRoles:
         # _fold is reached from the loop, so it inherits the role.
         assert "worker:ShardWorker._loop" in worker.roles["_fold"]
 
-    def test_http_handler_methods_carry_the_handler_role(self):
+    def test_binary_server_handlers_carry_the_loop_role(self):
+        """The binary server's request handlers run on its event loop,
+        and the loop, not the embedder, calls them: no ambient role."""
         model = service_model()
-        handler = model.for_class("_Handler")
-        assert handler is not None
-        assert ROLE_HTTP_HANDLER in handler.roles["do_POST"]
-        assert handler.per_thread_instances
+        server = model.for_class("AsyncServiceServer")
+        for method in ("_dispatch", "_handle", "_answer_quantiles"):
+            assert server.roles[method] == {ROLE_EVENT_LOOP}, method
+        reader = model.for_class("_FrameReader")
+        for method in ("buffer_updated", "_push", "_serve"):
+            assert reader.roles[method] == {ROLE_EVENT_LOOP}, method
 
     def test_handler_role_propagates_into_the_service(self):
-        # self.service.ingest(...) crosses the module boundary: the
-        # engine's public entry points run under request threads too.
+        # _handle offloads self.service.ingest(...) through _blocking to
+        # the executor, crossing the module boundary: the engine's
+        # public entry points run on the executor's threads too, and
+        # the inline query path on the loop.
         model = service_model()
         service = model.for_class("QuantileService")
-        assert ROLE_HTTP_HANDLER in service.roles["ingest"]
-        assert ROLE_MAIN in service.roles["ingest"]
+        assert service.roles["ingest"] == {ROLE_MAIN, ROLE_THREAD}
+        assert service.roles["ingest_keyed"] == {ROLE_MAIN, ROLE_THREAD}
+        assert service.roles["query_arrays"] == {ROLE_MAIN, ROLE_EVENT_LOOP}
 
     def test_handler_role_is_concurrent(self):
+        # The executor runs many requests at once; the loop runs one.
         model = service_model()
         service = model.for_class("QuantileService")
-        assert ROLE_HTTP_HANDLER in service.concurrent_roles
+        assert ROLE_THREAD in service.concurrent_roles
+        assert ROLE_EVENT_LOOP not in service.concurrent_roles
 
 
 class TestDerivedInvariants:
@@ -108,8 +117,8 @@ class TestAccessPrecision:
         ctx = parse_module(
             textwrap.dedent(
                 """
+                import asyncio
                 import threading
-                from http.server import BaseHTTPRequestHandler
 
 
                 class Service:
@@ -126,11 +135,15 @@ class TestAccessPrecision:
                             self._pending = []
 
 
-                class Handler(BaseHTTPRequestHandler):
-                    service = Service()
+                class Server:
+                    def __init__(self, service: Service):
+                        self.service = service
 
-                    def do_POST(self):
-                        self.service.submit([1.0])
+                    async def handle(self):
+                        loop = asyncio.get_running_loop()
+                        await loop.run_in_executor(
+                            None, lambda: self.service.submit([1.0])
+                        )
                 """
             )
         )
@@ -141,13 +154,18 @@ class TestAccessPrecision:
         # access recorded at the with-enter event.
         assert sorted(w.kind for w in writes) == ["mutate", "write"]
         assert all("self._state_lock" in w.locks for w in writes)
-        assert svc.writing_roles("_pending") >= {ROLE_MAIN, ROLE_HTTP_HANDLER}
+        assert svc.writing_roles("_pending") >= {ROLE_MAIN, ROLE_THREAD}
 
 
 class TestServiceIsDeepClean:
-    def test_no_thread_findings_in_the_service_layer(self):
-        result = lint_paths([SERVICE], deep=True)
+    def test_no_thread_findings_in_the_service_layer(self, deep_lint):
+        # Reads the package-wide deep lint: the thread family's findings
+        # on service/ are the same whether it lints service/ or the whole
+        # package, as its roles come from the service's own call graph.
         thread_findings = [
-            f for f in result.findings if f.code in ("OPQ701", "OPQ702")
+            f
+            for f in deep_lint.findings
+            if f.code in ("OPQ701", "OPQ702")
+            and Path(f.path).resolve().is_relative_to(SERVICE.resolve())
         ]
         assert thread_findings == []

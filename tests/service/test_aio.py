@@ -6,10 +6,9 @@ discipline: application errors keep the connection alive; framing errors
 answer with an error frame and then close it; and a hostile peer can
 never wedge the server for other connections.
 
-The final class is the bit-identity gate required by the API redesign:
-the binary protocol and the legacy HTTP shim must serve byte-identical
-(e_l, e_u) bounds for the same ingest sequence, because both are thin
-wire layers over the one vectorised ``query_arrays`` kernel.
+Two bit-identity gates hold the wire to the service it frames: a warm
+restart over the binary wire serves byte-identical quantile vectors, and
+keyed answers over the wire equal the registry's own in every field.
 """
 
 import asyncio
@@ -29,9 +28,10 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ThreadedBinaryServer,
-    make_server,
 )
 from repro.service import proto
+from repro.service.tenancy import compose_key
+from tests.service.test_proto import wire_fields
 
 PHI_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
 
@@ -446,58 +446,38 @@ class TestClientAddressing:
 
 
 class TestBitIdentityGate:
-    """Binary and legacy-HTTP answers must be byte-identical doubles."""
+    """A warm restart over the binary wire serves byte-identical doubles."""
 
-    def test_binary_and_http_serve_identical_bounds(self, rng):
+    def test_warm_restart_serves_identical_bounds(self, rng, tmp_path):
         data = rng.normal(size=60_000)
         data[::4] = np.round(data[::4]) + 0.0  # duplicate-heavy, no -0.0
         phis = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+        config = ServiceConfig(
+            num_shards=2, run_size=1_000, sample_size=50,
+            snapshot_dir=str(tmp_path / "snapshots"),
+        )
 
-        def serve_and_query(protocol):
-            config = ServiceConfig(
-                num_shards=2, run_size=1_000, sample_size=50
-            )
+        def life(requests):
+            """One server lifetime, ended with a final snapshot."""
             service = QuantileService(config)
             try:
-                if protocol == "binary":
-                    server = ThreadedBinaryServer(service, port=0)
-                    server.start()
-                    stop = server.stop
-                else:
-                    server = make_server(service, port=0)
-                    thread = threading.Thread(
-                        target=server.serve_forever,
-                        kwargs={"poll_interval": 0.05},
-                        daemon=True,
-                    )
-                    thread.start()
-
-                    def stop():
-                        server.shutdown()
-                        server.server_close()
-                        thread.join(timeout=10.0)
-
-                try:
+                with ThreadedBinaryServer(service, port=0) as server:
                     with ServiceClient(server.url, timeout=10.0) as client:
-                        client.ingest(data)
-                        client.snapshot()
-                        return client.quantiles(phis)
-                finally:
-                    stop()
+                        return requests(client)
             finally:
-                service.close(final_snapshot=False)
+                service.close(final_snapshot=True)
 
-        binary = serve_and_query("binary")
-        http = serve_and_query("http")
+        def first(client):
+            client.ingest(data)
+            client.snapshot()
+            return client.quantiles(phis)
 
-        # The gate: raw IEEE-754 bytes, no approx, no repr rounding.
-        assert binary.lower.tobytes() == http.lower.tobytes()
-        assert binary.upper.tobytes() == http.upper.tobytes()
-        assert binary.ranks.tobytes() == http.ranks.tobytes()
-        assert binary.max_below.tobytes() == http.max_below.tobytes()
-        assert binary.max_above.tobytes() == http.max_above.tobytes()
-        assert binary.guarantee == http.guarantee
-        assert binary.epoch == http.epoch and binary.count == http.count
+        served = life(first)
+        restarted = life(lambda client: client.quantiles(phis))
+
+        # The gate: every field, arrays as raw IEEE-754 bytes.
+        assert wire_fields(restarted) == wire_fields(served)
+        assert restarted.epoch == 1 and restarted.count == data.size
 
 
 class TestKeyedEndToEnd:
@@ -552,27 +532,67 @@ class TestKeyedEndToEnd:
         assert tenancy["delta_appends"] == tenancy["disk_reads"] == 0
         assert tenancy["restores"] == 0
 
-    def test_keyed_answers_match_http_shim_bit_identically(self, served, rng):
-        """The HTTP compatibility layer must serve the same bytes as the
-        binary path for keyed queries too — one registry, two framings."""
+    def test_keyed_answers_match_the_service_bit_identically(self, served, rng):
+        """The wire frames the registry's answers without changing a bit:
+        every field of the client's answers equals the service's own."""
         service, _, client = served
-        client.ingest_keyed({("acme", "lat"): rng.normal(size=8_000)})
-        binary = client.quantiles_keyed([("acme", "lat")], PHI_GRID)
-
-        http_server = make_server(service, port=0)
-        thread = threading.Thread(
-            target=http_server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
+        client.ingest_keyed(
+            {
+                ("acme", "lat"): rng.normal(size=8_000),
+                ("acme", "err"): rng.normal(size=3_000),
+                ("globex", "lat"): rng.normal(size=5_000),
+            }
         )
-        thread.start()
-        try:
-            with ServiceClient(http_server.url, timeout=10.0) as http_client:
-                http = http_client.quantiles_keyed([("acme", "lat")], PHI_GRID)
-        finally:
-            http_server.shutdown()
-            http_server.server_close()
-            thread.join(timeout=10.0)
-        assert binary[0].to_dict() == http[0].to_dict()
-        assert binary[0].lower.tobytes() == http[0].lower.tobytes()
-        assert binary[0].upper.tobytes() == http[0].upper.tobytes()
+        pairs = [("acme", "lat"), ("acme", "err"), ("globex", "lat"),
+                 ("*", "lat"), ("*", "*")]
+        over_wire = client.quantiles_keyed(pairs, PHI_GRID)
+        in_process = service.quantiles_keyed(
+            [compose_key(tenant, metric) for tenant, metric in pairs], PHI_GRID
+        )
+        assert [a.source for a in over_wire] == [
+            "resident", "resident", "resident", "rollup:metric", "rollup:global"
+        ]
+        assert [wire_fields(a) for a in over_wire] == [
+            wire_fields(a) for a in in_process
+        ]
+
+    def test_keyed_counts_take_the_ingest_policy(self, served):
+        """Counts in a hand-packed INGEST_KEYED frame are judged by the
+        registry's policy: a whole float64 count counts, a fraction is a
+        typed error, and the same connection keeps serving."""
+        _, server, client = served
+        values = proto.pack_array(np.array([3.0, 1.0]))
+
+        def ingest_frame(metric, counts):
+            payload = (
+                proto._pack_keys([compose_key("acme", metric)])
+                + proto.pack_array(counts)
+                + values
+            )
+            return proto.encode_frame(proto.Op.INGEST_KEYED, payload)
+
+        with connect(server) as sock:
+            sock.sendall(
+                ingest_frame("int", np.array([2], dtype=np.int64))
+                + ingest_frame("float", np.array([2.0]))
+                + ingest_frame("half", np.array([2.5]))
+                + proto.encode_frame(proto.Op.PING)
+            )
+            as_int, as_float, half, ping = read_frames(sock, 4)
+        reply = proto.Op.INGEST_KEYED | proto.REPLY_BIT
+        assert as_int[0] == reply and as_float[0] == reply
+        assert proto.decode_ingest_keyed_reply(as_float[1]) == {
+            "elements": 2, "keys": 1,
+        }
+        assert half[0] == proto.ERROR_OP
+        with pytest.raises(DataError, match="whole numbers"):
+            proto.raise_remote_error(half[1])
+        assert ping[0] == proto.Op.PING | proto.REPLY_BIT
+
+        answers = client.quantiles_keyed(
+            [("acme", "int"), ("acme", "float")], PHI_GRID
+        )
+        int_answer, float_answer = (wire_fields(a) for a in answers)
+        assert int_answer.pop("metric") == "int"
+        assert float_answer.pop("metric") == "float"
+        assert float_answer == int_answer

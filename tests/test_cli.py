@@ -388,6 +388,36 @@ class TestServeEngineFlags:
         assert "unknown engine" in capsys.readouterr().err
 
 
+class TestQueryServer:
+    def test_http_address_is_a_typed_error(self):
+        """The service speaks one wire: an ``http://`` address against a
+        live server is a usage error naming ``opaq://host:port``, not a
+        traceback out of an HTTP parser."""
+        import subprocess
+        import sys
+
+        from repro.service import (
+            QuantileService,
+            ServiceConfig,
+            ThreadedBinaryServer,
+        )
+
+        config = ServiceConfig(num_shards=1, run_size=500, sample_size=25)
+        with QuantileService(config) as service:
+            with ThreadedBinaryServer(service, port=0) as server:
+                address = server.url.replace("opaq://", "http://")
+                result = subprocess.run(
+                    [sys.executable, "-m", "repro.cli", "query",
+                     "--server", address],
+                    capture_output=True,
+                    text=True,
+                    timeout=60,
+                )
+        assert result.returncode == 2, result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and "opaq://host:port" in line
+
+
 class TestExperimentCommand:
     def test_unknown_experiment(self, capsys):
         rc = main(["experiment", "table99"])

@@ -65,10 +65,8 @@ SERVICE = {
     "SnapshotStore",
     "Snapshotter",
     "ServiceClient",
-    "ServiceHTTPServer",
     "AsyncServiceServer",
     "ThreadedBinaryServer",
-    "make_server",
     "RegistryConfig",
     "SummaryRegistry",
     "KeyAnswer",
