@@ -51,7 +51,7 @@ import numpy as np
 from repro.errors import DataError, EstimationError
 from repro.selection import is_sorted
 
-__all__ = ["OPAQSummary", "pack_fields", "unpack_fields"]
+__all__ = ["OPAQSummary", "field_parts", "pack_fields", "unpack_fields"]
 
 #: :meth:`OPAQSummary.compact` folds groups of at most this many samples
 #: column by column (two numpy calls per column) and wider ones with two
@@ -570,14 +570,26 @@ def pack_fields(arrays: dict[str, np.ndarray], meta: dict[str, object]) -> bytes
     >>> arrays["x"].tobytes() == np.array([1.5, -0.0]).tobytes(), meta
     (True, {'n': 2})
     """
+    return b"".join(field_parts(arrays, meta))
+
+
+def field_parts(
+    arrays: dict[str, np.ndarray], meta: dict[str, object]
+) -> list[bytes | np.ndarray]:
+    """The buffers :func:`pack_fields` joins into its record, in order.
+
+    Arrays that are already contiguous little-endian come back
+    uncopied, so a writer that frames the record itself (the spill
+    store's segment log) copies each byte once.
+    """
     layout = []
     blobs = []
     for name, array in arrays.items():
         tag = _FIELD_TAGS[array.dtype]
         layout.append([name, tag, int(array.size)])
-        blobs.append(np.ascontiguousarray(array, dtype=f"<{tag}").tobytes())
+        blobs.append(np.ascontiguousarray(array, dtype=f"<{tag}"))
     head = json.dumps({"meta": meta, "arrays": layout}).encode()
-    return b"".join([_HEAD_SIZE.pack(len(head)), head, *blobs])
+    return [_HEAD_SIZE.pack(len(head)), head, *blobs]
 
 
 def unpack_fields(record: bytes) -> tuple[dict[str, np.ndarray], dict[str, Any]]:

@@ -66,7 +66,8 @@ class ServiceError(ReproError, RuntimeError):
     """The serving subsystem could not accept or answer a request.
 
     Raised by :mod:`repro.service` when an ingest queue stays full past the
-    backpressure timeout, when a shard worker has died, or when a request
-    reaches a service that is already shut down.  The binary wire marks its
-    error frame retryable (:func:`repro.service.proto.encode_error`).
+    backpressure timeout, when a shard worker has died, when an append to
+    the spill or epoch log fails (a full disk), or when a request reaches
+    a service that is already shut down.  The binary wire marks its error
+    frame retryable (:func:`repro.service.proto.encode_error`).
     """

@@ -16,8 +16,8 @@ process    ``p`` processes real multi-core runs, shared-memory I/O
 ========== ============ ==========================================
 
 Resolve by name with :func:`get_backend`; configure via
-``ParallelOPAQ(..., backend="process")``, ``OPAQ.quantiles(...,
-backend=...)`` or ``ServiceConfig(backend=...)``.
+``ParallelOPAQ(..., backend="process")`` or ``OPAQ.quantiles(...,
+backend=...)``.
 """
 
 from repro.parallel.backends.base import (

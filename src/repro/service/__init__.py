@@ -9,10 +9,10 @@ production serving system needs.  This package turns them into one:
 - :class:`ShardWorker` — per-shard worker threads feeding
   :class:`~repro.core.IncrementalOPAQ` through **bounded** queues whose
   blocking is the backpressure signal;
-- :class:`Snapshotter` / :class:`SnapshotStore` — epoch-based merge of
-  the shard summaries into one compacted, queryable summary, swapped in
-  atomically (readers never block on writers) and persisted in a
-  versioned on-disk format for warm restarts;
+- :class:`Snapshotter` — epoch-based merge of the shard summaries into
+  one compacted, queryable summary, swapped in atomically (readers
+  never block on writers) and persisted for warm restarts as one record
+  of a segment log, the format the spill store keeps cold keys in;
 - :class:`QuantileService` — the assembled engine: batched ``ingest`` /
   ``quantiles`` / ``stats`` / ``snapshot`` / ``close``;
 - :mod:`repro.service.proto` + :mod:`repro.service.aio` — wire protocol
@@ -41,7 +41,7 @@ from repro.service.engine import QuantileService, QueryResult
 from repro.service.proto import QuantileVector
 from repro.service.router import ShardRouter
 from repro.service.shard import ShardWorker
-from repro.service.snapshot import EpochSnapshot, SnapshotStore, Snapshotter
+from repro.service.snapshot import EpochSnapshot, Snapshotter
 from repro.service.tenancy import KeyAnswer, RegistryConfig, SummaryRegistry
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "ShardRouter",
     "ShardWorker",
     "EpochSnapshot",
-    "SnapshotStore",
     "Snapshotter",
     "ServiceClient",
     "AsyncServiceServer",

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from repro.core.config import OPAQConfig
 from repro.errors import ConfigError
-from repro.parallel.backends import validate_backend
 from repro.service.tenancy.config import RegistryConfig
 
 __all__ = ["ServiceConfig"]
@@ -63,18 +62,10 @@ class ServiceConfig:
         explicit :meth:`QuantileService.snapshot` calls).  Counted in
         elements, not seconds, so epoch boundaries are deterministic.
     snapshot_dir:
-        Directory for persisted epoch snapshots (``None``: in-memory
-        only).  The service warm-restarts from the newest snapshot found
-        here.
-    snapshot_retain:
-        How many persisted epochs to keep on disk (older ones are
-        pruned).
-    backend:
-        Execution backend for :meth:`QuantileService.estimate`, the batch
-        counterpart of the streaming path: ``"serial"`` (default),
-        ``"thread"``, ``"process"`` or ``"simulated"`` (see
-        :mod:`repro.parallel.backends`).  The streaming ingest path always
-        uses its own shard worker threads regardless.
+        Directory of the epoch log, a segment log that holds the newest
+        epoch (``None``: in-memory only).  The service warm-restarts
+        from that epoch.  It must not be ``tenancy.spill_dir``: two
+        logs in one directory would append to the same segment files.
     tenancy:
         Configuration of the multi-tenant summary registry serving the
         keyed opcodes (``INGEST_KEYED`` / ``QUANTILES_KEYED``):
@@ -95,8 +86,6 @@ class ServiceConfig:
     max_merged_samples: int | None = None
     snapshot_every: int | None = None
     snapshot_dir: str | Path | None = None
-    snapshot_retain: int = 3
-    backend: str = "serial"
     tenancy: RegistryConfig | None = None
 
     def __post_init__(self) -> None:
@@ -113,15 +102,21 @@ class ServiceConfig:
             raise ConfigError("flush_threshold must be at least 1")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be at least 1 element")
-        if self.snapshot_retain < 1:
-            raise ConfigError("snapshot_retain must be at least 1")
         if self.max_merged_samples is not None and self.max_merged_samples < 2:
             raise ConfigError("max_merged_samples must be at least 2")
+        spill_dir = self.tenancy.spill_dir if self.tenancy else None
+        if (
+            self.snapshot_dir is not None
+            and spill_dir is not None
+            and Path(self.snapshot_dir).resolve() == Path(spill_dir).resolve()
+        ):
+            raise ConfigError(
+                f"snapshot_dir and tenancy.spill_dir are both {spill_dir}; "
+                "the epoch log and the spill log need a directory each"
+            )
         # Delegate run/sample validation (and strategy resolution)
-        # to the core config so the two layers cannot drift apart; backend
-        # names resolve against the parallel layer's registry.
+        # to the core config so the two layers cannot drift apart.
         self.opaq_config()
-        validate_backend(self.backend)
 
     def opaq_config(self) -> OPAQConfig:
         """The per-shard estimator configuration."""

@@ -6,7 +6,7 @@ layer (:mod:`repro.service.aio`) wraps.  Data flow::
     ingest(batch) --route--> [shard queue]* --worker--> IncrementalOPAQ*
                                                              |
                          snapshot() / snapshot_every: barrier, merge,
-                         compact, persist, atomic swap
+                         compact, persist (epoch log), atomic swap
                                                              |
     query(phi) <------ current EpochSnapshot (immutable, lock-free) <-+
 
@@ -36,7 +36,7 @@ from repro.service.config import ServiceConfig
 from repro.service.proto import QuantileVector
 from repro.service.router import ShardRouter
 from repro.service.shard import ShardWorker
-from repro.service.snapshot import EpochSnapshot, SnapshotStore, Snapshotter
+from repro.service.snapshot import EpochSnapshot, Snapshotter
 from repro.service.tenancy.config import RegistryConfig
 from repro.service.tenancy.keys import split_key
 from repro.service.tenancy.registry import KeyAnswer, SummaryRegistry
@@ -54,27 +54,6 @@ class QueryResult:
     staleness: int
     bounds: list[QuantileBounds]
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable form, one row per φ."""
-        return {
-            "epoch": self.epoch,
-            "count": self.count,
-            "guarantee": self.guarantee,
-            "staleness": self.staleness,
-            "results": [
-                {
-                    "phi": b.phi,
-                    "rank": b.rank,
-                    "lower": b.lower,
-                    "upper": b.upper,
-                    "max_below": b.max_below,
-                    "max_above": b.max_above,
-                    "max_between": b.max_between,
-                }
-                for b in self.bounds
-            ],
-        }
-
 
 class QuantileService:
     """Sharded, epoch-snapshotted quantile serving over OPAQ summaries."""
@@ -86,21 +65,15 @@ class QuantileService:
             ShardWorker(shard, self.config)
             for shard in range(self.config.num_shards)
         ]
-        store = (
-            SnapshotStore(self.config.snapshot_dir)
-            if self.config.snapshot_dir is not None
-            else None
-        )
         self._snapshotter = Snapshotter(
             self._workers,
-            store=store,
+            self.config.snapshot_dir,
             max_merged_samples=self.config.max_merged_samples,
-            retain=self.config.snapshot_retain,
         )
         self._restored = self._snapshotter.restore()
         # The multi-tenant registry behind the keyed opcodes.  Built
         # eagerly: with a spill directory configured it replays the
-        # spill manifest here, so a warm restart serves keyed answers
+        # spill log here, so a warm restart serves keyed answers
         # before the first keyed ingest.
         self._registry = SummaryRegistry(self.config.tenancy or RegistryConfig())
         #: Guards the operational counters below: ingest() and query() run
@@ -133,7 +106,10 @@ class QuantileService:
         :class:`~repro.errors.ServiceError` when a shard queue stays full
         past the backpressure timeout and
         :class:`~repro.errors.DataError` for what the ingest policy
-        refuses (:mod:`repro.core.values`).
+        refuses (:mod:`repro.core.values`).  An epoch that
+        ``snapshot_every`` triggers and that fails (a full disk under
+        the epoch log) does not fail the accepted batch: it is counted
+        as ``service.snapshot.failed`` and retried at the next trigger.
         """
         self._check_open()
         parts = self._router.split(values)
@@ -152,7 +128,10 @@ class QuantileService:
             self.config.snapshot_every is not None
             and self._since_snapshot >= self.config.snapshot_every
         ):
-            self.snapshot()
+            try:
+                self.snapshot()
+            except ServiceError:
+                tracer.count("service.snapshot.failed", 1)
         current = self._snapshotter.current
         return {
             "accepted": accepted,
@@ -208,7 +187,12 @@ class QuantileService:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> EpochSnapshot:
-        """Advance one epoch now (barrier + merge + persist + swap)."""
+        """Advance one epoch now (barrier + merge + persist + swap).
+
+        A failed persist raises the epoch log's retryable
+        :class:`~repro.errors.ServiceError`; the served epoch is
+        unchanged.
+        """
         self._check_open()
         snapshot = self._snapshotter.run_epoch()
         with self._state_lock:
@@ -317,34 +301,6 @@ class QuantileService:
             phis = [float(phis)]
         return self.quantiles(phis)
 
-    def estimate(
-        self, source: np.ndarray, phis: Sequence[float]
-    ) -> list[QuantileBounds]:
-        """Batch counterpart of the streaming path: one POPAQ pass.
-
-        Partitions ``source`` across ``num_shards`` workers on the
-        configured execution backend (``ServiceConfig.backend``) and
-        answers from the single merged summary, bypassing the ingest
-        queues and the epoch machinery entirely.  Nothing is retained:
-        this neither advances the epoch nor touches the shard estimators.
-        Useful for ad-hoc questions over data that is already at hand —
-        the streaming path exists for data that is not.
-        """
-        self._check_open()
-        # Imported here, not at module level: the service's streaming core
-        # must stay importable without the parallel layer.
-        from repro.parallel import ParallelOPAQ
-
-        popaq = ParallelOPAQ(
-            self.config.num_shards,
-            self.config.opaq_config(),
-            backend=self.config.backend,
-        )
-        result = popaq.run(np.asarray(source, dtype=np.float64), phis)
-        with self._state_lock:
-            self._queries += len(list(phis))
-        return result.bounds(phis)
-
     @property
     def staleness(self) -> int:
         """Elements accepted but not yet covered by the served epoch."""
@@ -400,11 +356,15 @@ class QuantileService:
         """Stop the workers; by default flush a final epoch first.
 
         Idempotent.  With ``final_snapshot`` the shutdown epoch lands in
-        the snapshot store, so a subsequent warm restart serves every
-        element this process ever accepted.
+        the epoch log, so a subsequent warm restart serves every element
+        this process ever accepted.  A final epoch that fails to persist
+        raises its retryable :class:`~repro.errors.ServiceError` only
+        after the workers are stopped and the registry (which spills its
+        keys) and both logs are closed.
         """
         if self._closed:
             return
+        failure: ServiceError | None = None
         if final_snapshot and (
             self._since_snapshot or self._snapshotter.current is None
         ):
@@ -412,14 +372,19 @@ class QuantileService:
                 self.snapshot()
             except EstimationError:
                 pass  # nothing ingested: nothing to persist
+            except ServiceError as exc:
+                failure = exc
         for worker in self._workers:
             worker.stop()
         # Registry shutdown spills every resident key when a spill
         # directory is configured — the keyed half of the warm restart.
         self._registry.close()
+        self._snapshotter.close()
         # A monotonic bool latch: racing readers see either open or
         # closed, both of which are coherent states.
         self._closed = True
+        if failure is not None:
+            raise failure
         current_tracer().count("service.closed", 1)
 
     def _check_open(self) -> None:

@@ -18,16 +18,21 @@ which CPython swaps atomically.
 Epochs are numbered densely from 1 and advance on *data volume*, never on
 wall time, so a replayed ingest schedule reproduces identical epochs.
 
-:class:`SnapshotStore` persists each epoch as a versioned summary file
-plus a ``LATEST.json`` manifest (written atomically via rename), and a
-restarted service warm-restarts from the newest manifest: queries answer
-identically before and after the restart.
+Given a directory, the Snapshotter persists each epoch in a segment log
+(:class:`~repro.service.tenancy.SpillStore`, the spill store's format)
+as one summary record named ``epoch-NNNNNNNN``.  Once the new record is
+whole, the previous epoch's record is dropped with a tombstone.  A
+restarted service serves the highest-numbered epoch record and drops any
+older one a crash left live, so queries answer identically before and
+after the restart.  The log's crash handling covers epochs: a torn
+append is truncated at the next open, and a failed append raises the
+log's retryable :class:`~repro.errors.ServiceError` before the swap, so
+the served epoch stays as it was.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import os
 import threading
 from dataclasses import dataclass
@@ -38,12 +43,17 @@ from repro.core.summary import OPAQSummary
 from repro.errors import DataError, EstimationError
 from repro.obs import current_tracer
 from repro.service.shard import ShardWorker
+from repro.service.tenancy.store import SpillStore
 
-__all__ = ["EpochSnapshot", "SnapshotStore", "Snapshotter"]
+__all__ = ["EpochSnapshot", "Snapshotter"]
 
-#: Manifest file format: bump when the layout changes.
-_MANIFEST_MAGIC = "OPAQSNAP"
-_MANIFEST_VERSION = 1
+_EPOCH = "epoch-"
+#: What builds before the epoch log left in a snapshot directory.
+_RETIRED = ("LATEST.json", "epoch-*.npz")
+
+
+def _epoch_name(epoch: int) -> str:
+    return f"{_EPOCH}{epoch:08d}"
 
 
 @dataclass(frozen=True)
@@ -71,135 +81,20 @@ class EpochSnapshot:
         return self.summary.guaranteed_rank_error()
 
 
-class SnapshotStore:
-    """Directory-backed persistence of epoch snapshots.
-
-    Layout::
-
-        <dir>/epoch-00000007.npz   # OPAQSummary.save payload (versioned)
-        <dir>/LATEST.json          # atomic manifest -> newest epoch
-
-    The manifest is written to a temporary name and ``os.replace``d into
-    place, so a reader (or a warm-restarting service) always sees either
-    the previous complete snapshot or the new complete snapshot, never a
-    torn one.
-    """
-
-    def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # Sweep temporaries torn off by a crash mid-save: a *.tmp.npz
-        # or LATEST.json.tmp can only be an incomplete write (the commit
-        # point is the os.replace), so removing them is always safe.
-        for torn in self.directory.glob("*.tmp.npz"):
-            torn.unlink(missing_ok=True)
-        (self.directory / "LATEST.json.tmp").unlink(missing_ok=True)
-
-    def _epoch_path(self, epoch: int) -> Path:
-        return self.directory / f"epoch-{epoch:08d}.npz"
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.directory / "LATEST.json"
-
-    def save(self, snapshot: EpochSnapshot, retain: int = 3) -> Path:
-        """Persist one epoch and point the manifest at it."""
-        path = self._epoch_path(snapshot.epoch)
-        tmp = path.with_name(path.name + ".tmp.npz")
-        snapshot.summary.save(tmp)
-        os.replace(tmp, path)
-        manifest = {
-            "magic": _MANIFEST_MAGIC,
-            "version": _MANIFEST_VERSION,
-            "epoch": snapshot.epoch,
-            "file": path.name,
-            "count": snapshot.count,
-            "guarantee": snapshot.guarantee,
-        }
-        tmp_manifest = self.manifest_path.with_name("LATEST.json.tmp")
-        tmp_manifest.write_text(json.dumps(manifest, indent=2) + "\n")
-        os.replace(tmp_manifest, self.manifest_path)
-        self.prune(retain)
-        return path
-
-    def load_latest(self) -> EpochSnapshot | None:
-        """The newest complete snapshot, or ``None`` on a fresh store."""
-        if not self.manifest_path.exists():
-            # No manifest but epoch archives present: a crash landed an
-            # epoch before the first manifest swap (or the manifest was
-            # deleted).  Serve the newest complete archive over nothing.
-            return self._latest_from_files()
-        try:
-            manifest = json.loads(self.manifest_path.read_text())
-        except (OSError, ValueError) as exc:
+def _open_log(directory: str | os.PathLike) -> SpillStore:
+    """The epoch log in ``directory``; a directory that holds epochs in
+    the retired layout (one ``.npz`` per epoch plus a manifest) is
+    refused with a ``DataError`` naming it."""
+    path = Path(directory)
+    for pattern in _RETIRED:
+        found = next(path.glob(pattern), None)
+        if found is not None:
             raise DataError(
-                f"unreadable snapshot manifest {self.manifest_path}: {exc}"
-            ) from None
-        if manifest.get("magic") != _MANIFEST_MAGIC:
-            raise DataError(
-                f"{self.manifest_path} is not an OPAQ snapshot manifest "
-                f"(magic {manifest.get('magic')!r})"
+                f"{path} holds epochs in the retired layout ({found.name}); "
+                "this build keeps epochs in a segment log — point "
+                "snapshot_dir at a fresh directory or discard this one"
             )
-        version = manifest.get("version")
-        if version != _MANIFEST_VERSION:
-            raise DataError(
-                f"snapshot manifest {self.manifest_path} has version "
-                f"{version!r}; this build supports version "
-                f"{_MANIFEST_VERSION} — upgrade the library or discard the "
-                "snapshot directory"
-            )
-        referenced = self.directory / str(manifest["file"])
-        try:
-            summary = OPAQSummary.load(referenced)
-        except (OSError, DataError):
-            # The referenced archive vanished out from under the manifest
-            # (external meddling, partial copy): fall back to the newest
-            # epoch file that still loads rather than refusing to start.
-            return self._latest_from_files()
-        return EpochSnapshot(epoch=int(manifest["epoch"]), summary=summary)
-
-    def _latest_from_files(self) -> EpochSnapshot | None:
-        """Newest loadable ``epoch-*.npz``, ignoring the manifest.
-
-        The recovery path for a store whose manifest is missing or
-        points at a vanished file — e.g. a crash after the epoch archive
-        landed but before the ``LATEST.json`` swap committed it.
-        """
-        for path in sorted(self.directory.glob("epoch-*.npz"), reverse=True):
-            try:
-                summary = OPAQSummary.load(path)
-            except (OSError, DataError):
-                continue  # torn or foreign file: keep scanning backwards
-            epoch_digits = path.stem.rsplit("-", 1)[-1]
-            if not epoch_digits.isdigit():
-                continue
-            return EpochSnapshot(epoch=int(epoch_digits), summary=summary)
-        return None
-
-    def _referenced_file(self) -> str | None:
-        """Filename the manifest currently commits to, if readable."""
-        try:
-            manifest = json.loads(self.manifest_path.read_text())
-        except (OSError, ValueError):
-            return None
-        name = manifest.get("file")
-        return str(name) if name is not None else None
-
-    def prune(self, retain: int) -> None:
-        """Drop all but the ``retain`` newest persisted epochs.
-
-        The manifest-referenced archive is never unlinked, whatever its
-        sort position: after a crash between an epoch write and the
-        manifest swap, the newest *file* is an uncommitted orphan and
-        the manifest still points one epoch back — pruning by recency
-        alone could delete the only epoch a warm restart can serve.
-        """
-        keep = self._referenced_file()
-        epochs = sorted(self.directory.glob("epoch-*.npz"))
-        for stale in epochs[:-retain] if retain > 0 else epochs:
-            if stale.name == keep:
-                continue
-            stale.unlink(missing_ok=True)
+    return SpillStore(path)
 
 
 class Snapshotter:
@@ -208,14 +103,12 @@ class Snapshotter:
     def __init__(
         self,
         workers: list[ShardWorker],
-        store: SnapshotStore | None = None,
+        directory: str | os.PathLike | None = None,
         max_merged_samples: int | None = None,
-        retain: int = 3,
     ) -> None:
         self._workers = workers
-        self._store = store
+        self._log = None if directory is None else _open_log(directory)
         self._max_merged_samples = max_merged_samples
-        self._retain = retain
         # The swap lock: serialises epoch advances against each other and
         # guards the served-reference assignment.  Readers never take it.
         self._lock = threading.Lock()
@@ -230,14 +123,25 @@ class Snapshotter:
         return self._snapshot
 
     def restore(self) -> EpochSnapshot | None:
-        """Warm-restart: adopt the newest persisted epoch, if any."""
-        if self._store is None:
+        """Warm-restart: adopt the highest-numbered persisted epoch, if
+        any, and drop any older epoch record a crash left live."""
+        if self._log is None:
             return None
-        restored = self._store.load_latest()
-        if restored is not None:
-            with self._lock:
-                self._base = restored.summary
-                self._snapshot = restored
+        epochs = sorted(
+            int(name[len(_EPOCH) :])
+            for name in self._log.aux_names()
+            if name.startswith(_EPOCH)
+        )
+        if not epochs:
+            return None
+        summary = self._log.load_aux(_epoch_name(epochs[-1]))
+        assert summary is not None  # named by the log's own index
+        for stale in epochs[:-1]:
+            self._log.drop_aux(_epoch_name(stale))
+        restored = EpochSnapshot(epoch=epochs[-1], summary=summary)
+        with self._lock:
+            self._base = summary
+            self._snapshot = restored
         return restored
 
     def run_epoch(self, flush: bool = True) -> EpochSnapshot:
@@ -245,7 +149,8 @@ class Snapshotter:
 
         With ``flush`` (the default) every shard first folds everything
         submitted before this call — the barrier that makes the epoch a
-        consistent cut of the ingest stream.
+        consistent cut of the ingest stream.  A failed persist raises
+        before the swap: the served epoch is unchanged.
         """
         tracer = current_tracer()
         with self._lock:
@@ -271,11 +176,22 @@ class Snapshotter:
             snapshot = EpochSnapshot(
                 epoch=(previous.epoch if previous else 0) + 1, summary=merged
             )
-            if self._store is not None:
+            # Build the guarantee (the summary's rank arrays) here, off
+            # the query path: left to the first query, it would run inline
+            # on the binary server's event loop.
+            snapshot.guarantee
+            if self._log is not None:
                 with tracer.span("service.snapshot.persist", epoch=snapshot.epoch):
-                    self._store.save(snapshot, retain=self._retain)
+                    self._log.save_aux(_epoch_name(snapshot.epoch), merged)
+                    if previous is not None:
+                        self._log.drop_aux(_epoch_name(previous.epoch))
             self._snapshot = snapshot
         tracer.count("service.snapshot.epoch", 1, epoch=snapshot.epoch)
         tracer.count("service.snapshot.samples", snapshot.summary.num_samples)
         tracer.count("service.snapshot.count", snapshot.count)
         return snapshot
+
+    def close(self) -> None:
+        """Close the epoch log.  Idempotent."""
+        if self._log is not None:
+            self._log.close()

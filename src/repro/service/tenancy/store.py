@@ -1,14 +1,18 @@
-"""The spill store: cold key summaries in an append-only segment log.
+"""The spill store: cold key summaries and stream epochs in an
+append-only segment log.
 
 Every operation appends one self-checking record to the *active*
 segment file (``segment-NNNNNNNNNN.log``): a spill carries the key's
 summary, a *delta* carries data the spilled key received since, a
 restore appends a *tombstone* for the key, and :meth:`SpillStore.save_aux`
-carries a named rollup summary.  An in-memory index maps each spilled
-key to its *chain* — its base record and its deltas, in append order —
-and each aux name to its record, so a restore is one ``os.pread`` per
-record.  No file is created, renamed or deleted per key — disk traffic
-is sequential appends plus one file per :data:`_SEGMENT_BYTES`.
+carries a named summary: a registry's rollup, or a stream epoch
+(:mod:`repro.service.snapshot` keeps its epochs in a log of their own,
+and retires each with :meth:`SpillStore.drop_aux`'s tombstone).  An
+in-memory index maps each spilled key to its *chain* — its base record
+and its deltas, in append order — and each aux name to its record, so a
+restore is one ``os.pread`` per record.  No file is created, renamed or
+deleted per key — disk traffic is sequential appends plus one file per
+:data:`_SEGMENT_BYTES`.
 
 **Record layout.**  A 17-byte header — ``<IBII`` body length, op code,
 meta length, CRC-32 of the body, then a CRC-32 of those 13 bytes — and
@@ -33,15 +37,18 @@ struct followed by the key's UTF-8 bytes:
   chain's deltas together and absorbs them into the base in one call
   of the key state's own ``absorb``; for a raw base that is one merge
   of sorted arrays.
-* A *tombstone*'s meta is the key alone, an *aux* record's its name;
-  an aux payload is an OPAQ summary's byte record.
+* A *tombstone*'s meta is the name it drops alone, a key or an aux
+  name (keys hold :data:`~repro.service.tenancy.KEY_SEP`, aux names
+  never do); an *aux* record's meta is its name, and its payload an
+  OPAQ summary's byte record.
 
 Restores are **byte-identical**: arrays and scalars travel as raw
 IEEE-754 and two's-complement bytes, so a restored key answers with the
 same bytes as one that never left memory (pinned by the determinism
 property tests).
 
-**Chains.**  A new spill or a tombstone of a key kills its whole chain.
+**Chains.**  A new spill or a tombstone of a key kills its whole chain;
+a new aux record or a tombstone of its name kills the one before.
 ``restore(key, keep=True)`` reads a chain without touching the log —
 the read-only path of a query.
 
@@ -108,7 +115,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.core.summary import OPAQSummary
+from repro.core.summary import OPAQSummary, field_parts
 from repro.errors import DataError, ServiceError
 from repro.obs import current_tracer
 from repro.portfolio.raw import RawKeyState
@@ -144,18 +151,18 @@ _OLD_MANIFEST = "SPILLS.jsonl"
 _VALUE = np.dtype("<f8")
 
 
-def _encode(op: int, meta: bytes | dict[str, object], payload: bytes = b"") -> bytes:
+def _encode(op: int, meta: bytes | dict[str, object], *payload: Any) -> bytes:
     """One whole record: header, meta, payload.  A segment head's meta is
-    a JSON dict; every other record's is its op's struct and key."""
+    a JSON dict; every other record's is its op's struct and key.  The
+    payload is the buffers given, in order, copied once into the record."""
     if isinstance(meta, dict):
         meta = json.dumps(meta).encode()
-    fields = _FIELDS.pack(
-        len(meta) + len(payload),
-        op,
-        len(meta),
-        zlib.crc32(payload, zlib.crc32(meta)),
-    )
-    return b"".join((fields, _CRC.pack(zlib.crc32(fields)), meta, payload))
+    crc, size = zlib.crc32(meta), len(meta)
+    for part in payload:
+        crc = zlib.crc32(part, crc)
+        size += memoryview(part).nbytes
+    fields = _FIELDS.pack(size, op, len(meta), crc)
+    return b"".join((fields, _CRC.pack(zlib.crc32(fields)), meta, *payload))
 
 
 _HEAD_RECORD = _encode(_HEAD, {"magic": _MAGIC, "version": _VERSION})
@@ -418,7 +425,10 @@ class SpillStore:
             self._aux[name] = (segment.seq, offset, length)  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
         else:  # a tombstone or the segment head: dead from birth
             if op == _TOMBSTONE:
-                self._kill(self._live.pop(bytes(meta).decode(), None))  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
+                # Keys hold KEY_SEP and aux names never do, so a name
+                # is live in at most one of the two.
+                name = bytes(meta).decode()
+                self._kill(self._live.pop(name, None) or self._aux.pop(name, None))  # opaq: ignore[thread-unguarded-write] caller holds self._lock at every call site
             self._account(segment, dead=length)
 
     def _kill(self, where: SpillRecord | _Where | None) -> None:
@@ -510,10 +520,10 @@ class SpillStore:
         self._account(segment, size=len(record))
         return segment.seq, offset
 
-    def _append_record(self, op: int, meta: bytes, payload: bytes) -> int:
+    def _append_record(self, op: int, meta: bytes, *payload: Any) -> int:
         """Append one record and apply it to the index; returns its
         length."""
-        record = _encode(op, meta, payload)
+        record = _encode(op, meta, *payload)
         seq, offset = self._append(record)
         self._index(self._segments[seq], op, memoryview(meta), offset, len(record))
         return len(record)
@@ -798,15 +808,23 @@ class SpillStore:
         raise DataError(f"spilled raw key {key!r} {problem}")
 
     # ------------------------------------------------------------------
-    # Aux summaries (aggregation-tree rollups across restarts)
+    # Aux summaries (rollups and stream epochs across restarts)
     # ------------------------------------------------------------------
 
     def save_aux(self, name: str, summary: OPAQSummary) -> None:
-        """Persist a named non-key summary (e.g. a shard rollup)."""
-        payload = summary.to_bytes()
+        """Persist a named non-key summary (a shard rollup, a stream
+        epoch) as its ``to_bytes`` record, its arrays copied once."""
+        payload = field_parts(*summary._fields())
         with self._lock:
-            self._append_record(_AUX, name.encode(), payload)
+            self._append_record(_AUX, name.encode(), *payload)
             self._maybe_reclaim()
+
+    def drop_aux(self, name: str) -> None:
+        """Drop a named summary with a tombstone (a no-op if absent)."""
+        with self._lock:
+            if name in self._aux:
+                self._append_record(_TOMBSTONE, name.encode(), b"")
+                self._maybe_reclaim()
 
     def load_aux(self, name: str) -> OPAQSummary | None:
         """Load a named summary saved by :meth:`save_aux`, if present."""

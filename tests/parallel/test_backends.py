@@ -301,7 +301,7 @@ def test_process_backend_with_tiny_shm_threshold():
 
 
 # ----------------------------------------------------------------------
-# Wiring: estimator and service entry points
+# Wiring: the estimator entry point
 # ----------------------------------------------------------------------
 
 
@@ -321,23 +321,3 @@ def test_quantiles_classmethod_takes_backend():
     truth = np.sort(data)[int(np.ceil(0.5 * data.size)) - 1]
     assert routed.lower <= truth <= routed.upper
     assert direct.lower <= truth <= direct.upper
-
-
-def test_service_estimate_uses_the_configured_backend():
-    from repro.service import QuantileService, ServiceConfig
-
-    config = ServiceConfig(
-        num_shards=2, run_size=5_000, sample_size=100, backend="serial"
-    )
-    data = np.random.default_rng(6).uniform(size=30_000)
-    with QuantileService(config) as service:
-        [bound] = service.estimate(data, [0.5])
-    truth = np.sort(data)[int(np.ceil(0.5 * data.size)) - 1]
-    assert bound.lower <= truth <= bound.upper
-
-
-def test_service_config_rejects_unknown_backend():
-    from repro.service import ServiceConfig
-
-    with pytest.raises(ConfigError):
-        ServiceConfig(backend="gpu")

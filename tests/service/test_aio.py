@@ -12,6 +12,7 @@ keyed answers over the wire equal the registry's own in every field.
 """
 
 import asyncio
+import errno
 import gc
 import json
 import socket
@@ -31,6 +32,7 @@ from repro.service import (
 )
 from repro.service import proto
 from repro.service.tenancy import compose_key
+from repro.service.tenancy import store as store_module
 from tests.service.test_proto import wire_fields
 
 PHI_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
@@ -209,6 +211,50 @@ class TestErrorDiscipline:
         client.ingest(rng.uniform(size=1_000))
         assert client.health() is True
 
+    def test_failed_epoch_write_is_a_retryable_error_frame(
+        self, rng, tmp_path, monkeypatch, caplog
+    ):
+        """A SNAPSHOT whose epoch append hits ENOSPC gets a retryable
+        ``ServiceError`` frame on a connection that keeps serving: the
+        served epoch is unchanged, the log holds no torn bytes, and the
+        next SNAPSHOT succeeds."""
+        config = ServiceConfig(
+            num_shards=2, run_size=1_000, sample_size=50, snapshot_dir=tmp_path
+        )
+        snapshot = proto.encode_frame(proto.Op.SNAPSHOT)
+        query = proto.encode_frame(
+            proto.Op.QUANTILES, proto.encode_quantiles_request(PHI_GRID)
+        )
+        service = QuantileService(config)
+        try:
+            with ThreadedBinaryServer(service, port=0) as server:
+                service.ingest(rng.uniform(size=3_000))
+                served_epoch = service.snapshot()
+                (segment,) = tmp_path.glob("segment-*.log")
+                size = segment.stat().st_size
+                service.ingest(rng.uniform(size=2_000))
+                with connect(server) as sock:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(store_module.os, "pwrite", _enospc)
+                        sock.sendall(snapshot)
+                        [(opcode, payload)] = read_frames(sock, 1)
+                    assert opcode == proto.ERROR_OP
+                    error = json.loads(payload)
+                    assert error["kind"] == "service" and error["retryable"]
+                    assert "retry" in error["error"]
+                    assert segment.stat().st_size == size
+                    assert service.current_epoch is served_epoch
+                    sock.sendall(query + snapshot)
+                    (_, answer), (opcode, reply) = read_frames(sock, 2)
+                    vector = proto.decode_quantiles_reply(answer)
+                    assert (vector.epoch, vector.count) == (1, 3_000)
+                    assert opcode == proto.Op.SNAPSHOT | proto.REPLY_BIT
+                    assert proto.decode_snapshot_reply(reply)["count"] == 5_000
+        finally:
+            service.close(final_snapshot=False)
+        assert "never retrieved" not in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == [segment.name]
+
     def test_concurrent_clients(self, served, rng):
         _, server, client = served
         client.ingest(rng.uniform(size=10_000))
@@ -268,6 +314,10 @@ def serve_tasks(server):
         ]
 
     return asyncio.run_coroutine_threadsafe(names(), server._loop).result(10.0)
+
+
+def _enospc(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 class TestFrameReader:

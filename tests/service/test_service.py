@@ -1,11 +1,14 @@
 """QuantileService: ingest, epochs, queries, backpressure, lifecycle."""
 
+import errno
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, DataError, EstimationError, ServiceError
 from repro.obs import MemorySink, tracing
 from repro.service import QuantileService, ServiceConfig
+from repro.service.tenancy import RegistryConfig, SummaryRegistry, compose_key
 
 
 def small_config(**kw):
@@ -28,7 +31,7 @@ class TestConfigValidation:
             {"ingest_timeout": 0.0},
             {"sample_size": 0},
             {"snapshot_every": 0},
-            {"snapshot_retain": 0},
+            {"max_merged_samples": 1},
         ],
     )
     def test_bad_values_rejected(self, kw):
@@ -208,6 +211,60 @@ class TestLifecycle:
         service.ingest(rng.uniform(size=2_000))
         service.close()
         assert service.quantiles([0.5]).count == 2_000
+
+
+def _enospc(*args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestFailedPersist:
+    """A full disk under the epoch log never turns an accepted batch or a
+    shutdown into loss."""
+
+    def test_failed_trigger_keeps_the_batch_accepted(self, rng, tmp_path):
+        config = small_config(snapshot_every=3_000, snapshot_dir=tmp_path)
+        sink = MemorySink()
+        with QuantileService(config) as service:
+            service.ingest(rng.uniform(size=3_000))
+            log = service._snapshotter._log
+            log._write = _enospc  # the epoch log's writes fail
+            with tracing(sink):
+                receipt = service.ingest(rng.uniform(size=5_000))
+            assert receipt == {"accepted": 5_000, "epoch": 1}
+            assert sink.counters()["service.snapshot.failed"] == 1
+            assert service.staleness == 5_000
+            with pytest.raises(ServiceError, match="retry"):
+                service.snapshot()  # an explicit epoch still raises
+            del log._write
+            # The next trigger retries the epoch.
+            assert service.ingest(rng.uniform(size=10)) == {
+                "accepted": 10, "epoch": 2,
+            }
+            assert service.current_epoch.count == 8_010
+
+    def test_failed_final_epoch_raises_after_everything_closed(
+        self, rng, tmp_path
+    ):
+        config = small_config(
+            snapshot_dir=tmp_path / "snaps",
+            tenancy=RegistryConfig(spill_dir=tmp_path / "spills"),
+        )
+        service = QuantileService(config)
+        service.ingest(rng.uniform(size=5_000))
+        key = compose_key("acme", "latency")
+        service.ingest_keyed([key], [100], rng.uniform(size=100))
+        log = service._snapshotter._log
+        log._write = _enospc
+        with pytest.raises(ServiceError, match="retry"):
+            service.close()
+        assert service.current_epoch is None  # nothing was served
+        assert all(not w._thread.is_alive() for w in service._workers)
+        with pytest.raises(ServiceError, match="closed"):
+            service.ingest([1.0])
+        service.close()  # idempotent: the failure is reported once
+        assert log._closed and service.registry._store._closed  # both logs
+        with SummaryRegistry(config.tenancy) as reopened:
+            assert reopened._store.keys() == [key]
 
 
 class TestObservability:

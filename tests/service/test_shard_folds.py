@@ -13,14 +13,13 @@ import pytest
 from repro.core import OPAQ, IncrementalOPAQ
 from repro.core.incremental import fold
 from repro.service import (
-    EpochSnapshot,
     QuantileService,
     ServiceConfig,
     ShardRouter,
     ShardWorker,
-    SnapshotStore,
     Snapshotter,
 )
+from repro.service.tenancy import SpillStore
 
 SHARDS = 3
 
@@ -92,16 +91,14 @@ def test_epochs_equal_the_eager_chain(tmp_path, rng, max_shard, max_merged, flus
         max_shard_samples=max_shard,
         max_merged_samples=max_merged,
     )
-    store = SnapshotStore(tmp_path)
     base = OPAQ(config.opaq_config()).summarize(rng.normal(size=700))
-    store.save(EpochSnapshot(epoch=3, summary=base))
+    with SpillStore(tmp_path) as log:
+        log.save_aux("epoch-00000003", base)
     workers = [ShardWorker(shard, config) for shard in range(SHARDS)]
+    snapshotter = Snapshotter(workers, tmp_path, max_merged_samples=max_merged)
     for worker in workers:
         worker.start()
     try:
-        snapshotter = Snapshotter(
-            workers, store=store, max_merged_samples=max_merged
-        )
         restored = snapshotter.restore()
         assert restored.epoch == 3
         oracle = [ShardOracle(config) for _ in range(SHARDS)]
@@ -119,7 +116,10 @@ def test_epochs_equal_the_eager_chain(tmp_path, rng, max_shard, max_merged, flus
             assert snapshot.epoch == epoch
             expected = oracle_epoch(restored.summary, oracle, max_merged)
             assert as_bytes(snapshot.summary) == as_bytes(expected)
-            assert as_bytes(store.load_latest().summary) == as_bytes(expected)
+            # The log holds this epoch's record alone.
+            name = f"epoch-{epoch:08d}"
+            assert snapshotter._log.aux_names() == [name]
+            assert as_bytes(snapshotter._log.load_aux(name)) == as_bytes(expected)
             for worker, shard in zip(workers, oracle):
                 assert as_bytes(worker.summary) == as_bytes(shard.summary)
                 # The barrier merged the shard's pending runs.
@@ -127,6 +127,7 @@ def test_epochs_equal_the_eager_chain(tmp_path, rng, max_shard, max_merged, flus
     finally:
         for worker in workers:
             worker.stop()
+        snapshotter.close()
 
 
 def wait_for_folds(workers, oracle, timeout=30.0):

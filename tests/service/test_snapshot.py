@@ -1,20 +1,21 @@
-"""Snapshot persistence: atomic store, manifest versioning, warm restart."""
+"""Epoch persistence: the epoch log, its crash windows, warm restart."""
 
 import json
+import re
 
-import numpy as np
 import pytest
 
 from repro.core import OPAQ, OPAQConfig, OPAQSummary
-from repro.errors import DataError
-from repro.service import EpochSnapshot, QuantileService, ServiceConfig, SnapshotStore
+from repro.errors import ConfigError, DataError
+from repro.service import QuantileService, ServiceConfig, Snapshotter
+from repro.service.tenancy import RegistryConfig, SpillStore
+from repro.service.tenancy import store as store_module
 
 
-def make_snapshot(rng, epoch=1, n=5_000):
-    summary = OPAQ(OPAQConfig(run_size=1_000, sample_size=50)).summarize(
+def make_summary(rng, n=5_000):
+    return OPAQ(OPAQConfig(run_size=1_000, sample_size=50)).summarize(
         rng.uniform(size=n)
     )
-    return EpochSnapshot(epoch=epoch, summary=summary)
 
 
 def service_config(tmp_path, **kw):
@@ -28,61 +29,121 @@ def service_config(tmp_path, **kw):
     return ServiceConfig(**defaults)
 
 
-class TestSnapshotStore:
-    def test_roundtrip(self, rng, tmp_path):
-        store = SnapshotStore(tmp_path)
-        snapshot = make_snapshot(rng, epoch=7)
-        path = store.save(snapshot)
-        assert path.name == "epoch-00000007.npz"
+def epoch_names(directory):
+    """The live epoch records of a closed snapshot directory."""
+    with SpillStore(directory) as log:
+        return log.aux_names()
 
-        loaded = store.load_latest()
-        assert loaded is not None
-        assert loaded.epoch == 7
-        assert loaded.count == snapshot.count
-        np.testing.assert_array_equal(
-            loaded.summary.samples, snapshot.summary.samples
-        )
-        np.testing.assert_array_equal(loaded.summary.gaps, snapshot.summary.gaps)
+
+def epochs_of(rng, config, count, size=2_000):
+    """A service that advances ``count`` epochs, then closes without a
+    final one."""
+    with QuantileService(config) as service:
+        for _ in range(count):
+            service.ingest(rng.uniform(size=size))
+            service.snapshot()
+        service.close(final_snapshot=False)
+
+
+class Crash(BaseException):
+    """A kill: nothing below the raise runs, no handler catches it."""
+
+
+class TestSnapshotStore:
+    """The snapshot directory's store: a segment log whose one live
+    record is the newest epoch's summary, named ``epoch-NNNNNNNN``."""
+
+    def test_roundtrip(self, rng, tmp_path):
+        summary = make_summary(rng)
+        with SpillStore(tmp_path) as log:
+            log.save_aux("epoch-00000007", summary)
+        restored = Snapshotter([], tmp_path).restore()
+        assert restored is not None
+        assert restored.epoch == 7
+        assert restored.count == summary.count
+        assert restored.summary.to_bytes() == summary.to_bytes()
 
     def test_empty_store_loads_none(self, tmp_path):
-        assert SnapshotStore(tmp_path).load_latest() is None
+        assert Snapshotter([], tmp_path).restore() is None
 
     def test_no_tmp_litter_after_save(self, rng, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(make_snapshot(rng))
-        assert not list(tmp_path.glob("*.tmp*"))
+        epochs_of(rng, service_config(tmp_path), 3)
+        files = sorted(p.name for p in (tmp_path / "snaps").iterdir())
+        assert files and all(
+            name.startswith("segment-") and name.endswith(".log") for name in files
+        )
 
     def test_prune_keeps_newest(self, rng, tmp_path):
-        store = SnapshotStore(tmp_path)
-        for epoch in range(1, 6):
-            store.save(make_snapshot(rng, epoch=epoch), retain=2)
-        kept = sorted(p.name for p in tmp_path.glob("epoch-*.npz"))
-        assert kept == ["epoch-00000004.npz", "epoch-00000005.npz"]
-        assert store.load_latest().epoch == 5
+        epochs_of(rng, service_config(tmp_path), 5)
+        assert epoch_names(tmp_path / "snaps") == ["epoch-00000005"]
+        with QuantileService(service_config(tmp_path)) as restarted:
+            assert restarted.restored_epoch.epoch == 5
+            restarted.close(final_snapshot=False)
 
     def test_bad_manifest_magic_rejected(self, rng, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(make_snapshot(rng))
-        manifest = json.loads(store.manifest_path.read_text())
-        manifest["magic"] = "NOTSNAP"
-        store.manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="not an OPAQ snapshot manifest"):
-            store.load_latest()
+        """A manifest of the retired layout is refused even beside a
+        log: the directory holds two formats."""
+        config = service_config(tmp_path)
+        epochs_of(rng, config, 1)
+        manifest = {"magic": "NOTSNAP", "version": 1, "epoch": 1}
+        (tmp_path / "snaps" / "LATEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="retired layout .LATEST.json."):
+            QuantileService(config)
 
-    def test_unknown_manifest_version_rejected(self, rng, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(make_snapshot(rng))
-        manifest = json.loads(store.manifest_path.read_text())
-        manifest["version"] = 99
-        store.manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="version 99"):
-            store.load_latest()
+    def test_unknown_manifest_version_rejected(self, tmp_path):
+        """The retired manifest is refused by name, whatever its
+        version, and nothing is written beside it."""
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        manifest = {"magic": "OPAQSNAP", "version": 99, "epoch": 1}
+        (snaps / "LATEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=re.escape(str(snaps))):
+            QuantileService(service_config(tmp_path))
+        assert [p.name for p in snaps.iterdir()] == ["LATEST.json"]
 
-    def test_garbage_manifest_rejected(self, rng, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.manifest_path.write_text("{not json")
-        with pytest.raises(DataError, match="unreadable"):
-            store.load_latest()
+    def test_garbage_manifest_rejected(self, tmp_path):
+        """An unparseable manifest gets the same typed refusal: the
+        file is never parsed."""
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        (snaps / "LATEST.json").write_text("{not json")
+        with pytest.raises(DataError, match="fresh directory"):
+            QuantileService(service_config(tmp_path))
+
+    def test_retired_epoch_archive_is_refused(self, rng, tmp_path):
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        make_summary(rng).save(snaps / "epoch-00000003.npz")
+        with pytest.raises(DataError, match="epoch-00000003.npz"):
+            QuantileService(service_config(tmp_path))
+
+    def test_shared_directory_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="tenancy.spill_dir"):
+            service_config(
+                tmp_path,
+                snapshot_dir=str(tmp_path / "state"),
+                tenancy=RegistryConfig(spill_dir=tmp_path / "x" / ".." / "state"),
+            )
+
+    def test_fifty_epochs_leave_one_record_and_bounded_disk(
+        self, rng, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "_SEGMENT_BYTES", 16 << 10)
+        config = service_config(tmp_path, max_merged_samples=200)
+        with QuantileService(config) as service:
+            for _ in range(50):
+                service.ingest(rng.uniform(size=500))
+                service.snapshot()
+            log = service._snapshotter._log
+            assert log.aux_names() == ["epoch-00000050"]
+            live = log.bytes_live
+            assert live > 0
+            assert log.bytes_on_disk <= (
+                (1 + store_module._RECLAIM_RATIO) * live
+                + store_module._SEGMENT_BYTES
+            )
+            service.close(final_snapshot=False)
+        assert len(list((tmp_path / "snaps").glob("segment-*.log"))) <= 3
 
 
 class TestWarmRestart:
@@ -138,99 +199,81 @@ class TestWarmRestart:
 
 
 class TestCrashResilience:
-    """Injected-kill coverage of the npz-write -> manifest-swap window."""
+    """Kills injected into an epoch's two log writes: the append of the
+    new record, and the tombstone that drops the previous one."""
 
-    @staticmethod
-    def _kill_manifest_swap(monkeypatch):
-        """Make os.replace die exactly at the manifest commit point."""
-        import os as os_module
-
-        real_replace = os_module.replace
-
-        def injected(src, dst, *args, **kwargs):
-            if str(dst).endswith("LATEST.json"):
-                raise OSError("injected kill before the manifest swap")
-            return real_replace(src, dst, *args, **kwargs)
-
-        monkeypatch.setattr("repro.service.snapshot.os.replace", injected)
-
-    def test_crash_between_epoch_write_and_manifest_swap(
+    def test_torn_epoch_append_serves_the_previous_epoch(
         self, rng, tmp_path, monkeypatch
     ):
-        store = SnapshotStore(tmp_path)
-        committed = make_snapshot(rng, epoch=1)
-        store.save(committed)
+        config = service_config(tmp_path)
+        service = QuantileService(config)
+        service.ingest(rng.uniform(size=4_000))
+        committed = service.snapshot()
+        (segment,) = (tmp_path / "snaps").glob("segment-*.log")
+        size = segment.stat().st_size
+        real_pwrite = store_module.os.pwrite
 
-        self._kill_manifest_swap(monkeypatch)
-        with pytest.raises(OSError, match="injected kill"):
-            store.save(make_snapshot(rng, epoch=2))
-        monkeypatch.undo()
+        def killed_mid_append(fd, data, offset):
+            real_pwrite(fd, bytes(data[: len(data) // 2]), offset)
+            raise Crash
 
-        # The uncommitted epoch-2 archive landed, but the manifest still
-        # commits epoch 1 — and that is what a warm restart serves.
-        assert (tmp_path / "epoch-00000002.npz").exists()
-        loaded = store.load_latest()
-        assert loaded.epoch == 1
-        assert loaded.count == committed.count
+        service.ingest(rng.uniform(size=4_000))
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module.os, "pwrite", killed_mid_append)
+            with pytest.raises(Crash):
+                service.snapshot()
+        assert segment.stat().st_size > size  # the torn half landed
+        assert service.current_epoch is committed
+        service.close(final_snapshot=False)
 
-    def test_prune_never_drops_the_manifest_referenced_epoch(
+        with QuantileService(config) as restarted:
+            assert segment.stat().st_size == size  # truncated at open
+            restored = restarted.restored_epoch
+            assert restored.epoch == committed.epoch
+            assert restored.summary.to_bytes() == committed.summary.to_bytes()
+            restarted.ingest(rng.uniform(size=1_000))
+            assert restarted.snapshot().epoch == committed.epoch + 1
+
+    def test_crash_between_append_and_drop_serves_newest(
         self, rng, tmp_path, monkeypatch
     ):
-        store = SnapshotStore(tmp_path)
-        store.save(make_snapshot(rng, epoch=1))
-        self._kill_manifest_swap(monkeypatch)
-        with pytest.raises(OSError, match="injected kill"):
-            store.save(make_snapshot(rng, epoch=2))
-        monkeypatch.undo()
+        config = service_config(tmp_path)
+        service = QuantileService(config)
+        service.ingest(rng.uniform(size=4_000))
+        service.snapshot()
+        service.ingest(rng.uniform(size=2_000))
 
-        # epoch-2 is the newest *file* but an orphan; retain=1 must keep
-        # the committed epoch-1, not prune it in favour of the orphan.
-        store.prune(retain=1)
-        assert (tmp_path / "epoch-00000001.npz").exists()
-        assert store.load_latest().epoch == 1
+        def killed(self, name):
+            raise Crash
 
-        # Recovery: the next successful save commits epoch 2 for real.
-        recovered = make_snapshot(rng, epoch=2)
-        store.save(recovered, retain=1)
-        assert store.load_latest().epoch == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(SpillStore, "drop_aux", killed)
+            with pytest.raises(Crash):
+                service.snapshot()
+        service.close(final_snapshot=False)
+        assert epoch_names(tmp_path / "snaps") == [
+            "epoch-00000001", "epoch-00000002",
+        ]
 
-    def test_missing_manifest_falls_back_to_newest_archive(
+        with QuantileService(config) as restarted:
+            assert restarted.restored_epoch.epoch == 2
+            assert restarted.restored_epoch.count == 6_000
+            restarted.close(final_snapshot=False)
+        assert epoch_names(tmp_path / "snaps") == ["epoch-00000002"]
+
+    def test_invalid_epoch_record_is_refused(
         self, rng, tmp_path
     ):
-        store = SnapshotStore(tmp_path)
-        store.save(make_snapshot(rng, epoch=1), retain=5)
-        store.save(make_snapshot(rng, epoch=2), retain=5)
-        store.manifest_path.unlink()
-        loaded = store.load_latest()
-        assert loaded is not None and loaded.epoch == 2
-
-    def test_vanished_referenced_archive_falls_back(self, rng, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(make_snapshot(rng, epoch=1), retain=5)
-        store.save(make_snapshot(rng, epoch=2), retain=5)
-        (tmp_path / "epoch-00000002.npz").unlink()
-        loaded = store.load_latest()
-        assert loaded is not None and loaded.epoch == 1
-
-    def test_archive_that_breaks_the_invariants_falls_back(self, rng, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(make_snapshot(rng, epoch=1), retain=5)
-        store.save(make_snapshot(rng, epoch=2), retain=5)
-        path = tmp_path / "epoch-00000002.npz"
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["samples"] = arrays["samples"][::-1].copy()  # parses, unsorted
-        np.savez(path, **arrays)
-        with pytest.raises(DataError, match="malformed summary file"):
-            OPAQSummary.load(path)
-        loaded = store.load_latest()
-        assert loaded is not None and loaded.epoch == 1
-
-    def test_open_sweeps_torn_temporaries(self, rng, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(make_snapshot(rng, epoch=1))
-        (tmp_path / "epoch-00000002.npz.tmp.npz").write_bytes(b"torn")
-        (tmp_path / "LATEST.json.tmp").write_text("torn")
-        reopened = SnapshotStore(tmp_path)
-        assert not list(tmp_path.glob("*.tmp*"))
-        assert reopened.load_latest().epoch == 1
+        """A whole record that fails ``validate()`` is a ``DataError`` at
+        startup, as a spill record's is: never a silent serve of older
+        data."""
+        good = make_summary(rng)
+        bad = OPAQSummary._trusted(
+            good.samples[::-1].copy(), good.gaps, good.floors,
+            good.num_runs, good.count, good.minimum, good.maximum,
+        )
+        with SpillStore(tmp_path / "snaps") as log:
+            log.save_aux("epoch-00000001", good)
+            log.save_aux("epoch-00000002", bad)
+        with pytest.raises(DataError, match="malformed summary"):
+            QuantileService(service_config(tmp_path))

@@ -387,6 +387,25 @@ class TestServeEngineFlags:
         assert rc == 2
         assert "unknown engine" in capsys.readouterr().err
 
+    def test_retired_snapshot_dir_layout_is_refused(self, tmp_path):
+        """A snapshot dir of the retired layout (a manifest plus one
+        ``.npz`` per epoch) stops the server before it binds."""
+        import subprocess
+        import sys
+
+        (tmp_path / "LATEST.json").write_text("{}")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--snapshot-dir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and "LATEST.json" in line
+        assert "serving on" not in result.stdout
+
 
 class TestQueryServer:
     def test_http_address_is_a_typed_error(self):

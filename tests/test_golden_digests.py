@@ -213,6 +213,8 @@ def current_digests(scratch: Path) -> dict[str, str]:
     before, after = service_records(scratch / "snapshots")
     out["service/epochs"] = digest(before)
     out["service/restart_epochs"] = digest(after)
+    # The epoch log's segment files after both lives closed.
+    out["service/snapshot_dir"] = digest(directory_records(scratch / "snapshots"))
     out.update(registry_digests(scratch / "spills"))
     return out
 

@@ -197,13 +197,14 @@ def test_exact_refinement_answers_no_negative_zero(tmp_path, pool):
 
 def test_the_stream_service_keeps_no_negative_zero(tmp_path):
     """An epoch over zeros alone, then one over zeros among other
-    values: neither epoch file nor answer holds a negative zero."""
+    values: neither epoch record nor answer holds a negative zero."""
     rng = np.random.default_rng(4)
     config = ServiceConfig(
         num_shards=2, run_size=1_000, sample_size=50, snapshot_dir=tmp_path
     )
     with QuantileService(config) as service:
-        for pool in ("zeros", "mixed"):
+        log = service._snapshotter._log
+        for epoch, pool in enumerate(("zeros", "mixed"), start=1):
             batch = signed_zeros(rng, pool, 4_000)
             original = batch.tobytes()
             service.ingest(batch)
@@ -211,10 +212,10 @@ def test_the_stream_service_keeps_no_negative_zero(tmp_path):
             assert batch.tobytes() == original  # a caller's batch is never rewritten
             vector = service.query_arrays(PHIS)
             assert negative_zeros(vector.lower, vector.upper) == 0
-    epochs = sorted(tmp_path.glob("epoch-*.npz"))
-    assert len(epochs) == 2
-    for epoch in epochs:
-        assert negative_zeros(unpack_fields(OPAQSummary.load(epoch).to_bytes())) == 0
+            # The epoch's record, read back from the epoch log.
+            assert log.aux_names() == [f"epoch-{epoch:08d}"]
+            record = log.load_aux(f"epoch-{epoch:08d}").to_bytes()
+            assert negative_zeros(unpack_fields(record)) == 0
 
 
 def test_the_keyed_registry_keeps_no_negative_zero(tmp_path):

@@ -62,7 +62,6 @@ SERVICE = {
     "ShardRouter",
     "ShardWorker",
     "EpochSnapshot",
-    "SnapshotStore",
     "Snapshotter",
     "ServiceClient",
     "AsyncServiceServer",
