@@ -17,6 +17,7 @@ float64 bits whatever numpy is installed.  To regenerate the file, write
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import random
@@ -25,9 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import IncrementalOPAQ, OPAQConfig
+from repro.core import OPAQ, IncrementalOPAQ, OPAQConfig
+from repro.selection import kernels
 from repro.service import QuantileService, ServiceConfig
 from repro.service.tenancy import RegistryConfig, SummaryRegistry, compose_key
+from repro.storage import DiskDataset, RunReader
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 PHIS = [0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
@@ -74,7 +77,45 @@ def incremental_summary(max_samples, records=None):
 
 
 # ----------------------------------------------------------------------
-# (b) QuantileService: shards, epochs, a warm restart
+# (b) One pass over a disk file, every run split
+# ----------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def forced_split():
+    """Every run of two or more keys is handled as two halves, on this
+    thread and the helper, whatever this host's CPUs: the split seam of
+    ``tests/selection/test_split_sort.py``."""
+    saved = kernels._SPLIT_CUTOFF, kernels._usable_cpus
+    kernels._SPLIT_CUTOFF, kernels._usable_cpus = 2, lambda: 2
+    try:
+        yield
+    finally:
+        kernels._SPLIT_CUTOFF, kernels._usable_cpus = saved
+
+
+def split_pass_records(scratch: Path, sample_size: int) -> list[bytes]:
+    """``OPAQ.summarize(RunReader(DiskDataset))`` over 20,011 keys in runs
+    of 3,000 (odd halves, a ragged last run).  The third run holds no
+    negative key and its zeros are ``-0.0``, so its minimum is a zero;
+    ``sample_size=2`` takes numpy's partition path, the default the
+    sort path."""
+    values = draws(400, 20_011)
+    third = values[6_000:9_000]
+    third[third <= 0] = -0.0
+    path = scratch / "split-pass.opaq"
+    if not path.exists():
+        DiskDataset.create(path, values)
+    estimator = OPAQ(OPAQConfig(run_size=3_000, sample_size=sample_size))
+    with forced_split():
+        return [
+            estimator.summarize(RunReader(DiskDataset.open(path), 3_000)).to_bytes()
+            for _ in range(2)
+        ]
+
+
+# ----------------------------------------------------------------------
+# (c) QuantileService: shards, epochs, a warm restart
 # ----------------------------------------------------------------------
 
 
@@ -112,7 +153,7 @@ def service_records(snapshot_dir: Path) -> tuple[list[bytes], list[bytes]]:
 
 
 # ----------------------------------------------------------------------
-# (c) SummaryRegistry: spills, rollups, key answers, a reopen
+# (d) SummaryRegistry: spills, rollups, key answers, a reopen
 # ----------------------------------------------------------------------
 
 TENANTS = ["t0", "t1", "t2", "t3", "t4"]
@@ -209,6 +250,8 @@ def current_digests(scratch: Path) -> dict[str, str]:
     out = {
         "incremental/unbounded": digest(incremental_records(None)),
         "incremental/bounded": digest(incremental_records(300)),
+        "pass/split_sort": digest(split_pass_records(scratch, 40)),
+        "pass/split_partition": digest(split_pass_records(scratch, 2)),
     }
     before, after = service_records(scratch / "snapshots")
     out["service/epochs"] = digest(before)
