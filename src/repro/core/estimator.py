@@ -15,6 +15,7 @@ single-pass :class:`~repro.storage.RunReader`), an in-memory numpy array
 
 from __future__ import annotations
 
+import threading
 import warnings
 from typing import Iterable, Sequence
 
@@ -24,7 +25,7 @@ from repro.core.bounds import QuantileBounds
 from repro.core.config import OPAQConfig
 from repro.core.protocols import DataSource
 from repro.core.quantile_phase import bounds_for, quantile_bounds, splitters
-from repro.core.sample_phase import build_summary
+from repro.core.sample_phase import RunSampler
 from repro.core.summary import OPAQSummary
 from repro.core.values import ingest_values
 from repro.errors import ConfigError
@@ -34,10 +35,18 @@ __all__ = ["OPAQ", "estimate_quantiles"]
 
 
 class OPAQ:
-    """One-pass quantile estimator (the paper's OPAQ algorithm)."""
+    """One-pass quantile estimator (the paper's OPAQ algorithm).
+
+    The estimator keeps the run buffer of its last pass and lends it to
+    the next, so its passes reuse one buffer of ``m`` keys rather than
+    each taking a fresh one from the allocator; a pass that runs while
+    another holds the buffer allocates its own.
+    """
 
     def __init__(self, config: OPAQConfig) -> None:
         self.config = config
+        self._buffer: np.ndarray | None = None
+        self._buffer_lock = threading.Lock()
 
     def _runs(self, source: DataSource) -> Iterable[np.ndarray]:
         """Normalise any supported source into an iterable of runs."""
@@ -66,7 +75,15 @@ class OPAQ:
 
     def summarize(self, source: DataSource) -> OPAQSummary:
         """The one pass: build the sorted sample list for ``source``."""
-        summary = build_summary(self._runs(source), self.config)
+        runs = self._runs(source)
+        with self._buffer_lock:
+            buffer, self._buffer = self._buffer, None
+        sampler = RunSampler(self.config, buffer)
+        try:
+            summary = sampler.summarize(runs)
+        finally:
+            with self._buffer_lock:
+                self._buffer = sampler.buffer
         if not isinstance(source, (DiskDataset, RunReader, np.ndarray)):
             # An iterable of runs: its total size was unknowable up front,
             # so the memory constraint is checked once the pass is done.

@@ -21,14 +21,19 @@ the per-layer ledger of ``perfbench/`` wraps by name.
 
 The sampler holds the paper's one run buffer of ``m`` float64 keys, so
 ``r·s + m`` is the pass's real residency: a
-:class:`~repro.storage.RunReader` reads each run straight into it, any
+:class:`~repro.storage.RunReader` reads each run straight into it (a run
+that sorts as two halves is read as two halves too, on two threads), any
 other run is copied in, and the selection sorts it in place
-(``overwrite_input=True``) — a caller's array is never reordered.
-Besides the read and the sort, a run costs one O(m) pass: ``min``.  The
-maximum is the last sample (rank ``m - 1`` is always selected).  Runs
-take the ingest policy (:mod:`repro.core.values`) at O(s): its ``s``
-samples and extremes keep every zero as ``+0.0``, and the ``numpy`` and
-``sort`` strategies, which rank NaN last, reveal a NaN in the samples.
+(``overwrite_input=True``) — a caller's array is never reordered.  An
+:class:`~repro.core.OPAQ` estimator lends its sampler the buffer it kept
+from its last pass and takes it back at the end, so one estimator's
+passes reuse one buffer.  A run costs the read and the sort and no other
+O(m) pass: ``sample_run`` selects rank 0, the run's minimum, along with
+the regular samples, and the maximum is the last sample (rank ``m - 1``
+is always selected).  Runs take the ingest policy
+(:mod:`repro.core.values`) at O(s): its samples and minimum keep every
+zero as ``+0.0``, and the ``numpy`` and ``sort`` strategies, which rank
+NaN last, reveal a NaN in the samples.
 """
 
 from __future__ import annotations
@@ -72,14 +77,16 @@ def sample_run(
     sample_count: int,
     strategy: SelectionStrategy,
     overwrite_input: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.float64]:
     """Extract the regular samples of one run with ``strategy``.
 
-    Returns ``(samples, gaps, floors)``: the sorted samples at 0-based
-    ranks ``floor(i*m/s) - 1`` for ``i = 1..s``; each sample's sub-run
-    size (the gap to the previous sample rank; gaps sum to the run size);
-    and each sub-run's floor — the previous sample's value (``-inf`` for
-    the first), below which none of the sub-run's elements can fall.
+    Returns ``(samples, gaps, floors, minimum)``: the sorted samples at
+    0-based ranks ``floor(i*m/s) - 1`` for ``i = 1..s``; each sample's
+    sub-run size (the gap to the previous sample rank; gaps sum to the
+    run size); each sub-run's floor — the previous sample's value
+    (``-inf`` for the first), below which none of the sub-run's
+    elements can fall; and the run's minimum, its key of rank 0, which
+    the same selection picks.
 
     ``overwrite_input=True`` lets the selection reorder ``run`` in place
     instead of a copy, as in ``numpy.median``.
@@ -87,12 +94,15 @@ def sample_run(
     # A NaN-last strategy shows a NaN in the samples; others scan.
     run = ingest_values(run, copy=False, scan=not strategy.nan_last)
     ranks = regular_sample_ranks(run.size, sample_count)
-    samples = ingest_values(
-        strategy.multiselect(run, ranks, overwrite_input=overwrite_input)
+    picked = ingest_values(
+        strategy.multiselect(
+            run, np.concatenate([[0], ranks]), overwrite_input=overwrite_input
+        )
     )
+    minimum, samples = picked[0], picked[1:]
     gaps = np.diff(np.concatenate([[-1], ranks])).astype(np.int64)
     floors = np.concatenate([[-np.inf], samples[:-1]])
-    return samples, gaps, floors
+    return samples, gaps, floors, minimum
 
 
 class RunTally(Protocol):
@@ -112,14 +122,16 @@ class RunSampler:
     with their ``(gap, floor)`` payload rows for the r-way merge;
     ``run_layout`` records ``(run size, sample count)`` per run, the
     quantities the parallel cost model charges.  Runs are sampled as
-    float64 in the sampler's one run buffer; empty runs are skipped.
+    float64 in the sampler's one run buffer, grown to the largest run; a
+    caller may lend it one (``buffer``) and take it back from
+    :attr:`buffer` after the pass.  Empty runs are skipped.
     """
 
-    def __init__(self, config: OPAQConfig) -> None:
+    def __init__(self, config: OPAQConfig, buffer: np.ndarray | None = None) -> None:
         self._run_size = config.run_size
         self._sample_size = config.sample_size
         self._strategy = config.selection_strategy()
-        self._buffer = np.empty(0, dtype=np.float64)
+        self._buffer = np.empty(0, dtype=np.float64) if buffer is None else buffer
         self._samples: list[np.ndarray] = []
         self._payloads: list[np.ndarray] = []
         self.run_layout: list[tuple[int, int]] = []
@@ -127,6 +139,11 @@ class RunSampler:
         self.count = 0
         self.minimum = np.inf
         self.maximum = -np.inf
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """The run buffer, as large as the pass's largest run needed."""
+        return self._buffer
 
     def read(self, runs: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         """Iterate ``runs`` for :meth:`add`: a :class:`RunReader` reads
@@ -145,11 +162,8 @@ class RunSampler:
             held = self._room(run.size)[: run.size]
             np.copyto(held, run)
             run = held
-        # The one O(m) pass besides the read and the sort; ``sample_run``
-        # refuses a NaN, and the kept minimum stores a zero as +0.0.
-        lowest = run.min() + 0.0
         s_k = scaled_sample_count(run.size, self._run_size, self._sample_size)
-        samples, gaps, floors = sample_run(
+        samples, gaps, floors, lowest = sample_run(
             run, s_k, self._strategy, overwrite_input=True
         )
         self._samples.append(samples)
@@ -175,6 +189,21 @@ class RunSampler:
         payloads, self._payloads = self._payloads, []
         merged, payload = kway_merge(lists, payloads=payloads)
         return merged, payload
+
+    def summarize(self, runs: Iterable[np.ndarray]) -> OPAQSummary:
+        """The whole sample phase over ``runs``: every run sampled, the
+        lists merged, the summary assembled (see :func:`build_summary`)."""
+        tracer = current_tracer()
+        with tracer.span("phase.sample"):
+            for run in self.read(runs):
+                self.add(run)
+            if not self.num_runs:
+                raise EstimationError("no data: the run iterable was empty")
+            merged, payload = self.merge()
+        tracer.count("sample.runs", self.num_runs)
+        tracer.count("sample.elements", self.count)
+        tracer.count("sample.list_length", int(merged.size))
+        return assemble_summary(merged, payload, [self])
 
 
 def assemble_summary(
@@ -213,15 +242,4 @@ def build_summary(
     OPAQSummary
         The merged sorted sample list with rank bookkeeping.
     """
-    tracer = current_tracer()
-    sampler = RunSampler(config)
-    with tracer.span("phase.sample"):
-        for run in sampler.read(runs):
-            sampler.add(run)
-        if not sampler.num_runs:
-            raise EstimationError("no data: the run iterable was empty")
-        merged, payload = sampler.merge()
-    tracer.count("sample.runs", sampler.num_runs)
-    tracer.count("sample.elements", sampler.count)
-    tracer.count("sample.list_length", int(merged.size))
-    return assemble_summary(merged, payload, [sampler])
+    return RunSampler(config).summarize(runs)

@@ -9,14 +9,15 @@ strategy.
 
 The dense path sorts the run as ``w`` contiguous slices in place, then
 selects the ranks from the sorted slices.  ``w = 1`` is a plain sort and
-gather.  ``w = 2`` is taken for runs of at least :data:`_SPLIT_CUTOFF`
-keys in a process whose CPU affinity mask holds two or more CPUs: the
-calling thread sorts one half while this process's one helper thread
-sorts the other (``ndarray.sort`` releases the GIL), and a vectorised
-merge-path bisection picks each rank from the two sorted halves in
-``O(s log m)`` — the halves are never merged.  The helper starts at the
-first split, never at import; a forked child starts its own.  It only
-ever calls ``ndarray.sort``, so it emits no trace events.
+gather.  ``w = 2`` is taken for runs of at least
+:data:`~repro.cores._SPLIT_CUTOFF` keys in a process whose CPU affinity
+mask holds two or more CPUs (:func:`repro.cores._slice_count`, the rule
+the run's read follows too): the calling thread sorts one half while
+this process's one helper thread (:mod:`repro.cores`) sorts the other
+(``ndarray.sort`` releases the GIL), and a vectorised merge-path
+bisection picks each rank from the two sorted halves in ``O(s log m)``
+— the halves are never merged.  Rank 0, the run's minimum, is then
+free: the lower of the two halves' first keys.
 
 Order statistics depend only on the values, so every ``w`` and every
 strategy returns the same samples.  Where ``-0.0`` and ``0.0`` tie at a
@@ -30,12 +31,12 @@ so with the split forced on small inputs.
 
 from __future__ import annotations
 
-import os
-import threading
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from repro.cores import _running_helper, _slice_count
 from repro.errors import EstimationError
 
 __all__ = ["multiselect_numpy"]
@@ -47,18 +48,9 @@ __all__ = ["multiselect_numpy"]
 #: two pivots but is 5–10× *slower* than sort from ~8 pivots on (the
 #: recursive per-pivot passes are not vectorised, the sort is).  Both
 #: paths return the exact order statistics, so the choice is invisible.
+#: Rank 0 does not count: numpy selects it by one linear scan for the
+#: minimum, not an introselect pass.
 _MULTISELECT_SORT_CUTOFF = 2
-
-#: Runs of at least this many keys sort as two halves on two threads.
-#: Measured on a 2-vCPU x86-64 host (numpy 2.4, Python 3.11), uniform
-#: doubles, s = 1,000 ranks, median of 25 alternating in-place runs per
-#: size, one sort plus gather against two halves plus the select:
-#: 100k 0.68 vs 0.85 ms, 150k 1.03 vs 1.06 ms, 200k 1.38 vs 1.28 ms,
-#: 300k 2.22 vs 1.78 ms, 500k 3.92 vs 2.64 ms, 1M 7.36 vs 5.36 ms.  The
-#: hand-off and the ``O(s log m)`` select cost ~0.4 ms whatever the run
-#: size, so the split first pays between 150k and 200k keys; the cutoff
-#: sits above that crossover, leaving margin for a busy second CPU.
-_SPLIT_CUTOFF = 250_000
 
 
 def multiselect_numpy(
@@ -68,8 +60,8 @@ def multiselect_numpy(
 ) -> np.ndarray:
     """The elements of ``values`` at the given sorted 0-based ranks, in C.
 
-    Sparse rank sets (≤ :data:`_MULTISELECT_SORT_CUTOFF` distinct ranks)
-    use one ``numpy.partition`` — the paper's multiselect, O(m) per
+    Sparse rank sets (≤ :data:`_MULTISELECT_SORT_CUTOFF` distinct ranks
+    above 0) use one ``numpy.partition`` — the paper's multiselect, O(m) per
     pivot.  Dense rank sets — every run in the sample phase, where
     ``s`` ranks are extracted per run — sort the run and select, which is
     empirically far faster (see the cutoff note) and returns the same
@@ -94,7 +86,7 @@ def multiselect_numpy(
     if not overwrite_input:
         work = work.copy()
     unique = np.unique(rank_arr)
-    if unique.size <= _MULTISELECT_SORT_CUTOFF:
+    if np.count_nonzero(unique) <= _MULTISELECT_SORT_CUTOFF:
         work.partition(unique)
         return work[rank_arr].astype(np.float64)
     slices = _sort_slices(work, _slice_count(work.size))
@@ -104,32 +96,6 @@ def multiselect_numpy(
 # ----------------------------------------------------------------------
 # Sort w slices in place, then select from them
 # ----------------------------------------------------------------------
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-def _other_cpus() -> set[int]:
-    """The CPUs of this process's affinity mask besides the one this
-    thread is running on; empty where Linux's ``/proc`` cannot say."""
-    try:
-        with open("/proc/thread-self/stat", "rb") as stat:
-            fields = stat.read().rsplit(b")", 1)[1].split()
-        return os.sched_getaffinity(0) - {int(fields[36])}  # field 39: CPU
-    except (OSError, AttributeError, ValueError, IndexError):
-        return set()
-
-
-def _slice_count(size: int) -> int:
-    """How many slices a dense run of ``size`` keys sorts as."""
-    if size >= max(2, _SPLIT_CUTOFF) and _usable_cpus() >= 2:
-        return 2
-    return 1
 
 
 def _sort(part: np.ndarray) -> None:
@@ -145,7 +111,7 @@ def _sort_slices(work: np.ndarray, count: int) -> list[np.ndarray]:
         return [work]
     half = work.size // 2
     head, tail = work[:half], work[half:]
-    _running_helper().sort_beside(tail, head)
+    _running_helper().run_beside(partial(_sort, tail), partial(_sort, head))
     return [head, tail]
 
 
@@ -198,92 +164,3 @@ def _merge_path_select(
     last_b = b.take(from_b - 1, mode="clip")
     use_b = (from_b > 0) & ((taken == 0) | at_or_below(last_a, last_b))
     return np.where(use_b, last_b, last_a)
-
-
-# ----------------------------------------------------------------------
-# The helper thread
-# ----------------------------------------------------------------------
-
-
-class _SortHelper:
-    """This process's one helper thread: sorts the slices handed to it.
-
-    It runs nothing but ``ndarray.sort``, which releases the GIL, so a
-    caller sorting its own slice meanwhile runs on a second core.
-    Callers from several threads queue their slices; the helper takes
-    them in turn.
-    """
-
-    def __init__(self) -> None:
-        # Imported on first use: a process that never splits a run never
-        # pays for the queue module.
-        from queue import SimpleQueue
-
-        # Each job is a slice and the lock its caller waits on.
-        self._jobs: SimpleQueue[tuple[np.ndarray, threading.Lock]] = SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._serve,
-            args=(_other_cpus(),),
-            name="opaq-sort-helper",
-            daemon=True,
-        )
-        self._thread.start()
-
-    @property
-    def alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def _serve(self, cpus: set[int]) -> None:
-        # A scheduler that does not balance load across CPUs (a cpuset
-        # with load balancing off) keeps a new thread on its creator's
-        # CPU, where the two halves would only take turns; so the helper
-        # moves itself to the mask's other CPUs.  Affinity is per thread.
-        if cpus:
-            try:
-                os.sched_setaffinity(0, cpus)
-            except OSError:
-                pass  # stay where the scheduler put us
-        while True:
-            part, done = self._jobs.get()
-            _sort(part)
-            done.release()
-            del part  # waiting for the next job must not pin this run's buffer
-
-    def sort_beside(self, theirs: np.ndarray, mine: np.ndarray) -> None:
-        """Sort ``theirs`` on the helper while this thread sorts ``mine``."""
-        done = threading.Lock()
-        done.acquire()
-        self._jobs.put((theirs, done))
-        _sort(mine)
-        # A sort that raised would end the helper (the thread prints its
-        # traceback); poll for that rather than wait forever.
-        while not done.acquire(timeout=0.5):
-            if not self.alive:
-                raise EstimationError(
-                    "the sort helper thread died; its traceback was printed"
-                )
-
-
-_helper: _SortHelper | None = None
-_helper_lock = threading.Lock()
-
-
-def _running_helper() -> _SortHelper:
-    """This process's helper, started on first use."""
-    global _helper
-    with _helper_lock:
-        if _helper is None or not _helper.alive:
-            _helper = _SortHelper()
-        return _helper
-
-
-def _forget_helper() -> None:
-    """In a forked child: the parent's helper thread did not come along,
-    and its lock may have been held by a thread that did not either."""
-    global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)

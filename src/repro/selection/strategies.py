@@ -38,12 +38,14 @@ def _count_modelled_work(
     their comparison counts, so the tracer records the paper's cost-model
     figure instead — ``m * ceil(log2(s + 1))`` comparisons — tagged
     ``engine="modelled"`` to keep it distinguishable from the measured
-    counters of the recursive multiselect.
+    counters of the recursive multiselect.  ``s`` counts the distinct
+    ranks above 0: rank 0, which the sample phase selects for the run's
+    minimum, is a linear scan, not a multiselect pivot.
     """
     tracer = current_tracer()
     if not tracer.enabled:
         return
-    distinct = int(np.unique(rank_arr).size)
+    distinct = int(np.count_nonzero(np.unique(rank_arr)))
     log_s = max(1, int(np.ceil(np.log2(distinct + 1))))
     tracer.count("selection.comparisons", size * log_s, engine="modelled")
     tracer.count("selection.partitions", partitions, engine=engine)

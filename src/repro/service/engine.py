@@ -83,6 +83,8 @@ class QuantileService:
         self._state_lock = threading.Lock()
         #: Elements accepted into shard queues this process lifetime.
         self._accepted = 0
+        #: Elements since the last epoch or failed trigger: what the
+        #: ``snapshot_every`` trigger counts.
         self._since_snapshot = 0
         self._queries = 0
         self._closed = False
@@ -109,7 +111,9 @@ class QuantileService:
         refuses (:mod:`repro.core.values`).  An epoch that
         ``snapshot_every`` triggers and that fails (a full disk under
         the epoch log) does not fail the accepted batch: it is counted
-        as ``service.snapshot.failed`` and retried at the next trigger.
+        as ``service.snapshot.failed`` and counts as the trigger's
+        attempt, so it is retried once another ``snapshot_every``
+        elements arrive, not on every ingest.
         """
         self._check_open()
         parts = self._router.split(values)
@@ -132,6 +136,8 @@ class QuantileService:
                 self.snapshot()
             except ServiceError:
                 tracer.count("service.snapshot.failed", 1)
+                with self._state_lock:
+                    self._since_snapshot = 0
         current = self._snapshotter.current
         return {
             "accepted": accepted,
@@ -366,7 +372,7 @@ class QuantileService:
             return
         failure: ServiceError | None = None
         if final_snapshot and (
-            self._since_snapshot or self._snapshotter.current is None
+            self.staleness or self._snapshotter.current is None
         ):
             try:
                 self.snapshot()

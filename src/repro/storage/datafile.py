@@ -9,6 +9,14 @@ memory is observable and chargeable to the I/O cost model.
 The header makes files self-describing (dtype + count) so a dataset written
 on one machine can be validated when opened on another, and so truncation is
 detected instead of silently yielding garbage.
+
+A range that the sample phase would sort as two halves
+(:func:`repro.cores._slice_count`: at least ``_SPLIT_CUTOFF`` keys and
+two usable CPUs) is also read as two halves: the calling thread reads
+the first while this process's one helper thread (:mod:`repro.cores`)
+reads the second, each into its own part of the same buffer.  The two
+threads' reads meet in one call, so a caller — and an I/O ledger that
+wraps :meth:`DiskDataset.read_range` — sees one read of the whole range.
 """
 
 from __future__ import annotations
@@ -16,11 +24,13 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
+from repro.cores import _running_helper, _slice_count
 from repro.errors import ConfigError, DataError
 
 __all__ = ["DiskDataset", "DatasetWriter"]
@@ -107,6 +117,11 @@ class DiskDataset:
         allocates nothing when ``out`` is C-contiguous and of the file's
         dtype.  Otherwise the keys convert into it as
         ``np.asarray(keys, dtype=out.dtype)`` would.
+
+        A ``readinto`` of a range that sorts as two halves reads them on
+        two threads; either half's error (an ``OSError``, or a short
+        read's :class:`~repro.errors.DataError`) is what the one-thread
+        read raises.
         """
         if start < 0 or count < 0 or start + count > self.count:
             raise DataError(
@@ -118,27 +133,41 @@ class DiskDataset:
                 f"out must have shape ({count},); got {out.shape}"
             )
         offset = _HEADER.size + start * self.dtype.itemsize
-        with open(self.path, "rb") as f:
-            f.seek(offset)
-            if (
-                out is not None
-                and out.dtype == self.dtype
-                and out.flags.c_contiguous
-                and out.flags.writeable
-            ):
-                got = f.readinto(memoryview(out).cast("B")) // out.itemsize
-                data = out
-            else:
+        if out is None:
+            out = np.empty(count, dtype=self.dtype)
+        if (
+            out.dtype == self.dtype
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            data = out
+            got = self._read_into(memoryview(out).cast("B"), offset)
+        else:
+            with open(self.path, "rb") as f:
+                f.seek(offset)
                 data = np.fromfile(f, dtype=self.dtype, count=count)
-                got = data.size
+            got = data.size
         if got != count:
             raise DataError(
                 f"short read from {self.path}: wanted {count}, got {got}"
             )
-        if out is None or data is out:
-            return data
-        out[...] = data
+        if data is not out:
+            out[...] = data
         return out
+
+    def _read_into(self, view: memoryview, offset: int) -> int:
+        """Fill ``view`` from byte ``offset``, as two halves on two
+        threads when the range is split; the whole elements read."""
+        itemsize = self.dtype.itemsize
+        count = len(view) // itemsize
+        if _slice_count(count) == 1:
+            return _read_span(self.path, view, offset) // itemsize
+        half = count // 2 * itemsize
+        tail, head = _running_helper().run_beside(
+            partial(_read_span, self.path, view[half:], offset + half),
+            partial(_read_span, self.path, view[:half], offset),
+        )
+        return (head + tail) // itemsize
 
     def read_all(self) -> np.ndarray:
         """Read the entire dataset (test/ground-truth helper, not the API
@@ -152,6 +181,21 @@ class DiskDataset:
             raise ConfigError("chunk size must be positive")
         for start in range(0, self.count, chunk):
             yield self.read_range(start, min(chunk, self.count - start))
+
+
+def _read_span(path: Path, view: memoryview, offset: int) -> int:
+    """Read into ``view`` from byte ``offset`` of ``path`` until it is full
+    or the file ends; the bytes read.  Each half of a split read opens
+    the file itself, so the two threads share no file position."""
+    done = 0
+    with open(path, "rb", buffering=0) as f:
+        f.seek(offset)
+        while done < len(view):
+            got = f.readinto(view[done:])
+            if not got:
+                break
+            done += got
+    return done
 
 
 class DatasetWriter:

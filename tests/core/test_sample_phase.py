@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import OPAQConfig, build_summary, sample_run, scaled_sample_count
 from repro.errors import DataError, EstimationError
-from repro.selection import get_strategy
+from repro.selection import STRATEGY_NAMES, get_strategy
 
 
 class TestScaledSampleCount:
@@ -51,21 +51,21 @@ class TestScaledSampleCount:
 class TestSampleRun:
     def test_samples_are_regular(self, rng):
         run = rng.uniform(size=1000)
-        samples, gaps, _ = sample_run(run, 10, get_strategy("numpy"))
+        samples, gaps, _, _ = sample_run(run, 10, get_strategy("numpy"))
         expected = np.sort(run)[np.arange(1, 11) * 100 - 1]
         np.testing.assert_array_equal(samples, expected)
         assert np.all(gaps == 100)
 
     def test_gaps_sum_to_run_size(self, rng):
         run = rng.uniform(size=997)
-        samples, gaps, floors = sample_run(run, 10, get_strategy("numpy"))
+        samples, gaps, floors, _ = sample_run(run, 10, get_strategy("numpy"))
         assert gaps.sum() == 997
         assert floors[0] == -np.inf
         np.testing.assert_array_equal(floors[1:], samples[:-1])
 
     def test_last_sample_is_maximum(self, rng):
         run = rng.uniform(size=573)
-        samples, _, _ = sample_run(run, 7, get_strategy("numpy"))
+        samples, _, _, _ = sample_run(run, 7, get_strategy("numpy"))
         assert samples[-1] == run.max()
 
     def test_two_dimensional_rejected(self, rng):
@@ -75,15 +75,19 @@ class TestSampleRun:
 
 class TestBuildSummary:
     def test_counts_and_extremes(self, rng):
-        config = OPAQConfig(run_size=100, sample_size=10)
+        """Under every strategy, and on numpy's partition path (s = 1, 2)
+        that leaves the run buffer unsorted."""
         runs = [rng.uniform(size=100) for _ in range(5)]
-        summary = build_summary(runs, config)
-        assert summary.count == 500
-        assert summary.num_runs == 5
-        assert summary.num_samples == 50
         full = np.concatenate(runs)
-        assert summary.minimum == full.min()
-        assert summary.maximum == full.max()
+        for strategy in STRATEGY_NAMES:
+            for s in (10, 1, 2):
+                config = OPAQConfig(run_size=100, sample_size=s, strategy=strategy)
+                summary = build_summary(runs, config)
+                assert summary.count == 500
+                assert summary.num_runs == 5
+                assert summary.num_samples == 5 * s
+                assert summary.minimum == full.min(), (strategy, s)
+                assert summary.maximum == full.max()
 
     def test_samples_sorted(self, rng):
         config = OPAQConfig(run_size=100, sample_size=10)

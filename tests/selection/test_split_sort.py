@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import cores
 from repro.core.sample_phase import sample_run
 from repro.selection import get_strategy, kernels, multiselect_numpy
 from repro.selection import regular_sample_ranks
@@ -21,8 +22,8 @@ from repro.selection import regular_sample_ranks
 @pytest.fixture
 def force_split(monkeypatch):
     """Every dense run of two or more keys sorts as two slices."""
-    monkeypatch.setattr(kernels, "_SPLIT_CUTOFF", 2)
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cores, "_SPLIT_CUTOFF", 2)
+    monkeypatch.setattr(cores, "_usable_cpus", lambda: 2)
 
 
 def _organ_pipe(n):
@@ -52,15 +53,14 @@ def test_split_matches_the_sort_strategy_bytewise(force_split, name, run):
         ranks = regular_sample_ranks(run.size, s)
         reference = get_strategy("sort").multiselect(run, ranks)
         assert multiselect_numpy(run, ranks).tobytes() == reference.tobytes()
-        for ours, theirs in zip(
-            sample_run(run, s, get_strategy("numpy")),
-            sample_run(run, s, get_strategy("sort")),
-        ):
-            assert ours.tobytes() == theirs.tobytes()
+        ours = sample_run(run, s, get_strategy("numpy"))
+        for got, theirs in zip(ours, sample_run(run, s, get_strategy("sort"))):
+            assert got.tobytes() == theirs.tobytes()
+        assert ours[3] == run.min()
 
 
 def test_split_takes_the_split_path(force_split):
-    assert kernels._slice_count(2) == 2
+    assert cores._slice_count(2) == 2
     buffer = np.asarray([5.0, 4.0, 3.0, 2.0, 1.0])
     head, tail = kernels._sort_slices(buffer, 2)
     assert head.tolist() == [4.0, 5.0] and tail.tolist() == [1.0, 2.0, 3.0]
@@ -79,8 +79,8 @@ def test_mixed_signed_zeros_compare_equal(force_split):
 @pytest.mark.parametrize("split", [False, True])
 def test_nan_ranks_last(monkeypatch, split):
     if split:
-        monkeypatch.setattr(kernels, "_SPLIT_CUTOFF", 2)
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cores, "_SPLIT_CUTOFF", 2)
+        monkeypatch.setattr(cores, "_usable_cpus", lambda: 2)
     rng = np.random.default_rng(11)
     for nans in (1, 4, 50):
         run = rng.uniform(size=101)
@@ -123,32 +123,66 @@ def test_sample_run_rejects_nan_under_every_strategy(force_split):
 
     run = np.random.default_rng(4).uniform(size=200)
     run[123] = np.nan
-    for name in STRATEGY_NAMES:
-        for s in (1, 2, 10):  # 1 and 2 ranks take numpy's partition path
+    for bad in (run, np.full(200, np.nan)):  # the minimum is NaN too
+        for name in STRATEGY_NAMES:
+            for s in (1, 2, 10):  # 1 and 2 ranks take numpy's partition path
+                for overwrite in (False, True):
+                    with pytest.raises(DataError, match="NaN"):
+                        sample_run(bad.copy(), s, get_strategy(name), overwrite)
+
+
+def _minimum_runs():
+    rng = np.random.default_rng(12)
+    zeros = rng.choice([-0.0, 0.0, 1.0, 2.5], size=301)
+    yield "signed zeros", zeros
+    yield "negative zero only", np.abs(zeros) * np.where(zeros == 0, -1.0, 1.0)
+    yield "minus infinity", rng.choice([-np.inf, -1.0, 0.5, np.inf], size=257)
+    yield "all equal", np.full(300, -4.25)
+    yield "all minus infinity", np.full(64, -np.inf)
+    yield "one key", np.asarray([-0.0])
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize(
+    "name,run", list(_minimum_runs()), ids=[n for n, _ in _minimum_runs()]
+)
+def test_the_minimum_is_rank_0_under_every_strategy(monkeypatch, split, name, run):
+    """``sample_run`` selects the run's minimum with its samples: under
+    every strategy, on numpy's partition path (s = 1, 2) and its sort
+    path, split or not, with every zero stored as +0.0."""
+    from repro.selection import STRATEGY_NAMES
+
+    if split:
+        monkeypatch.setattr(cores, "_SPLIT_CUTOFF", 2)
+        monkeypatch.setattr(cores, "_usable_cpus", lambda: 2)
+    expected = run.min() + 0.0
+    for strategy in STRATEGY_NAMES:
+        for s in sorted({1, min(run.size, 2), min(run.size, 9)}):
             for overwrite in (False, True):
-                with pytest.raises(DataError, match="NaN"):
-                    sample_run(run.copy(), s, get_strategy(name), overwrite)
+                *_, minimum = sample_run(run.copy(), s, get_strategy(strategy), overwrite)
+                assert minimum.dtype == np.float64
+                assert minimum.tobytes() == np.float64(expected).tobytes(), (strategy, s)
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(kernels, "_SPLIT_CUTOFF", 2)
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(kernels, "_helper", None)
+    monkeypatch.setattr(cores, "_SPLIT_CUTOFF", 2)
+    monkeypatch.setattr(cores, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cores, "_helper", None)
     before = threading.active_count()
     run = np.random.default_rng(1).uniform(size=1000)
     multiselect_numpy(run, regular_sample_ranks(run.size, 50))
-    assert kernels._helper is None
+    assert cores._helper is None
     assert threading.active_count() == before
 
 
 def test_affinity_mask_decides_the_slice_count(monkeypatch):
     """Two or more CPUs in the process's affinity mask allow the split."""
-    monkeypatch.setattr(kernels, "_SPLIT_CUTOFF", 2)
-    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert kernels._slice_count(10_000) == 1
-    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert kernels._slice_count(10_000) == 2
-    assert kernels._slice_count(1) == 1
+    monkeypatch.setattr(cores, "_SPLIT_CUTOFF", 2)
+    monkeypatch.setattr(cores.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cores._slice_count(10_000) == 1
+    monkeypatch.setattr(cores.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert cores._slice_count(10_000) == 2
+    assert cores._slice_count(1) == 1
 
 
 def test_one_helper_serves_many_threads(force_split):

@@ -236,11 +236,40 @@ class TestFailedPersist:
             with pytest.raises(ServiceError, match="retry"):
                 service.snapshot()  # an explicit epoch still raises
             del log._write
-            # The next trigger retries the epoch.
+            # The failed trigger counted as an attempt: the retry waits
+            # for another snapshot_every elements.
             assert service.ingest(rng.uniform(size=10)) == {
-                "accepted": 10, "epoch": 2,
+                "accepted": 10, "epoch": 1,
             }
-            assert service.current_epoch.count == 8_010
+            assert service.ingest(rng.uniform(size=2_990)) == {
+                "accepted": 2_990, "epoch": 2,
+            }
+            assert service.current_epoch.count == 11_000
+
+    def test_failed_triggers_retry_once_per_snapshot_every(self, rng, tmp_path):
+        """A full disk costs one epoch attempt per ``snapshot_every``
+        elements, not one per ingest; once writes succeed, the next
+        trigger advances the epoch."""
+        config = small_config(snapshot_every=3_000, snapshot_dir=tmp_path)
+        sink = MemorySink()
+        with QuantileService(config) as service:
+            service.ingest(rng.uniform(size=3_000))
+            log = service._snapshotter._log
+            log._write = _enospc
+            with tracing(sink):
+                for _ in range(40):  # 20,000 elements in batches of 500
+                    assert service.ingest(rng.uniform(size=500))["epoch"] == 1
+            failed = sink.counters()["service.snapshot.failed"]
+            assert 1 <= failed <= -(-20_000 // 3_000)
+            assert service.staleness == 20_000
+            del log._write
+            # 2,000 elements since the last failed trigger: the next one
+            # comes 1,000 elements later.
+            epochs = [service.ingest(rng.uniform(size=500))["epoch"] for _ in range(4)]
+            assert epochs == [1, 2, 2, 2]
+            assert service.current_epoch.count == 24_000
+        with QuantileService(config) as restarted:  # close() persisted the rest
+            assert restarted.restored_epoch.count == 25_000
 
     def test_failed_final_epoch_raises_after_everything_closed(
         self, rng, tmp_path

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import cores
 from repro.core import OPAQ, IncrementalOPAQ, OPAQConfig
-from repro.selection import kernels
 from repro.service import QuantileService, ServiceConfig
 from repro.service.tenancy import RegistryConfig, SummaryRegistry, compose_key
 from repro.storage import DiskDataset, RunReader
@@ -86,12 +86,12 @@ def forced_split():
     """Every run of two or more keys is handled as two halves, on this
     thread and the helper, whatever this host's CPUs: the split seam of
     ``tests/selection/test_split_sort.py``."""
-    saved = kernels._SPLIT_CUTOFF, kernels._usable_cpus
-    kernels._SPLIT_CUTOFF, kernels._usable_cpus = 2, lambda: 2
+    saved = cores._SPLIT_CUTOFF, cores._usable_cpus
+    cores._SPLIT_CUTOFF, cores._usable_cpus = 2, lambda: 2
     try:
         yield
     finally:
-        kernels._SPLIT_CUTOFF, kernels._usable_cpus = saved
+        cores._SPLIT_CUTOFF, cores._usable_cpus = saved
 
 
 def split_pass_records(scratch: Path, sample_size: int) -> list[bytes]:
