@@ -14,8 +14,9 @@ served guarantee.  This bench records what that promise costs at
   4000-element key amortises its fold far better than a 16-element one,
   which is the honest trade a per-key backend makes.
 * **keyed query throughput** — keys answered per second for 3-φ vectors
-  over a deterministic sample of resident keys, plus the global
-  ``("*", "*")`` rollup served from the aggregation tree.
+  over a deterministic sample of resident keys, after one unrecorded
+  warm-up pass over the same sample, plus the global ``("*", "*")``
+  rollup served from the aggregation tree.
 * **residency** — ``used_slots`` vs. the fixed ``budget_slots``, plus
   resident/spilled key counts: the registry must stay at or under
   budget at every scale (the invariant
@@ -32,18 +33,19 @@ oldest, spilled keys up with a small batch each to price blind writes
 and re-queries those keys to price a cold read of a base plus its
 delta.
 
-The report's ``machine`` object records the host next to the rows, with
-the fields ``perfbench/run.py`` prints in its header (cores, Python,
-numpy, git sha, calibration speed).
+Each run is one *recording*: its ``machine`` object (the fields
+``perfbench/run.py`` prints in its header: cores, Python, numpy, git
+sha, calibration speed), its scale rows and its churn row.
 
-Run as a script to (re)generate the committed trajectory file::
+Run as a script to add a recording to the committed trajectory file::
 
     PYTHONPATH=src python benchmarks/bench_tenancy.py
 
-which writes ``BENCH_tenancy.json`` at the repo root, or through
+which appends to ``recordings`` in ``BENCH_tenancy.json`` at the repo
+root (replacing an earlier recording of the same git sha), or through
 pytest-benchmark like the other benches.  The pytest path runs a
 reduced sweep (no 1M-key row) unless ``REPRO_FULL=1``; the committed
-JSON always comes from the full script run.
+JSON always comes from full script runs, each at a clean checkout.
 """
 
 from __future__ import annotations
@@ -180,6 +182,11 @@ def _measure_scale(
                 ingest_seconds = time.perf_counter() - start
                 best_ingest = max(best_ingest, elements / ingest_seconds)
 
+                # One unrecorded pass over the probe keys, so the timed
+                # loop starts warm, whatever the process ran before.
+                for lo in range(0, len(probe), _QUERY_BATCH):
+                    client.quantiles_keyed(probe[lo : lo + _QUERY_BATCH], _PHIS)
+
                 answered = 0
                 worst_bound = 0.0
                 epsilon_ok = True
@@ -304,6 +311,28 @@ def _measure_churn(spill_root: Path) -> dict[str, object]:
     return row
 
 
+_HEADER = {
+    "benchmark": "tenancy",
+    "per_key_epsilon": _EPSILON,
+    "max_key_samples": _MAX_KEY_SAMPLES,
+    "query_phis": [float(phi) for phi in _PHIS],
+}
+
+
+def _with_recording(path: Path, recording: dict) -> dict[str, object]:
+    """The trajectory file at ``path`` with ``recording`` appended, oldest
+    first; an earlier recording of the same git sha is replaced."""
+    sha = recording["machine"]["git_sha"]
+    kept = []
+    if path.exists():
+        kept = [
+            old
+            for old in json.loads(path.read_text()).get("recordings", [])
+            if old["machine"]["git_sha"] != sha
+        ]
+    return {**_HEADER, "recordings": [*kept, recording]}
+
+
 def main(scales=_FULL_SCALES, out: Path | None = _OUT) -> dict[str, object]:
     gc_was_enabled = gc.isenabled()
     gc.disable()  # keep collector pauses out of the throughput clocks
@@ -318,17 +347,10 @@ def main(scales=_FULL_SCALES, out: Path | None = _OUT) -> dict[str, object]:
     finally:
         if gc_was_enabled:
             gc.enable()
-    report = {
-        "benchmark": "tenancy",
-        "machine": machine(),
-        "per_key_epsilon": _EPSILON,
-        "max_key_samples": _MAX_KEY_SAMPLES,
-        "query_phis": [float(phi) for phi in _PHIS],
-        "scales": rows,
-        "churn": churn,
-    }
+    recording = {"machine": machine(), "scales": rows, "churn": churn}
+    report = {**_HEADER, **recording}
     if out is not None:
-        out.write_text(json.dumps(report, indent=2) + "\n")
+        out.write_text(json.dumps(_with_recording(out, recording), indent=2) + "\n")
     for row in rows:
         print(
             f"{row['keys']:>9,} keys x {row['elements_per_key']:>5,} el: "

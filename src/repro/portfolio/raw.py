@@ -42,7 +42,7 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.portfolio.base import target_ranks, validate_phis
 
-__all__ = ["RawKeyState", "RawPlan", "raw_plan"]
+__all__ = ["RawKeyState", "RawPlan", "exact_bounds", "raw_plan"]
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,15 @@ class RawKeyState:
         if self.values.size == 0:
             raise EstimationError(f"{self.engine}: no data consumed yet")
         fractions = validate_phis(phis)
-        values = self.values
-        psi = target_ranks(fractions, values.size)
-        upper = values[psi - 1]
-        lower = values[np.searchsorted(values, upper, side="right") - 1]
+        psi = target_ranks(fractions, self.values.size)
+        lower, upper = exact_bounds(self.values, psi)
         zeros = np.zeros(psi.size, dtype=np.int64)
         return psi, lower, upper, zeros, zeros.copy(), fractions
+
+
+def exact_bounds(values: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lower, upper)`` of sorted ``values`` at the ranks ``psi``: the
+    upper bound is the element of rank ``psi``, the lower bound the last
+    element equal to it (OPAQ's tie rule for an exact summary)."""
+    upper = values[psi - 1]
+    return values[values.searchsorted(upper, side="right") - 1], upper

@@ -44,13 +44,24 @@ __all__ = ["multiselect_numpy"]
 
 #: Above this many distinct ranks, a full ``numpy.sort`` beats the
 #: multi-pivot introselect that ``numpy.partition`` runs for a kth
-#: *array*: measured on 12.5k–1M doubles, partition wins ~3× for one or
-#: two pivots but is 5–10× *slower* than sort from ~8 pivots on (the
-#: recursive per-pivot passes are not vectorised, the sort is).  Both
-#: paths return the exact order statistics, so the choice is invisible.
-#: Rank 0 does not count: numpy selects it by one linear scan for the
-#: minimum, not an introselect pass.
-_MULTISELECT_SORT_CUTOFF = 2
+#: *array*.  Rank 0 does not count: numpy selects it by one linear scan
+#: for the minimum, not an introselect pass.  Both paths return the
+#: exact order statistics, so the choice is invisible.  The sample
+#: phase's ranks (0 and ``s`` regular ranks) over uniform doubles, ms,
+#: medians of 15 (numpy 2.4.6 on a 2-vCPU AVX-512 Xeon; runs of 1M keys
+#: sort as two halves on both cores):
+#:
+#:     pivots (s)         1      2      3      8
+#:     3k   partition  0.019  0.041  0.053  0.070
+#:          sort       0.022  0.021  0.032  0.022
+#:     100k partition  0.19   1.36   1.72   2.52
+#:          sort       0.52   0.52   0.53   0.51
+#:     1M   partition  1.77  13.2   16.9   26.4
+#:          sort       3.60   3.64   3.82   3.53
+#:
+#: One pivot partitions in about half a sort; from two on, the pivots'
+#: recursive passes (not vectorised, where the sort is) lose.
+_MULTISELECT_SORT_CUTOFF = 1
 
 
 def multiselect_numpy(

@@ -196,15 +196,17 @@ def pack_array(arr: np.ndarray) -> bytes:
         raise DataError("object arrays cannot travel on the wire")
     if arr.ndim > _MAX_NDIM:
         raise DataError(f"arrays over {_MAX_NDIM} dimensions are not framed")
-    dtype_str = arr.dtype.str.encode("ascii")
-    parts = [
+    return _array_head(arr.dtype, arr.shape) + arr.tobytes()
+
+
+def _array_head(dtype: np.dtype, shape: tuple[int, ...]) -> bytes:
+    """The bytes an array block of this dtype and shape starts with."""
+    dtype_str = dtype.str.encode("ascii")
+    return b"".join((
         struct.pack("!B", len(dtype_str)),
         dtype_str,
-        struct.pack("!B", arr.ndim),
-        struct.pack(f"!{arr.ndim}Q", *arr.shape),
-        arr.tobytes(),
-    ]
-    return b"".join(parts)
+        struct.pack(f"!B{len(shape)}Q", len(shape), *shape),
+    ))
 
 
 def unpack_array(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -430,6 +432,9 @@ _KEY_BLOB_LEN = struct.Struct("!Q")
 _KEY_ECHO_LEN = struct.Struct("!H")
 _ANSWER_COUNT = struct.Struct("!I")
 
+_INT64 = np.dtype(np.int64)
+_FLOAT64 = np.dtype(np.float64)
+
 #: ``KeyAnswer.source`` <-> its one-byte wire code.  Order is the code.
 _SOURCE_NAMES = ("resident", "restored", "rollup:metric", "rollup:global")
 _SOURCE_CODES = {name: code for code, name in enumerate(_SOURCE_NAMES)}
@@ -578,10 +583,13 @@ def encode_quantiles_keyed_reply(answers: Sequence["KeyAnswer"]) -> bytes:
     every answer in one reply shares the request's fractions.
     """
     phis = answers[0].phis if answers else np.empty(0, dtype=np.float64)
-    parts = [
-        pack_array(np.ascontiguousarray(phis, dtype=np.float64)),
-        _ANSWER_COUNT.pack(len(answers)),
-    ]
+    phis = np.ascontiguousarray(phis, dtype=np.float64)
+    parts = [pack_array(phis), _ANSWER_COUNT.pack(len(answers))]
+    # Every answer's arrays have the φ vector's shape, so the five
+    # block headers are the same for all of them: built once per reply.
+    shape = phis.shape
+    int_head = _array_head(_INT64, shape)
+    float_head = _array_head(_FLOAT64, shape)
     for ans in answers:
         code = _SOURCE_CODES.get(ans.source)
         if code is None:
@@ -602,14 +610,19 @@ def encode_quantiles_keyed_reply(answers: Sequence["KeyAnswer"]) -> bytes:
                 engine_code,
             )
         )
-        for arr, dtype in (
-            (ans.psi, np.int64),
-            (ans.lower, np.float64),
-            (ans.upper, np.float64),
-            (ans.max_below, np.int64),
-            (ans.max_above, np.int64),
-        ):
-            parts.append(pack_array(np.ascontiguousarray(arr, dtype=dtype)))
+        psi = np.ascontiguousarray(ans.psi, dtype=np.int64)
+        lower = np.ascontiguousarray(ans.lower, dtype=np.float64)
+        upper = np.ascontiguousarray(ans.upper, dtype=np.float64)
+        below = np.ascontiguousarray(ans.max_below, dtype=np.int64)
+        above = np.ascontiguousarray(ans.max_above, dtype=np.int64)
+        if psi.shape == lower.shape == upper.shape == below.shape == above.shape == shape:
+            parts += (
+                int_head, psi.tobytes(), float_head, lower.tobytes(),
+                float_head, upper.tobytes(), int_head, below.tobytes(),
+                int_head, above.tobytes(),
+            )
+        else:
+            parts += map(pack_array, (psi, lower, upper, below, above))
     return b"".join(parts)
 
 

@@ -86,11 +86,13 @@ import numpy as np
 from repro.core.values import ingest_counts, ingest_values
 from repro.errors import DataError, EstimationError, ServiceError
 from repro.obs import current_tracer
-from repro.portfolio import ENGINES, EngineSpec
+from repro.portfolio import ENGINES, EngineSpec, RawKeyState
+from repro.portfolio.base import target_ranks, validate_phis
 
 # The canonical fold primitives live with the OPAQ portfolio engine;
 # ``compact_within_budget`` is re-exported here.
 from repro.portfolio.opaq import OpaqKeyState, compact_within_budget
+from repro.portfolio.raw import exact_bounds
 from repro.service.tenancy.config import RegistryConfig
 from repro.service.tenancy.keys import KEY_SEP, WILDCARD, compose_key
 from repro.service.tenancy.store import SpillRecord, SpillStore
@@ -625,20 +627,77 @@ class SummaryRegistry:
         metric: str,
         phis: Sequence[float] | np.ndarray,
     ) -> KeyAnswer:
-        """Serve quantile bounds for one key or (via ``"*"``) a rollup."""
+        """Serve quantile bounds for one key or (via ``"*"``) a rollup:
+        the one-pair case of :meth:`quantiles_many`."""
+        return self.quantiles_many([(tenant, metric)], phis)[0]
+
+    def quantiles_many(
+        self,
+        pairs: Sequence[tuple[str, str]],
+        phis: Sequence[float] | np.ndarray,
+    ) -> list[KeyAnswer]:
+        """One :class:`KeyAnswer` per ``(tenant, metric)`` pair, in order.
+
+        ``phis`` is checked once, before any key is touched, and each
+        distinct count's target ranks are computed once per call.  Keys
+        run in request order: a resident key's pending data is folded
+        first and its shard brought back under budget, so the folds,
+        evictions and store appends are those of one query per key.  A
+        spilled key is read, not restored.  A raw key is answered
+        straight from its sorted values; every other state through its
+        own ``bounds_arrays``.
+        """
         if self._closed:
             raise ServiceError("registry is closed")
-        if tenant == WILDCARD:
-            return self._rollup_answer(metric, phis)
-        if metric == WILDCARD:
-            raise DataError(
-                "per-tenant rollups are not maintained (they would scale "
-                "with key count); wildcard queries support tenant='*' with "
-                "a concrete metric or metric='*' for the global rollup"
-            )
+        fractions = validate_phis(phis)
+        # count -> its target ranks: shared, read-only, by the raw
+        # answers of this call, as is their rank-error column of zeros.
+        ranks: dict[int, np.ndarray] = {}
+        zeros = np.zeros(fractions.size, dtype=np.int64)
+        zeros.flags.writeable = False
+        tracer = current_tracer()
+        answers = []
+        for tenant, metric in pairs:
+            if tenant == WILDCARD:
+                answers.append(self._rollup_answer(metric, fractions))
+                continue
+            if metric == WILDCARD:
+                raise DataError(
+                    "per-tenant rollups are not maintained (they would scale "
+                    "with key count); wildcard queries support tenant='*' "
+                    "with a concrete metric or metric='*' for the global "
+                    "rollup"
+                )
+            source, engine, state = self._key_state(tenant, metric)
+            tracer.count("service.tenancy.query")
+            if type(state) is RawKeyState and state.values.size:
+                values = state.values
+                psi = ranks.get(values.size)
+                if psi is None:
+                    psi = ranks[values.size] = target_ranks(fractions, values.size)
+                    psi.flags.writeable = False
+                lower, upper = exact_bounds(values, psi)
+                answers.append(KeyAnswer(
+                    tenant, metric, source, int(values.size), 1, 0.0, 0,
+                    fractions, psi, lower, upper, zeros, zeros, engine,
+                ))
+            else:
+                answers.append(self._answer(
+                    tenant, metric, source, engine, state,
+                    int(state.compactions), fractions,
+                ))
+        return answers
+
+    def _key_state(self, tenant: str, metric: str) -> tuple[str, str, Any]:
+        """``(source, engine, state)`` a concrete key answers from.
+
+        A resident key is moved to the LRU end, its pending data folded
+        and its shard brought back under budget.  A spilled key is read
+        from its chain with any pending data copied in, into a temporary
+        state that changes nothing.
+        """
         key = compose_key(tenant, metric)
         shard = self._shards[self._shard_of(key)]
-        record = None
         with shard.lock:
             entry = shard.entries.get(key)
             if (
@@ -646,8 +705,6 @@ class SummaryRegistry:
                 and self._store is not None
                 and key in self._store
             ):
-                # Spilled: read the chain and copy any pending data for a
-                # temporary state, changing nothing.
                 base, record, _ = self._store.restore(key, keep=True)
                 data = _fold_input(
                     [] if entry is None else entry.pending, record.values
@@ -659,44 +716,22 @@ class SummaryRegistry:
                 )
             else:
                 shard.entries.move_to_end(key)
-                self._fold_entry_locked(shard, key, entry)
-                state = entry.state
-                compactions = entry.compactions
-                engine = entry.spec.name
-                self._enforce_budget_locked(shard)
-        if record is not None:
-            spec = ENGINES[record.engine]
-            state = self._new_state(spec, key, base, record)
-            if data is not None:
-                state = state.absorb(data)
-            compactions = int(state.compactions)
-            engine = spec.name
-        if state is None:
-            raise EstimationError(
-                f"no data for tenant={tenant!r} metric={metric!r}"
-            )
-        current_tracer().count("service.tenancy.query")
-        return self._answer(
-            tenant,
-            metric,
-            "resident" if record is None else "restored",
-            engine,
-            state,
-            compactions,
-            phis,
-        )
+                if entry.pending_count:
+                    self._fold_entry_locked(shard, key, entry)
+                if shard.used > self._cfg.shard_budget:
+                    self._enforce_budget_locked(shard)
+                if entry.state is None:
+                    raise EstimationError(
+                        f"no data for tenant={tenant!r} metric={metric!r}"
+                    )
+                return "resident", entry.spec.name, entry.state
+        spec = ENGINES[record.engine]
+        state = self._new_state(spec, key, base, record)
+        if data is not None:
+            state = state.absorb(data)
+        return "restored", spec.name, state
 
-    def quantiles_many(
-        self,
-        pairs: Sequence[tuple[str, str]],
-        phis: Sequence[float] | np.ndarray,
-    ) -> list[KeyAnswer]:
-        """One :class:`KeyAnswer` per ``(tenant, metric)`` pair."""
-        return [self.quantiles(tenant, metric, phis) for tenant, metric in pairs]
-
-    def _rollup_answer(
-        self, metric: str, phis: Sequence[float] | np.ndarray
-    ) -> KeyAnswer:
+    def _rollup_answer(self, metric: str, fractions: np.ndarray) -> KeyAnswer:
         if metric == WILDCARD:
             summary = self._tree.global_summary()
             source = "rollup:global"
@@ -717,7 +752,7 @@ class SummaryRegistry:
             max_samples=summary.num_samples,
             summary=summary,
         )
-        return self._answer(WILDCARD, metric, source, "opaq", state, -1, phis)
+        return self._answer(WILDCARD, metric, source, "opaq", state, -1, fractions)
 
     @staticmethod
     def _answer(
@@ -725,12 +760,12 @@ class SummaryRegistry:
         metric: str,
         source: str,
         engine: str,
-        state: object,
+        state: Any,
         compactions: int,
-        phis: Sequence[float] | np.ndarray,
+        fractions: np.ndarray,
     ) -> KeyAnswer:
         psi, lower, upper, max_below, max_above, fractions = (
-            state.bounds_arrays(phis)
+            state.bounds_arrays(fractions)
         )
         guarantee = int(state.guaranteed_rank_error())
         return KeyAnswer(

@@ -105,11 +105,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -239,6 +240,12 @@ class SpillRecord:
     def chain(self) -> tuple[_Where, ...]:
         """The base record's location followed by the deltas'."""
         return ((self.segment, self.offset, self.length), *self.deltas)
+
+
+#: A record's index fields, in constructor order (all but ``values``).
+_ENTRY = operator.attrgetter(
+    *(f.name for f in fields(SpillRecord) if f.name != "values")
+)
 
 
 def _base_meta(record: SpillRecord, folded: int = 0) -> bytes:
@@ -774,13 +781,17 @@ class SpillStore:
                     f"spilled key {key!r} holds {len(joined)} bytes of "
                     f"pending values, not {record.pending} values"
                 )
-            restored = replace(record, values=np.frombuffer(joined, dtype=_VALUE))
-            if not keep:
+            if keep:
+                # The index keeps its entry; the caller gets a copy.
+                record = SpillRecord(*_ENTRY(record))
+            else:
+                # The tombstone drops the entry from the index.
                 self._append_record(_TOMBSTONE, key.encode(), b"")
                 self._maybe_reclaim()
+            record.values = np.frombuffer(joined, dtype=_VALUE)
         nbytes = sum(length for _s, _o, length in chain)
         current_tracer().count("service.tenancy.restore.bytes", nbytes)
-        return summary, restored, nbytes
+        return summary, record, nbytes
 
     @staticmethod
     def _raw_values(key: str, record: SpillRecord, payload: memoryview) -> np.ndarray:

@@ -75,7 +75,7 @@ class TestSampleRun:
 
 class TestBuildSummary:
     def test_counts_and_extremes(self, rng):
-        """Under every strategy, and on numpy's partition path (s = 1, 2)
+        """Under every strategy, and on numpy's partition path (s = 1)
         that leaves the run buffer unsorted."""
         runs = [rng.uniform(size=100) for _ in range(5)]
         full = np.concatenate(runs)

@@ -77,6 +77,19 @@ def test_sample_run_is_kernel_invariant_over_ragged_runs(
                 assert ours.tobytes() == theirs.tobytes(), name
 
 
+def test_one_rank_above_zero_partitions_and_two_sort():
+    """A sample of one (ranks 0 and m - 1) takes numpy's partition path,
+    which leaves the buffer partitioned; two samples sort it.  Both
+    select what the ``sort`` strategy selects."""
+    run = np.random.default_rng(5).uniform(size=1_000)
+    for s, sorts in ((1, False), (2, True)):
+        ranks = np.concatenate([[0], regular_sample_ranks(run.size, s)])
+        work = run.copy()
+        got = multiselect_numpy(work, ranks, overwrite_input=True)
+        assert got.tobytes() == np.sort(run)[ranks].tobytes()
+        assert bool(np.all(np.diff(work) >= 0)) is sorts, s
+
+
 def test_multiselect_numpy_rejects_bad_ranks():
     values = np.arange(10.0)
     with pytest.raises(EstimationError):

@@ -125,7 +125,7 @@ def test_sample_run_rejects_nan_under_every_strategy(force_split):
     run[123] = np.nan
     for bad in (run, np.full(200, np.nan)):  # the minimum is NaN too
         for name in STRATEGY_NAMES:
-            for s in (1, 2, 10):  # 1 and 2 ranks take numpy's partition path
+            for s in (1, 2, 10):  # one rank takes numpy's partition path
                 for overwrite in (False, True):
                     with pytest.raises(DataError, match="NaN"):
                         sample_run(bad.copy(), s, get_strategy(name), overwrite)

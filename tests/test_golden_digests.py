@@ -98,8 +98,8 @@ def split_pass_records(scratch: Path, sample_size: int) -> list[bytes]:
     """``OPAQ.summarize(RunReader(DiskDataset))`` over 20,011 keys in runs
     of 3,000 (odd halves, a ragged last run).  The third run holds no
     negative key and its zeros are ``-0.0``, so its minimum is a zero;
-    ``sample_size=2`` takes numpy's partition path, the default the
-    sort path."""
+    ``sample_size=1`` takes numpy's partition path, larger ones the sort
+    path."""
     values = draws(400, 20_011)
     third = values[6_000:9_000]
     third[third <= 0] = -0.0
@@ -251,7 +251,10 @@ def current_digests(scratch: Path) -> dict[str, str]:
         "incremental/unbounded": digest(incremental_records(None)),
         "incremental/bounded": digest(incremental_records(300)),
         "pass/split_sort": digest(split_pass_records(scratch, 40)),
+        # Recorded when two samples took the partition path; they sort
+        # now, and must select the same bytes.
         "pass/split_partition": digest(split_pass_records(scratch, 2)),
+        "pass/split_partition_one": digest(split_pass_records(scratch, 1)),
     }
     before, after = service_records(scratch / "snapshots")
     out["service/epochs"] = digest(before)
