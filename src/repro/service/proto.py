@@ -615,7 +615,10 @@ def encode_quantiles_keyed_reply(answers: Sequence["KeyAnswer"]) -> bytes:
         upper = np.ascontiguousarray(ans.upper, dtype=np.float64)
         below = np.ascontiguousarray(ans.max_below, dtype=np.int64)
         above = np.ascontiguousarray(ans.max_above, dtype=np.int64)
-        if psi.shape == lower.shape == upper.shape == below.shape == above.shape == shape:
+        if (
+            psi.shape == lower.shape == upper.shape == below.shape
+            == above.shape == shape
+        ):
             parts += (
                 int_head, psi.tobytes(), float_head, lower.tobytes(),
                 float_head, upper.tobytes(), int_head, below.tobytes(),

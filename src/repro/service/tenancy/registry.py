@@ -670,13 +670,14 @@ class SummaryRegistry:
                 )
             source, engine, state = self._key_state(tenant, metric)
             tracer.count("service.tenancy.query")
-            if type(state) is RawKeyState and state.values.size:
-                values = state.values
+            values = state.values if type(state) is RawKeyState else None
+            if values is not None and values.size:
                 psi = ranks.get(values.size)
                 if psi is None:
                     psi = ranks[values.size] = target_ranks(fractions, values.size)
                     psi.flags.writeable = False
                 lower, upper = exact_bounds(values, psi)
+                # Exact: guarantee 1, epsilon bound 0.0, no compactions.
                 answers.append(KeyAnswer(
                     tenant, metric, source, int(values.size), 1, 0.0, 0,
                     fractions, psi, lower, upper, zeros, zeros, engine,

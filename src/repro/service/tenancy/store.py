@@ -243,7 +243,7 @@ class SpillRecord:
 
 
 #: A record's index fields, in constructor order (all but ``values``).
-_ENTRY = operator.attrgetter(
+_INDEX_FIELDS = operator.attrgetter(
     *(f.name for f in fields(SpillRecord) if f.name != "values")
 )
 
@@ -783,7 +783,7 @@ class SpillStore:
                 )
             if keep:
                 # The index keeps its entry; the caller gets a copy.
-                record = SpillRecord(*_ENTRY(record))
+                record = SpillRecord(*_INDEX_FIELDS(record))
             else:
                 # The tombstone drops the entry from the index.
                 self._append_record(_TOMBSTONE, key.encode(), b"")
