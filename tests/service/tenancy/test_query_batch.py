@@ -32,6 +32,7 @@ PAIRS = [
     ("c", "m1"), ("g", "m0"), ("k", "m0"), ("c", "m2"), ("r", "m0"),
     ("*", "*"), ("o", "m1"), ("c", "m3"), ("g", "m1"), ("r", "m2"),
     ("k", "m1"), ("c", "m4"), ("r", "m3"), ("c", "m5"), ("o", "m0"),
+    ("r", "m4"),
 ]
 
 
@@ -64,12 +65,13 @@ def populate(registry):
     for tenant in ("o", "g", "k"):
         for i in range(2):
             ingest(registry, tenant, f"m{i}", rng.normal(size=400))
-    # Raw keys: folded (one absorb each), then pending data on top.
-    for i in range(4):
-        ingest(registry, "r", f"m{i}", rng.normal(size=200)[:40])
-    registry.quantiles_many([("r", f"m{i}") for i in range(4)], PHIS)
-    for i in range(0, 4, 2):
-        ingest(registry, "r", f"m{i}", rng.normal(size=30))
+    # Raw keys of three counts, folded (one absorb each), then pending
+    # data on top of two that takes both past the compaction point.
+    for i, size in enumerate((40, 40, 20, 25, 33)):
+        ingest(registry, "r", f"m{i}", rng.normal(size=200)[:size])
+    registry.quantiles_many([("r", f"m{i}") for i in range(5)], PHIS)
+    for i, size in ((0, 30), (2, 50)):
+        ingest(registry, "r", f"m{i}", rng.normal(size=size))
     # Pending data for spilled keys: blind writes that stay resident.
     for i in range(0, 6, 2):
         ingest(registry, "c", f"m{i}", rng.normal(size=8))
@@ -141,6 +143,8 @@ def test_one_batch_equals_one_query_per_key(tmp_path):
     one_by_one = [single.quantiles(tenant, metric, PHIS) for tenant, metric in PAIRS]
 
     assert [fields(a) for a in batched] == [fields(a) for a in one_by_one]
+    # Raw answers of several counts share one batch.
+    assert len({a.count for a in batched if a.guarantee == 1}) >= 3
     sources = {a.source for a in batched}
     assert sources == {"resident", "restored", "rollup:metric", "rollup:global"}
     assert {a.engine for a in batched} == {"opaq", "gk", "kll"}
@@ -156,13 +160,15 @@ def test_one_batch_equals_one_query_per_key(tmp_path):
     assert directory_bytes(batch_dir) == directory_bytes(single_dir)
 
 
-def test_raw_answers_share_read_only_ranks(tmp_path):
+def test_raw_answers_share_read_only_ranks_per_count(tmp_path):
     with SummaryRegistry(config(tmp_path / "spill")) as registry:
         populate(registry)
-        answers = registry.quantiles_many([("r", "m1"), ("r", "m3")], PHIS)
-    first, second = answers
-    assert first.count == second.count == 40
-    assert first.psi is second.psi and not first.psi.flags.writeable
+        first, other, again = registry.quantiles_many(
+            [("r", "m1"), ("r", "m3"), ("r", "m1")], PHIS
+        )
+    assert first.count == again.count == 40 and other.count == 25
+    assert first.psi is again.psi and first.psi is not other.psi
+    assert not first.psi.flags.writeable
     assert not first.max_below.flags.writeable
 
 
