@@ -65,7 +65,7 @@ def populate(registry):
     for tenant in ("o", "g", "k"):
         for i in range(2):
             ingest(registry, tenant, f"m{i}", rng.normal(size=400))
-    # Raw keys of three counts, folded (one absorb each), then pending
+    # Raw keys of four counts, folded (one absorb each), then pending
     # data on top of two that takes both past the compaction point.
     for i, size in enumerate((40, 40, 20, 25, 33)):
         ingest(registry, "r", f"m{i}", rng.normal(size=200)[:size])
